@@ -2,8 +2,8 @@
 
 The package diagonalizes the three-level block at fixed oscillator
 coordinate in closed form, averages the resulting adiabatic levels into
-dressed energies, derives the residual couplings of the rotated frame by
-differentiating the eigenbasis, and validates everything against exact
+dressed energies, derives the residual couplings of the rotated frame in
+closed form from the eigenbasis, and validates everything against exact
 diagonalization of the full Hamiltonian on a truncated Fock window.
 """
 
@@ -16,7 +16,7 @@ from .dressed import (DressedLevel, ResonanceContour, contour_arc_crossing,
                       dressed_transition, h0_level_fd, resonance_contour,
                       wkb_dressed_energy, wkb_levels)
 from .errors import (ConvergenceError, DegenerateLevelsError, OffResonanceError,
-                     StepCancellationError, TrackingError, TriladderError)
+                     TrackingError, TriladderError)
 from .fock import (FockWindowHamiltonian, GapScan, TrackedLevels,
                    anticrossing_gap, build_hamiltonian, eigen_near,
                    exact_dressed_levels, resonance_sharpness_map, track_levels)
@@ -30,7 +30,7 @@ __all__ = [
     "AdiabaticPoint", "ConvergenceError", "CouplingSample", "CubicCoefficients",
     "DegenerateLevelsError", "DressedLevel", "FockWindowHamiltonian", "GapScan",
     "MatrixElementRequest", "ModelParams", "OffResonanceError", "ResonanceContour",
-    "SplittingRecord", "StepCancellationError", "TrackedLevels", "TrackingError",
+    "SplittingRecord", "TrackedLevels", "TrackingError",
     "TriladderError", "anticrossing_gap", "build_hamiltonian", "compare_splittings",
     "contour_arc_crossing", "contour_point_on_line", "coupling_functions",
     "coupling_matrix", "cubic_coefficients", "dressed_transition", "eigen_near",

@@ -31,19 +31,18 @@ class ConfigError(ValueError):
 
 
 class Config:
-    def __init__(self, params, run, output, echo):
+    def __init__(self, params, run, output, echo, precision):
         self.params = params
         self.run = run
         self.output = output
         self.echo = echo              # ordered (key, value) pairs for provenance
-
-    def precision(self):
-        return int(self.output.get("precision", 15))
+        self.precision = precision    # significant digits of CSV floats
 
 
 def load_config(source) -> Config:
     """Parse and validate a configuration file (path or open text stream)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         if hasattr(source, "read"):
             parser.read_file(source)
@@ -90,16 +89,19 @@ def load_config(source) -> Config:
 
     run = dict(parser["run"]) if "run" in parser else {}
     output = dict(parser["output"]) if "output" in parser else {}
-    for key, value in output.items():
-        if key == "precision":
-            if int(value) <= 0:
-                raise ConfigError("[output] precision must be positive")
+    raw = output.get("precision", "15")
+    try:
+        precision = int(raw)
+    except ValueError as err:
+        raise ConfigError(f"[output] precision = {raw!r} is not an integer") from err
+    if not 1 <= precision <= 17:
+        raise ConfigError(f"[output] precision = {precision} is outside 1..17")
 
     echo = [("e1", params.e1), ("e2", params.e2), ("e3", params.e3),
             ("u", params.u), ("v", params.v),
             ("g1", params.g1), ("g2", params.g2), ("n0", params.n0)]
     echo += [(f"run.{k}", v) for k, v in run.items()]
-    return Config(params, run, output, echo)
+    return Config(params, run, output, echo, precision)
 
 
 def _run_float(cfg, key, default=None):
@@ -115,6 +117,13 @@ def _run_float(cfg, key, default=None):
 
 def _run_int(cfg, key, default=None):
     return int(_run_float(cfg, key, default))
+
+
+def _run_count(cfg, key, default=None):
+    value = _run_float(cfg, key, default)
+    if not (value >= 1 and float(value).is_integer()):
+        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a positive integer")
+    return int(value)
 
 
 def _run_transition(cfg, default="1,2"):
@@ -147,7 +156,7 @@ def _format(value, precision):
 
 
 def _render(cfg, header, rows):
-    precision = cfg.precision()
+    precision = cfg.precision
     out = []
     for key, value in cfg.echo:
         out.append(f"# {key} = {_format(value, 17)}")
@@ -159,7 +168,7 @@ def _render(cfg, header, rows):
 
 def render_levels(cfg) -> str:
     y = np.linspace(_run_float(cfg, "y_min"), _run_float(cfg, "y_max"),
-                    _run_int(cfg, "y_points"))
+                    _run_count(cfg, "y_points"))
     levels = eigenvalues_at(cfg.params, y)
     rows = [(y[i], levels[i, 0], levels[i, 1], levels[i, 2]) for i in range(y.size)]
     return _render(cfg, ("y", "E1", "E2", "E3"), rows)
@@ -167,9 +176,9 @@ def render_levels(cfg) -> str:
 
 def render_wkb(cfg) -> str:
     g1 = np.linspace(_run_float(cfg, "g1_min"), _run_float(cfg, "g1_max"),
-                     _run_int(cfg, "g1_points"))
+                     _run_count(cfg, "g1_points"))
     g2 = np.linspace(_run_float(cfg, "g2_min"), _run_float(cfg, "g2_max"),
-                     _run_int(cfg, "g2_points"))
+                     _run_count(cfg, "g2_points"))
     n = _run_int(cfg, "n", cfg.params.n0)
     nodes = _run_int(cfg, "nodes", 256)
     rows = []
@@ -183,9 +192,9 @@ def render_wkb(cfg) -> str:
 def render_contours(cfg) -> str:
     j, k = _run_transition(cfg)
     dns = _run_int_list(cfg, "delta_n_list")
-    rays = _run_int(cfg, "rays", 181)
+    rays = _run_count(cfg, "rays", 181)
     radius = _run_float(cfg, "radius", 1.25)
-    scan = _run_int(cfg, "scan_points", 160)
+    scan = _run_count(cfg, "scan_points", 160)
     nodes = _run_int(cfg, "nodes", 256)
     tol = _run_float(cfg, "residual_tol", 1e-6)
     angles = np.linspace(0.0, np.pi / 2.0, rays)
@@ -206,9 +215,9 @@ def render_resonance_map(cfg) -> str:
     """Rows are tracked sequentially; seeding vectors chain along the g2 axis."""
     j, k = _run_transition(cfg)
     g1 = np.linspace(_run_float(cfg, "g1_min", 0.0), _run_float(cfg, "g1_max", 1.0),
-                     _run_int(cfg, "g1_points"))
+                     _run_count(cfg, "g1_points"))
     g2 = np.linspace(_run_float(cfg, "g2_min", 0.0), _run_float(cfg, "g2_max", 1.25),
-                     _run_int(cfg, "g2_points"))
+                     _run_count(cfg, "g2_points"))
     width = _run_int(cfg, "half_width", 400)
     table = resonance_sharpness_map(cfg.params, (j, k), g1, g2,
                                     cfg.params.n0, width)
@@ -225,7 +234,7 @@ def render_splittings(cfg, threads=1) -> str:
     g1_max = _run_float(cfg, "g1_max", 1.05)
     mode = cfg.run.get("mode", "pair")
     vicinity = _run_float(cfg, "vicinity", 0.08)
-    scan = _run_int(cfg, "scan_points", 101)
+    scan = _run_count(cfg, "scan_points", 101)
 
     def one(dn):
         return compare_splittings(cfg.params, ratio, [dn], (j, k),
@@ -256,7 +265,13 @@ def _write(cfg, args, name, text):
     print(f"wrote {path}")
 
 
-def cmd_validate(args) -> int:
+def _thread_count(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def cmd_validate() -> int:
     from .validate import run_all
     results = run_all()
     width = max(len(r.name) for r in results)
@@ -283,16 +298,17 @@ def main(argv=None) -> int:
         "resonance-map": lambda cfg, args: render_resonance_map(cfg),
         "splittings": lambda cfg, args: render_splittings(cfg, args.threads),
     }
-    for name in (*renderers, "validate"):
+    for name in renderers:
         cmd = sub.add_parser(name)
-        if name != "validate":
-            cmd.add_argument("--config", required=True)
+        cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
-        cmd.add_argument("--threads", type=int, default=1)
+        if name == "splittings":
+            cmd.add_argument("--threads", type=_thread_count, default=1)
+    sub.add_parser("validate")
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        return cmd_validate(args)
+        return cmd_validate()
     try:
         cfg = load_config(args.config)
         text = renderers[args.command](cfg, args)

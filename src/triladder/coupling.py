@@ -1,11 +1,14 @@
 """Residual couplings generated by rotating the oscillator into the adiabatic frame.
 
-Differentiating the y-dependent eigenbasis B(y) gives the matrix
-G(y) = B^T (dB/dy), antisymmetric for a real orthogonal basis.  Its three
-independent entries F12, F13, F23 drive the residual operators of the rotated
-problem: a derivative-coupling operator (anticommutator of d/dy with each
-F_jk) that connects different levels, and a small diagonal remainder built
-from the squares of the F functions.
+The y-dependent eigenbasis B(y) of the level matrix M(y) defines the
+derivative-coupling matrix G(y) = B^T (dB/dy).  Because dM/dy is constant
+(sqrt(2) u at (1,2), sqrt(2) v at (2,3)), the off-diagonal Hellmann-Feynman
+identity gives G in closed form from one eigensystem,
+G_jk = b_j^T (dM/dy) b_k / (E_k - E_j), antisymmetric with a zero diagonal.
+Its three independent entries F12, F13, F23 drive the residual operators of
+the rotated problem: a derivative-coupling operator (anticommutator of d/dy
+with each F_jk) that connects different levels, and a small diagonal
+remainder built from the squares of the F functions.
 
 Matrix elements between product states (level j, oscillator quantum n) are
 evaluated two independent ways: a Gauss-Hermite product quadrature usable up
@@ -15,24 +18,18 @@ no practical limit on n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, StepCancellationError
+from .errors import ConvergenceError
 from .oscillator import (derivative_from_rows, derivative_matrix,
                          eigenfunction_rows, position_offdiagonal,
                          roots_hermite)
-from .trilevel import ModelParams, _chained_bases, _eigensystem
-
-#: default finite-difference step rule for differentiating the eigenbasis;
-#: smaller steps leave the Richardson-extrapolated values noisier than the
-#: 1e-8 refinement stability demanded of the matrix elements
-def default_step(y):
-    return 1e-3 * np.maximum(1.0, np.abs(y))
-
+from .trilevel import ModelParams, _chained_bases
 
 #: quantum number cap for the Gauss-Hermite route
 HERMITE_MAX_N = 5000
@@ -46,18 +43,12 @@ _ABS_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CouplingSample:
-    """The three coupling-function values at one coordinate.
-
-    ``step`` is the finite-difference step actually used and ``error`` the
-    Richardson estimate of the truncation error (max over the three entries).
-    """
+    """The three coupling-function values at one coordinate."""
 
     y: float
     f12: float
     f13: float
     f23: float
-    step: float
-    error: float
 
 
 @dataclass(frozen=True)
@@ -82,89 +73,58 @@ class MatrixElementRequest:
                 f"{METHOD_HERMITE} supports n, m <= {HERMITE_MAX_N}; use {METHOD_FOCK}")
 
 
-def _coupling_batch(params, y, richardson=True):
-    """G(y) = B^T dB/dy on an ascending coordinate grid.
+def _coupling_batch(params, y):
+    """G(y) = B^T dB/dy on an ascending coordinate grid, shape (N, 3, 3).
 
-    Central differences of the sign-chained eigenbasis, Richardson
-    extrapolated from steps h and h/2.  Returns (G, err, h) with
-    G of shape (N, 3, 3) and err the per-point max-entry Richardson estimate.
+    Closed form G_jk = b_j^T (dM/dy) b_k / (E_k - E_j) on the sign-chained
+    basis, with the diagonal set to exactly zero.  Degenerate points raise
+    DegenerateLevelsError.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    h = default_step(y)
-    _, base = _chained_bases(params, y)
-
-    def central(step):
-        _, plus = _eigensystem(params, y + step, reference=base)
-        _, minus = _eigensystem(params, y - step, reference=base)
-        return np.einsum("nij,nik->njk", base, plus - minus) / (2.0 * step)[:, None, None]
-
-    g_h = central(h)
-    if not richardson:
-        return g_h, np.full(y.shape, np.nan), h
-    g_half = central(0.5 * h)
-    g = (4.0 * g_half - g_h) / 3.0
-    err = np.max(np.abs(g_half - g_h), axis=(-2, -1)) / 3.0
-    return g, err, h
+    energies, basis = _chained_bases(params, np.atleast_1d(np.asarray(y, dtype=float)))
+    wu, wv = math.sqrt(2.0) * params.u, math.sqrt(2.0) * params.v
+    dm = np.array([[0.0, wu, 0.0], [wu, 0.0, wv], [0.0, wv, 0.0]])
+    numer = basis.transpose(0, 2, 1) @ dm @ basis
+    gaps = energies[:, None, :] - energies[:, :, None]
+    diag = np.eye(3, dtype=bool)
+    g = numer / np.where(diag, 1.0, gaps)
+    g[:, diag] = 0.0
+    return g
 
 
-def coupling_matrix(params: ModelParams, y: float, step: float = None):
-    """Full 3x3 derivative-coupling matrix at one coordinate.
-
-    All nine products are formed, so the caller can check how antisymmetric
-    the result actually is.  Returns ``(matrix, error_estimate)``.
-    """
-    y = float(y)
-    if step is None:
-        g, err, _ = _coupling_batch(params, [y])
-        return g[0], float(err[0])
-    _, base = _eigensystem(params, [y])
-    _, plus = _eigensystem(params, [y + step], reference=base)
-    _, minus = _eigensystem(params, [y - step], reference=base)
-    g_h = np.einsum("nij,nik->njk", base, plus - minus)[0] / (2.0 * step)
-    _, plus = _eigensystem(params, [y + 0.5 * step], reference=base)
-    _, minus = _eigensystem(params, [y - 0.5 * step], reference=base)
-    g_half = np.einsum("nij,nik->njk", base, plus - minus)[0] / step
-    g = (4.0 * g_half - g_h) / 3.0
-    return g, float(np.max(np.abs(g_half - g_h)) / 3.0)
+def coupling_matrix(params: ModelParams, y: float) -> np.ndarray:
+    """Full 3x3 derivative-coupling matrix G = B^T dB/dy at one coordinate."""
+    return _coupling_batch(params, [float(y)])[0]
 
 
-def coupling_functions(params: ModelParams, y: float, step: float = None) -> CouplingSample:
-    """F12, F13, F23 at one coordinate by differentiating the eigenbasis.
-
-    Raises StepCancellationError when the Richardson error estimate exceeds
-    the magnitude of the result, which is the signature of a step small
-    enough that roundoff noise dominates the difference quotient.
-    """
-    used = float(default_step(y)) if step is None else float(step)
-    g, err = coupling_matrix(params, y, step=None if step is None else used)
-    anti = 0.5 * (g - g.T)
-    size = np.max(np.abs(anti))
-    # the difference quotient cannot beat basis roundoff over the step
-    roundoff = 8e-16 / used
-    if max(err, 0.0) > max(size, _ABS_FLOOR) or (size > 0 and roundoff > size):
-        raise StepCancellationError(
-            f"derivative noise ({err:.3e} estimated, {roundoff:.3e} roundoff floor) "
-            f"dominates coupling magnitude {size:.3e} at y={y} (step {used:.3e})")
-    return CouplingSample(float(y), float(g[0, 1]), float(g[0, 2]), float(g[1, 2]),
-                          used, float(err))
-
-
-def _coupling_values(params, pair, y_sorted):
-    """F for one level pair on an ascending grid, Richardson extrapolated."""
-    g, _, _ = _coupling_batch(params, y_sorted)
-    a, b = pair[0] - 1, pair[1] - 1
-    return g[:, a, b]
-
-
-def _coupling_squares(params, y_sorted):
-    """(F12^2, F13^2, F23^2) on an ascending grid."""
-    g, _, _ = _coupling_batch(params, y_sorted)
-    return g[:, 0, 1] ** 2, g[:, 0, 2] ** 2, g[:, 1, 2] ** 2
+def coupling_functions(params: ModelParams, y: float) -> CouplingSample:
+    """F12, F13, F23 at one coordinate, in closed form from the eigenbasis."""
+    g = coupling_matrix(params, y)
+    return CouplingSample(float(y), float(g[0, 1]), float(g[0, 2]), float(g[1, 2]))
 
 
 def _converged(new, old, scale):
     delta = abs(new - old)
     return delta <= _REL_TOL * abs(new) or delta <= _ABS_FLOOR * scale
+
+
+def _refine(evaluate, size, converged, what, route):
+    """Evaluate at ``size``, then double the size up to three times.
+
+    ``evaluate(size)`` returns ``(value, scale)``; the first doubled value
+    that passes ``converged(new, previous, scale)`` is returned.  Otherwise
+    ConvergenceError names ``what``, the refinement ``route`` and the last
+    change.
+    """
+    value, _ = evaluate(size)
+    for _ in range(3):
+        size *= 2
+        new, scale = evaluate(size)
+        if converged(new, value, scale):
+            return new
+        last_change = np.max(np.abs(new - value))
+        value = new
+    raise ConvergenceError(
+        f"{what} not stable under {route} refinement; last change {last_change:.3e}")
 
 
 #: coupling functions are only evaluated this far beyond the classical turning
@@ -193,25 +153,34 @@ def _element_hermite(params, pair, n, m, order):
     dm = derivative_from_rows(m, row[abs(m - 1)], row[m + 1])
     inside = _classical_mask(y, max(n, m))
     f = np.zeros(y.size)
-    f[inside] = _coupling_values(params, pair, y[inside])
+    f[inside] = _coupling_batch(params, y[inside])[:, pair[0] - 1, pair[1] - 1]
     terms = w * f * (pn * dm - dn * pm)
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def _window_operators(params, pair, lo, hi):
-    """Windowed F(y) and d/dy matrices on Fock states lo..hi."""
-    dim = hi - lo + 1
-    yvals, q = eigh_tridiagonal(np.zeros(dim), position_offdiagonal(lo, hi))
-    f = _coupling_values(params, pair, yvals)
+def _window(n, m, pad):
+    """Fock window around quanta n and m, padded by ``pad`` on both sides.
+
+    Returns the first state ``lo`` and the eigenvalues (position nodes) and
+    eigenvectors of the windowed position operator.
+    """
+    lo = max(min(n, m) - pad, 0)
+    hi = max(n, m) + pad
+    nodes, q = eigh_tridiagonal(np.zeros(hi - lo + 1), position_offdiagonal(lo, hi))
+    return lo, nodes, q
+
+
+def _window_operators(params, pair, lo, nodes, q):
+    """Windowed F_jk(y), d/dy and anticommutator {d/dy, F_jk} matrices."""
+    f = _coupling_batch(params, nodes)[:, pair[0] - 1, pair[1] - 1]
     fmat = (q * f) @ q.T
-    return fmat, derivative_matrix(lo, hi)
+    dmat = derivative_matrix(lo, lo + nodes.size - 1)
+    return fmat, dmat, dmat @ fmat + fmat @ dmat
 
 
 def _element_fock(params, pair, n, m, pad):
-    lo = max(min(n, m) - pad, 0)
-    hi = max(n, m) + pad
-    fmat, dmat = _window_operators(params, pair, lo, hi)
-    op = dmat @ fmat + fmat @ dmat
+    lo, nodes, q = _window(n, m, pad)
+    fmat, dmat, op = _window_operators(params, pair, lo, nodes, q)
     scale = (np.abs(dmat) @ np.abs(fmat) + np.abs(fmat) @ np.abs(dmat))[n - lo, m - lo]
     return float(op[n - lo, m - lo]), float(scale)
 
@@ -233,29 +202,22 @@ def v_matrix_element(params: ModelParams, req: MatrixElementRequest) -> float:
     else:
         size = 4 * abs(req.n - req.m) + 64
         evaluate = lambda s: _element_fock(params, pair, req.n, req.m, s)
-    value, scale = evaluate(size)
-    for _ in range(3):
-        size *= 2
-        new, scale = evaluate(size)
-        if _converged(new, value, scale):
-            return -0.5 * sigma * new
-        last_change = abs(new - value)
-        value = new
-    raise ConvergenceError(
-        f"matrix element ({req.j},{req.n})<->({req.k},{req.m}) not stable under "
-        f"{req.method} refinement; last change {last_change:.3e}")
+    value = _refine(evaluate, size, _converged,
+                    f"matrix element ({req.j},{req.n})<->({req.k},{req.m})", req.method)
+    return -0.5 * sigma * value
 
 
-def _window_h0_state(params, level, nq, lo, hi, yvals, q, target_dressed):
+def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     """Eigenvector of the windowed single-level rotated problem near one rung.
 
-    The operator is (number operator) + E_level(y) on Fock states lo..hi; its
-    eigenvector with eigenvalue nearest ``target_dressed + nq`` is the
-    distorted oscillator state carrying quantum label ``nq``.
+    The operator is (number operator) + E_level(y) on the window's Fock states
+    from ``lo``; its eigenvector with eigenvalue nearest
+    ``target_dressed + nq`` is the distorted oscillator state carrying
+    quantum label ``nq``.
     """
-    energies = _adiabatic_curve(params, level, yvals)
+    energies = _adiabatic_curve(params, level, nodes)
     h0 = (q * energies) @ q.T
-    idx = np.arange(hi - lo + 1)
+    idx = np.arange(nodes.size)
     h0[idx, idx] += (lo + idx) - float(nq)   # oscillator rungs counted from nq
     vals, vecs = scipy.linalg.eigh(h0, subset_by_value=(target_dressed - 0.45,
                                                         target_dressed + 0.45))
@@ -298,28 +260,30 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int,
     pair = (min(j, k), max(j, k))
 
     def evaluate(p):
-        lo = max(min(n, m) - p, 0)
-        hi = max(n, m) + p
-        dim = hi - lo + 1
-        yvals, q = eigh_tridiagonal(np.zeros(dim), position_offdiagonal(lo, hi))
-        uj = _window_h0_state(params, j, n, lo, hi, yvals, q, dressed[j - 1])
-        uk = _window_h0_state(params, k, m, lo, hi, yvals, q, dressed[k - 1])
-        f = _coupling_values(params, pair, yvals)
-        fmat = (q * f) @ q.T
-        dmat = derivative_matrix(lo, hi)
-        op = dmat @ fmat + fmat @ dmat
+        lo, nodes, q = _window(n, m, p)
+        uj = _window_h0_state(params, j, n, lo, nodes, q, dressed[j - 1])
+        uk = _window_h0_state(params, k, m, lo, nodes, q, dressed[k - 1])
+        # built after the two eigensolves so the dense operators and the
+        # eigensolver workspace are never held at once (peak memory)
+        _, _, op = _window_operators(params, pair, lo, nodes, q)
         return float(uj @ op @ uk), float(np.abs(uj) @ (np.abs(op) @ np.abs(uk)))
 
     size = pad if pad is not None else 4 * abs(n - m) + 96
-    value, scale = evaluate(size)
-    for _ in range(3):
-        size *= 2
-        new, scale = evaluate(size)
-        if _converged(new, value, scale):
-            return -0.5 * sigma * new
-        value = new
-    raise ConvergenceError(
-        f"rotated-frame element ({j},{n})<->({k},{m}) not stable under window refinement")
+    value = _refine(evaluate, size, _converged,
+                    f"rotated-frame element ({j},{n})<->({k},{m})", "window")
+    return -0.5 * sigma * value
+
+
+def _remainder(dens, g):
+    """(1/2) <dens, F_a^2 + F_b^2> over the two couplings touching each level."""
+    s12, s13, s23 = g[:, 0, 1] ** 2, g[:, 0, 2] ** 2, g[:, 1, 2] ** 2
+    return np.array([np.sum(dens * (s12 + s13)),
+                     np.sum(dens * (s12 + s23)),
+                     np.sum(dens * (s13 + s23))]) / 2.0
+
+
+def _vector_converged(new, old, _scale):
+    return np.all(np.abs(new - old) <= _REL_TOL * np.abs(new) + _ABS_FLOOR)
 
 
 def w_expectation(params: ModelParams, n: int, method: str = None) -> np.ndarray:
@@ -340,36 +304,16 @@ def w_expectation(params: ModelParams, n: int, method: str = None) -> np.ndarray
             rows = eigenfunction_rows(y, sorted({order - 1, n}))
             row = {k: rows[i] for i, k in enumerate(sorted({order - 1, n}))}
             w = 1.0 / (order * row[order - 1] ** 2)
-            dens = w * row[n] ** 2
             inside = _classical_mask(y, n)
-            s12 = np.zeros(y.size)
-            s13 = np.zeros(y.size)
-            s23 = np.zeros(y.size)
-            s12[inside], s13[inside], s23[inside] = _coupling_squares(params, y[inside])
-            return np.array([np.sum(dens * (s12 + s13)),
-                             np.sum(dens * (s12 + s23)),
-                             np.sum(dens * (s13 + s23))]) / 2.0
+            g = np.zeros((y.size, 3, 3))
+            g[inside] = _coupling_batch(params, y[inside])
+            return _remainder(w * row[n] ** 2, g), None
         size = 2 * n + 64
     elif method == METHOD_FOCK:
         def evaluate(pad):
-            lo = max(n - pad, 0)
-            hi = n + pad
-            dim = hi - lo + 1
-            yvals, q = eigh_tridiagonal(np.zeros(dim), position_offdiagonal(lo, hi))
-            dens = q[n - lo] ** 2
-            g, _, _ = _coupling_batch(params, yvals)
-            s12, s13, s23 = g[:, 0, 1] ** 2, g[:, 0, 2] ** 2, g[:, 1, 2] ** 2
-            return np.array([np.sum(dens * (s12 + s13)),
-                             np.sum(dens * (s12 + s23)),
-                             np.sum(dens * (s13 + s23))]) / 2.0
+            lo, nodes, q = _window(n, n, pad)
+            return _remainder(q[n - lo] ** 2, _coupling_batch(params, nodes)), None
         size = 96
     else:
         raise ValueError(f"unknown method {method!r}")
-    value = evaluate(size)
-    for _ in range(3):
-        size *= 2
-        new = evaluate(size)
-        if np.all(np.abs(new - value) <= _REL_TOL * np.abs(new) + _ABS_FLOOR):
-            return new
-        value = new
-    raise ConvergenceError(f"diagonal remainder at n={n} not stable under {method} refinement")
+    return _refine(evaluate, size, _vector_converged, f"diagonal remainder at n={n}", method)

@@ -24,10 +24,6 @@ class ConvergenceError(TriladderError):
     """A refinement loop (quadrature nodes, window padding, grid) did not settle."""
 
 
-class StepCancellationError(TriladderError):
-    """Finite-difference step so small that roundoff dominates the derivative."""
-
-
 class TrackingError(TriladderError):
     """Level identity lost while continuing eigenpairs along a parameter sweep."""
 

@@ -109,6 +109,10 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
             lo, flo = mid, fm
         else:
             hi = mid
+    else:
+        raise ConvergenceError(
+            f"({j},{k}) resonance with {delta_n} quanta on g2={ratio}*g1 not within "
+            f"{tol:.1e} after 200 bisections; last residual {fm:.3e} at g1={mid!r}")
     return mid, ratio * mid
 
 

@@ -210,7 +210,7 @@ def test_criterion_10_invariant_suite():
     results = run_all()
     clean = all(r.passed for r in results)
     trips = all(any(not r.passed for r in run_all(fault=fault))
-                for fault in ("antisymmetry", "parity", "trace", "even",
+                for fault in ("derivative", "parity", "trace", "even",
                               "blocks", "gauge", "determinism"))
     elapsed = time.time() - t0
     ok = clean and trips and elapsed < 180.0

@@ -1,9 +1,13 @@
+import contextlib
 import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triladder import ModelParams, eigenvalues_at, wkb_levels
 from triladder.cli import ConfigError, load_config, main, render_levels, render_wkb
@@ -133,11 +137,67 @@ class TestOtherCommands:
         assert "7/7 checks passed" in out
         assert " s " in out  # per-check timing present
 
-    def test_config_error_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, "[model]\ne1 = 0\n")
-        assert main(["levels", "--config", cfg]) == 2
+    LEVELS = MODEL + "[run]\ny_min = -1\ny_max = 1\ny_points = 5\n"
+    GRID = MODEL + ("[run]\ng1_min = 0\ng1_max = 0.2\ng1_points = 2\n"
+                    "g2_min = 0\ng2_max = 0.1\ng2_points = 2\n")
+    CONTOURS = MODEL + "[run]\ndelta_n_list = 13\nrays = 5\nscan_points = 60\n"
+    SPLITTINGS = MODEL + "[run]\nratio = 0.3\ndelta_n_list = 13\n"
+
+    @pytest.mark.parametrize("command,body", [
+        ("levels", "[model]\ne1 = 0\n"),
+        ("levels", LEVELS + "[output]\nprecision = abc\n"),
+        ("levels", LEVELS + "[output]\nprecision = 99\n"),
+        ("levels", LEVELS + "[output]\nprecision = 0\n"),
+        ("levels", LEVELS.replace("y_points = 5", "y_points = -4")),
+        ("levels", LEVELS.replace("y_points = 5", "y_points = 2.5")),
+        ("wkb", GRID.replace("g1_points = 2", "g1_points = 0")),
+        ("resonance-map", GRID.replace("g2_points = 2", "g2_points = 1.5")),
+        ("contours", CONTOURS.replace("rays = 5", "rays = -1")),
+        ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 2.5")),
+        ("splittings", SPLITTINGS + "scan_points = 0\n"),
+    ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
+            "y-points-negative", "y-points-fraction", "g1-points-zero",
+            "g2-points-fraction", "rays-negative", "scan-points-fraction",
+            "splittings-scan-points-zero"])
+    def test_config_error_exit_code(self, tmp_path, capsys, command, body):
+        cfg = write_config(tmp_path, body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["levels", "--config", "cfg.ini", "--threads", "2"],
+        ["resonance-map", "--config", "cfg.ini", "--threads", "2"],
+        ["splittings", "--config", "cfg.ini", "--threads", "0"],
+        ["validate", "--out", "results"],
+        ["validate", "--threads", "2"],
+    ])
+    def test_unsupported_options_rejected(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "triladder.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# point counts stay small so that every valid draw renders in milliseconds
+config_value = st.one_of(st.integers(max_value=2000), st.text(max_size=12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(precision=config_value, y_points=config_value)
+def test_levels_config_gives_csv_or_config_error(precision, y_points):
+    body = (MODEL + f"[run]\ny_min = -1\ny_max = 1\ny_points = {y_points}\n"
+            f"[output]\nprecision = {precision}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["levels", "--config", cfg, "--out", tmp])
+        if code == 0:
+            assert Path(tmp, "levels.csv").read_text().startswith("# e1 = 0")
+        else:
+            assert code == 2 and "configuration error" in err.getvalue()

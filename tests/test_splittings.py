@@ -1,7 +1,7 @@
 import pytest
 
-from triladder import (ModelParams, OffResonanceError, compare_splittings,
-                       contour_point_on_line, pt_splitting)
+from triladder import (ConvergenceError, ModelParams, OffResonanceError,
+                       compare_splittings, contour_point_on_line, pt_splitting)
 
 
 class TestPtSplitting:
@@ -42,6 +42,14 @@ class TestPtSplitting:
         dressed_waves = pt_splitting(params, (1, 2), 15)
         bare_waves = pt_splitting(params, (1, 2), 15, wavefunctions="oscillator")
         assert bare_waves < dressed_waves / 10
+
+
+class TestContourPoint:
+    def test_unreachable_tolerance_raises(self, ladder):
+        # the residual cannot reach exactly zero in floating point, so the
+        # bisection exhausts its halvings instead of returning a midpoint
+        with pytest.raises(ConvergenceError, match="200 bisections"):
+            contour_point_on_line(ladder, (1, 2), 15, ratio=0.3, tol=0.0)
 
 
 class TestCompare:

@@ -65,16 +65,16 @@ def load_config(source) -> Config:
             raise ConfigError(f"[model] {key} = {model[key]!r} is not a number") from err
 
     e1, e2, e3 = need("e1"), need("e2"), need("e3")
-    n0 = model.get("n0")
-    if n0 is None:
+    if "n0" not in model:
         raise ConfigError("[model] is missing required key 'n0'")
-    n0 = int(float(n0))
-
     if ("u" in model) == ("g1" in model):
         raise ConfigError("[model] must set exactly one of 'u' and 'g1'")
     if ("v" in model) == ("g2" in model):
         raise ConfigError("[model] must set exactly one of 'v' and 'g2'")
     try:
+        n0 = _integer(model["n0"], 1)
+        if n0 is None:
+            raise ValueError(f"n0 = {model['n0']!r} is not an integer >= 1")
         if "u" in model:
             u = float(model["u"])
         else:
@@ -90,18 +90,34 @@ def load_config(source) -> Config:
     run = dict(parser["run"]) if "run" in parser else {}
     output = dict(parser["output"]) if "output" in parser else {}
     raw = output.get("precision", "15")
-    try:
-        precision = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"[output] precision = {raw!r} is not an integer") from err
-    if not 1 <= precision <= 17:
-        raise ConfigError(f"[output] precision = {precision} is outside 1..17")
+    precision = _integer(raw, 1)
+    if precision is None or precision > 17:
+        raise ConfigError(f"[output] precision = {raw!r} is not an integer in 1..17")
 
     echo = [("e1", params.e1), ("e2", params.e2), ("e3", params.e3),
             ("u", params.u), ("v", params.v),
             ("g1", params.g1), ("g2", params.g2), ("n0", params.n0)]
     echo += [(f"run.{k}", v) for k, v in run.items()]
     return Config(params, run, output, echo, precision)
+
+
+def _integer(text, lowest):
+    """``text`` as an int when it spells a whole number >= lowest, else None.
+
+    Digits are read exactly; a float form such as ``1e8`` only while a float
+    holds the whole number exactly (up to 2**53).
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            number = float(text)
+        except ValueError:
+            return None
+        if not (number.is_integer() and abs(number) <= 2 ** 53):
+            return None
+        value = int(number)
+    return value if value >= lowest else None
 
 
 def _run_float(cfg, key, default=None):
@@ -115,15 +131,13 @@ def _run_float(cfg, key, default=None):
         raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a number") from err
 
 
-def _run_int(cfg, key, default=None):
-    return int(_run_float(cfg, key, default))
-
-
-def _run_count(cfg, key, default=None):
-    value = _run_float(cfg, key, default)
-    if not (value >= 1 and float(value).is_integer()):
-        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a positive integer")
-    return int(value)
+def _run_int(cfg, key, default=None, lowest=1):
+    if key not in cfg.run:
+        return _run_float(cfg, key, default)
+    value = _integer(cfg.run[key], lowest)
+    if value is None:
+        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not an integer >= {lowest}")
+    return value
 
 
 def _run_transition(cfg, default="1,2"):
@@ -168,7 +182,7 @@ def _render(cfg, header, rows):
 
 def render_levels(cfg) -> str:
     y = np.linspace(_run_float(cfg, "y_min"), _run_float(cfg, "y_max"),
-                    _run_count(cfg, "y_points"))
+                    _run_int(cfg, "y_points"))
     levels = eigenvalues_at(cfg.params, y)
     rows = [(y[i], levels[i, 0], levels[i, 1], levels[i, 2]) for i in range(y.size)]
     return _render(cfg, ("y", "E1", "E2", "E3"), rows)
@@ -176,11 +190,11 @@ def render_levels(cfg) -> str:
 
 def render_wkb(cfg) -> str:
     g1 = np.linspace(_run_float(cfg, "g1_min"), _run_float(cfg, "g1_max"),
-                     _run_count(cfg, "g1_points"))
+                     _run_int(cfg, "g1_points"))
     g2 = np.linspace(_run_float(cfg, "g2_min"), _run_float(cfg, "g2_max"),
-                     _run_count(cfg, "g2_points"))
-    n = _run_int(cfg, "n", cfg.params.n0)
-    nodes = _run_int(cfg, "nodes", 256)
+                     _run_int(cfg, "g2_points"))
+    n = _run_int(cfg, "n", cfg.params.n0, lowest=0)
+    nodes = _run_int(cfg, "nodes", 256, lowest=16)
     rows = []
     for b in g2:
         for a in g1:
@@ -192,10 +206,10 @@ def render_wkb(cfg) -> str:
 def render_contours(cfg) -> str:
     j, k = _run_transition(cfg)
     dns = _run_int_list(cfg, "delta_n_list")
-    rays = _run_count(cfg, "rays", 181)
+    rays = _run_int(cfg, "rays", 181)
     radius = _run_float(cfg, "radius", 1.25)
-    scan = _run_count(cfg, "scan_points", 160)
-    nodes = _run_int(cfg, "nodes", 256)
+    scan = _run_int(cfg, "scan_points", 160)
+    nodes = _run_int(cfg, "nodes", 256, lowest=16)
     tol = _run_float(cfg, "residual_tol", 1e-6)
     angles = np.linspace(0.0, np.pi / 2.0, rays)
     rows = []
@@ -215,10 +229,10 @@ def render_resonance_map(cfg) -> str:
     """Rows are tracked sequentially; seeding vectors chain along the g2 axis."""
     j, k = _run_transition(cfg)
     g1 = np.linspace(_run_float(cfg, "g1_min", 0.0), _run_float(cfg, "g1_max", 1.0),
-                     _run_count(cfg, "g1_points"))
+                     _run_int(cfg, "g1_points"))
     g2 = np.linspace(_run_float(cfg, "g2_min", 0.0), _run_float(cfg, "g2_max", 1.25),
-                     _run_count(cfg, "g2_points"))
-    width = _run_int(cfg, "half_width", 400)
+                     _run_int(cfg, "g2_points"))
+    width = _run_int(cfg, "half_width", 400, lowest=8)
     table = resonance_sharpness_map(cfg.params, (j, k), g1, g2,
                                     cfg.params.n0, width)
     rows = [(r["g1"], r["g2"], r["diff"], r["delta_n"], r["sharpness"], r["ok"])
@@ -230,11 +244,11 @@ def render_splittings(cfg, threads=1) -> str:
     j, k = _run_transition(cfg)
     dns = _run_int_list(cfg, "delta_n_list")
     ratio = _run_float(cfg, "ratio")
-    width = _run_int(cfg, "half_width", 400)
+    width = _run_int(cfg, "half_width", 400, lowest=8)
     g1_max = _run_float(cfg, "g1_max", 1.05)
     mode = cfg.run.get("mode", "pair")
     vicinity = _run_float(cfg, "vicinity", 0.08)
-    scan = _run_count(cfg, "scan_points", 101)
+    scan = _run_int(cfg, "scan_points", 101)
 
     def one(dn):
         return compare_splittings(cfg.params, ratio, [dn], (j, k),

@@ -5,8 +5,13 @@ quantum), so each parity sector is a real symmetric banded matrix on the
 product basis {level i} x {n0-W .. n0+W}.  Energies are assembled with the
 n0 * hbar_omega0 ladder offset removed, which keeps eigenvalues accurate to
 machine precision even at n0 = 1e8; reported energies add the offset back.
+The structure of a sector (labels, band positions, sqrt(n) factors) is built
+once per window and parity, so assembly at a new coupling is a diagonal fill
+plus two scaled scatters.
 
-Besides plain diagonalization the module continues eigenpairs along coupling
+Eigenpairs come from one route: shift-invert Lanczos whose inverse is a
+banded LU of H - sigma, started from the vectors already tracked at the
+previous point.  Around it the module continues eigenpairs along coupling
 sweeps by eigenvector overlap (energy order swaps at every anticrossing, the
 vectors do not), locates anticrossing gap minima by golden-section search,
 and rasterizes resonance-sharpness maps from the tracked exact spectrum.
@@ -14,13 +19,14 @@ and rasterizes resonance-sharpness maps from the tracked exact spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, TrackingError
@@ -47,7 +53,8 @@ class FockWindowHamiltonian:
 
     ``bands`` holds the lower bands (diagonal first); the stored diagonal has
     the n0 offset subtracted, recorded in ``energy_offset``.  ``labels`` lists
-    the (level, quantum-number) pair of every basis state in matrix order.
+    the (level, quantum-number) pair of every basis state in matrix order; it
+    is read-only because every assembly on the same window shares it.
     """
 
     params: ModelParams
@@ -103,15 +110,59 @@ class FockWindowHamiltonian:
         return int(hit[0])
 
 
-def sector_labels(n0, half_width, parity) -> np.ndarray:
-    """(level, n) pairs of one parity sector, ordered by n then level."""
+class _Sector(NamedTuple):
+    """Coupling-independent structure of one parity sector (read-only arrays).
+
+    ``ladders`` holds, for the u and the v ladder, the (band, column)
+    positions of its lower-band entries and their sqrt(n) factors.
+    """
+
+    labels: np.ndarray      # (dim, 2) level, quantum number
+    level: np.ndarray       # level index 0..2 of every state
+    shift: np.ndarray       # n - n0 as float
+    ladders: tuple          # (band rows, columns, sqrt factors) for u, for v
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _sector(n0, half_width, parity) -> _Sector:
     bit = _parity_bit(parity)
-    out = []
-    for nq in range(n0 - half_width, n0 + half_width + 1):
-        for lvl in (1, 2, 3):
-            if (lvl + nq) % 2 == bit:
-                out.append((lvl, nq))
-    return np.array(out, dtype=np.int64)
+    nq = np.repeat(np.arange(n0 - half_width, n0 + half_width + 1, dtype=np.int64), 3)
+    lvl = np.tile(np.arange(1, 4, dtype=np.int64), 2 * half_width + 1)
+    keep = (lvl + nq) % 2 == bit
+    labels = np.column_stack([lvl[keep], nq[keep]])
+    # labels are sorted by n then level, so this key is sorted too
+    key = 4 * labels[:, 1] + labels[:, 0]
+
+    def find(level, n):
+        pos = np.minimum(np.searchsorted(key, 4 * n + level), key.size - 1)
+        return pos, key[pos] == 4 * n + level
+
+    ladders = []
+    for lvl_from in (1, 2):
+        i = np.nonzero(labels[:, 0] == lvl_from)[0]
+        n = labels[i, 1]
+        # (lvl, n) <-> (lvl + 1, n + 1): partner after i, factor sqrt(n + 1)
+        up, has_up = find(lvl_from + 1, n + 1)
+        # (lvl, n) <-> (lvl + 1, n - 1): partner before i, factor sqrt(n)
+        down, has_down = find(lvl_from + 1, n - 1)
+        ladders.append(_read_only(
+            np.concatenate([up[has_up] - i[has_up], i[has_down] - down[has_down]]),
+            np.concatenate([i[has_up], down[has_down]]),
+            np.sqrt(np.concatenate([n[has_up] + 1, n[has_down]]).astype(float))))
+    level, shift = labels[:, 0] - 1, (labels[:, 1] - n0).astype(float)
+    _read_only(labels, level, shift)
+    return _Sector(labels, level, shift, tuple(ladders))
+
+
+def sector_labels(n0, half_width, parity) -> np.ndarray:
+    """(level, n) pairs of one parity sector, ordered by n then level (read-only)."""
+    return _sector(int(n0), int(half_width), parity).labels
 
 
 def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
@@ -128,54 +179,13 @@ def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
         raise ValueError("window half-width must be at least 8")
     if n0 - half_width < 0:
         raise ValueError(f"window underflows the vacuum: n0={n0}, W={half_width}")
-    labels = sector_labels(n0, half_width, parity)
-    dim = labels.shape[0]
-    evals = np.array([params.e1, params.e2, params.e3])
-    bands = np.zeros((3, dim))
-    bands[0] = evals[labels[:, 0] - 1] + (labels[:, 1] - n0)
-
-    index = {(int(l), int(nq)): i for i, (l, nq) in enumerate(labels)}
-    for (lvl, amp) in ((1, params.u), (2, params.v)):
-        for i, (l, nq) in enumerate(labels):
-            if l != lvl:
-                continue
-            partner = index.get((lvl + 1, nq + 1))
-            if partner is not None:
-                off = partner - i
-                bands[off, i] = amp * math.sqrt(nq + 1)
-            partner = index.get((lvl + 1, nq - 1))
-            if partner is not None:
-                # partner sits below i in the ordering
-                off = i - partner
-                bands[off, partner] = amp * math.sqrt(nq)
-    return FockWindowHamiltonian(params, n0, half_width, parity, labels,
+    sector = _sector(n0, half_width, parity)
+    bands = np.zeros((3, sector.labels.shape[0]))
+    bands[0] = np.array([params.e1, params.e2, params.e3])[sector.level] + sector.shift
+    for amp, (rows, cols, roots) in zip((params.u, params.v), sector.ladders):
+        bands[rows, cols] = amp * roots
+    return FockWindowHamiltonian(params, n0, half_width, parity, sector.labels,
                                  bands, float(n0))
-
-
-def _solve_banded_range(h, lo, hi):
-    """Eigenpairs with (offset-removed) eigenvalues in [lo, hi]."""
-    try:
-        vals, vecs = scipy.linalg.eig_banded(h.bands, lower=True, select="v",
-                                             select_range=(lo, hi))
-    except scipy.linalg.LinAlgError:
-        if h.dim > 6000:
-            raise
-        dense = h.dense()
-        vals, vecs = scipy.linalg.eigh(dense)
-        keep = (vals >= lo) & (vals <= hi)
-        vals, vecs = vals[keep], vecs[:, keep]
-    return vals, vecs
-
-
-def _sparse_from_bands(h):
-    dim = h.dim
-    rows = [h.bands[0]]
-    offsets = [0]
-    for r in range(1, h.bands.shape[0]):
-        band = h.bands[r, :dim - r]
-        rows += [band, band]
-        offsets += [-r, r]
-    return scipy.sparse.diags(rows, offsets, format="csc")
 
 
 def _cluster_targets(targets, width=3.0):
@@ -189,28 +199,60 @@ def _cluster_targets(targets, width=3.0):
     return groups
 
 
-def _shift_invert_near(h, targets):
-    """Eigenpairs around each target via shift-invert Lanczos.
+def _lanczos(h, sigma, k, v0, group):
+    """k eigenpairs nearest sigma; H - sigma is factored once as a banded LU."""
+    nb = h.bands.shape[0] - 1
+    # LAPACK general band storage, nb rows of room for the pivoting fill-in:
+    # entry (i, j) of H - sigma sits at row 2 nb + i - j, column j
+    ab = np.zeros((3 * nb + 1, h.dim))
+    ab[2 * nb] = h.bands[0] - sigma
+    for r in range(1, nb + 1):
+        ab[2 * nb + r, :h.dim - r] = h.bands[r, :h.dim - r]
+        ab[2 * nb - r, r:] = h.bands[r, :h.dim - r]
+    lu, piv, info = dgbtrf(ab, nb, nb, overwrite_ab=1)
+    if info != 0:
+        raise ConvergenceError(
+            f"banded LU of H - sigma failed (info {info}) at sigma={sigma} for targets {group}")
+    shape = (h.dim, h.dim)
+    a = scipy.sparse.linalg.LinearOperator(shape, matvec=h.matvec, dtype=float)
+    inverse = scipy.sparse.linalg.LinearOperator(
+        shape, matvec=lambda b: dgbtrs(lu, nb, nb, b, piv)[0], dtype=float)
+    try:
+        # rng only draws a restart vector if the Krylov space closes early
+        return scipy.sparse.linalg.eigsh(a, k=k, sigma=sigma, v0=v0, OPinv=inverse, rng=0)
+    except scipy.sparse.linalg.ArpackError as err:
+        raise ConvergenceError(f"shift-invert did not converge near {group}: {err}") from err
+
+
+def _shift_invert_near(h, targets, v0=None, k=None):
+    """Eigenpairs around each (offset-removed) target.
+
+    Targets within 3 of each other form a group; each group gets the ``k``
+    eigenpairs nearest sigma = mean + 1.1e-4 (4 + 3 per target by default),
+    from shift-invert Lanczos over a banded LU of H - sigma started at
+    ``v0`` (uniform when None).  A diagonal sector (zero coupling) returns
+    its basis states instead: they are exact, and degenerate multiplets must
+    not be left to an iterative solver's whim.
 
     Duplicates from overlapping shifts are removed by eigenvalue proximity
     plus vector overlap (a genuinely tight anticrossing pair stays distinct
-    because its two vectors are orthogonal).  Deterministic: the start vector
-    is fixed.
+    because its two vectors are orthogonal).  Deterministic given the seed
+    vectors.
     """
-    a = _sparse_from_bands(h)
-    v0 = np.full(h.dim, 1.0 / math.sqrt(h.dim))
+    if v0 is None:
+        v0 = np.full(h.dim, 1.0 / math.sqrt(h.dim))
+    diagonal = not np.any(h.bands[1:])
     vals_out, vecs_out = [], []
     for group in _cluster_targets(targets):
         sigma = float(np.mean(group)) + 1.1e-4
-        k = min(4 + 3 * len(group), h.dim - 1)
-        for attempt in range(3):
-            try:
-                vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, sigma=sigma, v0=v0)
-                break
-            except Exception:
-                sigma += 0.0137 * (attempt + 1)
+        size = min(4 + 3 * len(group) if k is None else k, h.dim - 1)
+        if diagonal:
+            idx = np.argsort(np.abs(h.bands[0] - sigma), kind="stable")[:size]
+            vals = h.bands[0][idx]
+            vecs = np.zeros((h.dim, size))
+            vecs[idx, np.arange(size)] = 1.0
         else:
-            raise ConvergenceError(f"shift-invert did not converge near {group}")
+            vals, vecs = _lanczos(h, sigma, size, v0, group)
         vals_out.append(vals)
         vecs_out.append(vecs)
     vals = np.concatenate(vals_out)
@@ -228,20 +270,16 @@ def _shift_invert_near(h, targets):
 def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
     """The ``count`` eigenpairs nearest ``target`` (absolute energies).
 
+    ``count`` may be 1..dim-1, the range shift-invert Lanczos can deliver.
     Residuals are verified against 1e-9 of the window norm and the vectors
     against 1e-10 orthonormality before returning.
     """
-    if count < 1 or count > h.dim:
-        raise ValueError(f"count must be within 1..{h.dim}")
+    if count < 1 or count >= h.dim:
+        raise ValueError(f"count must be within 1..{h.dim - 1}")
     st = target - h.energy_offset
-    radius = 1.0 + 0.75 * count
-    for _ in range(12):
-        vals, vecs = _solve_banded_range(h, st - radius, st + radius)
-        if vals.size >= count:
-            break
-        radius *= 2.0
-    else:
-        raise ConvergenceError("could not collect enough eigenvalues near target")
+    # four spare pairs, so that the 1.1e-4 offset of sigma from the target
+    # cannot push one of the count nearest the target out of the solve
+    vals, vecs = _shift_invert_near(h, [st], k=count + 4)
     order = np.argsort(np.abs(vals - st), kind="stable")[:count]
     order = order[np.argsort(vals[order], kind="stable")]
     vals, vecs = vals[order], vecs[:, order]
@@ -270,35 +308,31 @@ class TrackedLevels:
 class _SweepSolver:
     """Shared machinery: assemble-at-g, solve near previous values, assign."""
 
-    def __init__(self, template, n0, half_width, parity, margin=6.0):
+    def __init__(self, template, n0, half_width, parity):
         self.template = template
         self.n0 = int(n0)
         self.half_width = int(half_width)
         self.parity = parity
-        self.margin = margin
 
     def hamiltonian(self, g):
         params = self.template.with_couplings(g[0], g[1])
         return build_hamiltonian(params, self.n0, self.half_width, self.parity)
 
-    def solve_near(self, g, centers_abs, margin=None):
+    def solve_near(self, g, centers_abs, seeds=None):
+        """Candidate eigenpairs at g near the tracked energies.
+
+        ``seeds`` are the vectors the caller already holds for those states;
+        their sum starts the Lanczos iteration (uniform start without them).
+        A small uniform part keeps every basis state in the start: where one
+        coupling vanishes H splits into blocks, and a start confined to the
+        seeds' block would never see the eigenvalues of the others.
+        """
         h = self.hamiltonian(g)
-        margin = self.margin if margin is None else margin
         st = np.asarray(centers_abs, dtype=float) - h.energy_offset
-        if g[0] == 0.0 and g[1] == 0.0:
-            # exactly diagonal; basis states are exact and degenerate
-            # multiplets must not be left to an iterative solver's whim
-            lo, hi = st.min() - margin, st.max() + margin
-            idx = np.nonzero((h.bands[0] >= lo) & (h.bands[0] <= hi))[0]
-            vecs = np.zeros((h.dim, idx.size))
-            vecs[idx, np.arange(idx.size)] = 1.0
-            return h.bands[0][idx] + h.energy_offset, vecs, h
-        try:
-            vals, vecs = _shift_invert_near(h, st)
-        except ConvergenceError:
-            vals, vecs = _solve_banded_range(h, st.min() - margin, st.max() + margin)
-        if vals.size == 0:
-            raise TrackingError(f"no eigenvalues within {margin} of the tracked window")
+        v0 = None
+        if seeds is not None:
+            v0 = np.sum(seeds, axis=1) + 1e-3 / math.sqrt(h.dim)
+        vals, vecs = _shift_invert_near(h, st, v0)
         return vals + h.energy_offset, vecs, h
 
     def assign(self, prev_vecs, vals, vecs):
@@ -323,8 +357,8 @@ class _SweepSolver:
 
 def track_levels(template: ModelParams, start, end, steps: int, n0: int,
                  half_width: int, which, *, parity: str = None,
-                 start_vectors=None, margin: float = 6.0,
-                 max_refines: int = 14, keep_vectors: bool = False) -> TrackedLevels:
+                 start_vectors=None, max_refines: int = 14,
+                 keep_vectors: bool = False) -> TrackedLevels:
     """Continue labelled eigenstates along a straight line in (g1, g2).
 
     ``which`` lists (level, quantum-number) labels; all must live in one
@@ -340,7 +374,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         raise ValueError("tracked states must share one parity sector")
     if parity is None:
         parity = "even" if bits.pop() == 0 else "odd"
-    solver = _SweepSolver(template, n0, half_width, parity, margin)
+    solver = _SweepSolver(template, n0, half_width, parity)
 
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
@@ -358,7 +392,11 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         anchors = np.asarray(start_vectors, dtype=float)
         if anchors.shape != (h0.dim, len(which)):
             raise ValueError("start_vectors must be (dim, len(which))")
-        cand_vals, cand_vecs, _ = solver.solve_near(start, guess, margin)
+        # uniform start: the targets here are zero-coupling energies, which can
+        # lie far from the anchors' levels, and which states they pick up must
+        # not hinge on the anchors (where a coupling vanishes, a seeded start
+        # never leaves the anchors' invariant subspace)
+        cand_vals, cand_vecs, _ = solver.solve_near(start, guess)
         vals, vecs, quality, _ = solver.assign(anchors, cand_vals, cand_vecs)
         if np.any(quality < OVERLAP_FLOOR):
             raise TrackingError("start_vectors do not identify eigenstates at the sweep start")
@@ -369,7 +407,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
 
     def advance(t_from, t_to, vals, vecs, depth):
         g = start + t_to * (end - start)
-        cand_vals, cand_vecs, _ = solver.solve_near(g, vals, margin)
+        cand_vals, cand_vecs, _ = solver.solve_near(g, vals, vecs)
         try:
             new_vals, new_vecs, quality, runner = solver.assign(vecs, cand_vals, cand_vecs)
         except TrackingError:
@@ -407,14 +445,14 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
                          np.array(kept) if keep_vectors else None)
 
 
-def central_labels(transition, n0):
-    """Parity-consistent (level, quantum) labels for a transition near n0.
+def central_quantum(level, n0):
+    """Quantum number n nearest n0 with level + n even.
 
-    Both states land in one sector for odd quantum exchange.
+    That is n0 when level + n0 is even, else n0 + 1, so the state
+    (level, n) sits in the even sector; for adjacent levels j, j + 1 the
+    partner (j + 1, n - delta_n) of an odd exchange sits there too.
     """
-    j, k = transition
-    nb = n0 if (j + n0) % 2 == 0 else n0 + 1
-    return nb
+    return n0 if (level + n0) % 2 == 0 else n0 + 1
 
 
 def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
@@ -428,7 +466,7 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
     width and must agree to 1e-8.
     """
     n0 = int(n0)
-    nq = [n0 + 1 if (j + n0) % 2 else n0 for j in (1, 2, 3)]
+    nq = [central_quantum(j, n0) for j in (1, 2, 3)]
     which = list(zip((1, 2, 3), nq))
     if steps is None:
         steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
@@ -468,17 +506,16 @@ class GapScan:
 class _PairTracker:
     """Continue a two-state subspace along a line and expose the gap."""
 
-    def __init__(self, solver, line_start, line_end, margin=4.0):
+    def __init__(self, solver, line_start, line_end):
         self.solver = solver
         self.start = np.asarray(line_start, dtype=float)
         self.end = np.asarray(line_end, dtype=float)
-        self.margin = margin
 
     def g_of(self, t):
         return self.start + t * (self.end - self.start)
 
     def pair_at(self, t, anchor_vals, anchor_vecs):
-        vals, vecs, _ = self.solver.solve_near(self.g_of(t), anchor_vals, self.margin)
+        vals, vecs, _ = self.solver.solve_near(self.g_of(t), anchor_vals, anchor_vecs)
         score = np.sum((vecs.T @ anchor_vecs) ** 2, axis=1)
         if score.size < 2:
             raise TrackingError("pair tracking lost both states")
@@ -540,15 +577,14 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
             hi = mid
     t_star = mid
 
-    nb = central_labels((j, k), n0)
+    nb = central_quantum(j, n0)
     which = [(j, nb), (k, nb - delta_n)]
     t_lo = max(t_star * (1.0 - vicinity), 1e-9)
     t_hi = min(t_star * (1.0 + vicinity), 1.0)
 
     approach = track_levels(template, tuple(start), tuple(start + t_lo * (end - start)),
                             approach_steps, n0, half_width, which)
-    solver = _SweepSolver(template, n0, half_width,
-                          "even" if (j + nb) % 2 == 0 else "odd")
+    solver = _SweepSolver(template, n0, half_width, "even")
     tracker = _PairTracker(solver, start, end)
 
     ts = np.linspace(t_lo, t_hi, scan_points)
@@ -569,7 +605,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         anchor = approach.vectors[:, :1]
         scan_vals, scan_vecs, gaps = [], [], []
         for t in ts:
-            cand_vals, cand_vecs, _ = solver.solve_near(tracker.g_of(t), val, 4.0)
+            cand_vals, cand_vecs, _ = solver.solve_near(tracker.g_of(t), val, anchor)
             ovl = np.abs(cand_vecs.T @ anchor)[:, 0]
             pick = int(np.argmax(ovl))
             val = cand_vals[pick:pick + 1]
@@ -598,7 +634,8 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         if mode == "pair":
             vals, _ = tracker.pair_at(t, scan_vals[near], scan_vecs[near])
             return abs(vals[1] - vals[0])
-        cand_vals, cand_vecs, _ = solver.solve_near(tracker.g_of(t), scan_vals[near], 4.0)
+        cand_vals, cand_vecs, _ = solver.solve_near(tracker.g_of(t), scan_vals[near],
+                                                    scan_vecs[near])
         pick = int(np.argmax(np.abs(cand_vecs.T @ scan_vecs[near])))
         others = np.delete(cand_vals, pick)
         return float(np.min(np.abs(others - cand_vals[pick])))
@@ -649,7 +686,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         wide = _SweepSolver(template, n0, 2 * half_width, solver.parity)
         wide_h = wide.hamiltonian((g1s, g2s))
         anchors = _embed_vectors(scan_vecs[ref], solver, wide_h)
-        vals, vecs, _ = wide.solve_near((g1s, g2s), scan_vals[ref], 4.0)
+        vals, vecs, _ = wide.solve_near((g1s, g2s), scan_vals[ref], anchors)
         if mode == "pair":
             score = np.sum((vecs.T @ anchors) ** 2, axis=1)
             top = np.argsort(score, kind="stable")[-2:]
@@ -669,10 +706,17 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
 
 def _embed_vectors(vecs, solver, wide_h):
-    """Zero-pad sector vectors from a narrow window into a wider one."""
+    """Zero-pad sector vectors from a narrow window into a wider one.
+
+    The narrow sector is a contiguous block of the wide one (checked), so the
+    vectors land at the wide index of the first narrow label.
+    """
     narrow = sector_labels(solver.n0, solver.half_width, solver.parity)
+    first = wide_h.index_of(*narrow[0])
+    rows = slice(first, first + narrow.shape[0])
+    if not np.array_equal(wide_h.labels[rows], narrow):
+        raise ValueError("the narrow window is not a block of the wide one")
     out = np.zeros((wide_h.dim, vecs.shape[1]))
-    rows = [wide_h.index_of(int(l), int(nq)) for l, nq in narrow]
     out[rows] = vecs
     return out
 
@@ -705,7 +749,7 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
     else:
         drop_first = False
     n0 = int(n0)
-    nq = {lvl: (n0 + 1 if (lvl + n0) % 2 else n0) for lvl in (j, k)}
+    nq = {lvl: central_quantum(lvl, n0) for lvl in (j, k)}
     which = [(j, nq[j]), (k, nq[k])]
 
     seed_start = g2_grid[0] == 0.0

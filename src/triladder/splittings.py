@@ -19,7 +19,7 @@ from .coupling import (HERMITE_MAX_N, METHOD_FOCK, METHOD_HERMITE,
                        v_matrix_element_h0)
 from .dressed import dressed_transition, _transition_gap
 from .errors import ConvergenceError, OffResonanceError, TriladderError
-from .fock import anticrossing_gap
+from .fock import anticrossing_gap, central_quantum
 from .trilevel import ModelParams
 
 
@@ -71,7 +71,7 @@ def pt_splitting(params: ModelParams, transition, delta_n: int, n: int = None, *
         raise OffResonanceError(
             f"point (g1={params.g1:.6f}, g2={params.g2:.6f}) misses the "
             f"({j},{k}) resonance with {delta_n} quanta by {resid:.2e}")
-    nb = n if (j + n) % 2 == 0 else n + 1
+    nb = central_quantum(j, n)
     if wavefunctions == "h0":
         elem = v_matrix_element_h0(params, j, k, nb, nb - delta_n)
     elif wavefunctions == "oscillator":

@@ -42,6 +42,9 @@ class TestConfig:
         keys = [k for k, _ in cfg.echo]
         for needed in ("e1", "u", "v", "g1", "g2", "n0"):
             assert needed in keys
+        # integers beyond a float's 2**53 are read exactly
+        big = MODEL.replace("n0 = 100000000", "n0 = 12345678901234567")
+        assert load_config(io.StringIO(big + "[run]\n")).params.n0 == 12345678901234567
 
     @pytest.mark.parametrize("mutation,fragment", [
         (lambda s: s.replace("g1 = 0.5\n", ""), "exactly one"),
@@ -155,10 +158,23 @@ class TestOtherCommands:
         ("contours", CONTOURS.replace("rays = 5", "rays = -1")),
         ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 2.5")),
         ("splittings", SPLITTINGS + "scan_points = 0\n"),
+        ("levels", LEVELS.replace("n0 = 100000000", "n0 = abc")),
+        ("levels", LEVELS.replace("n0 = 100000000", "n0 = 100.5")),
+        ("resonance-map", GRID + "half_width = 5\n"),
+        ("splittings", SPLITTINGS + "half_width = 40.7\n"),
+        ("wkb", GRID + "nodes = -5\n"),
+        ("contours", CONTOURS + "nodes = 15\n"),
+        ("wkb", GRID + "n = -1\n"),
+        ("wkb", GRID + "n = 2.5\n"),
+        ("levels", LEVELS.replace("n0 = 100000000", "n0 = 12345678901234567e0")),
+        ("levels", LEVELS + "[output]\nprecision = 17.5\n"),
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
-            "splittings-scan-points-zero"])
+            "splittings-scan-points-zero", "n0-text", "n0-fraction",
+            "half-width-below-8", "half-width-fraction", "nodes-negative",
+            "nodes-below-16", "n-negative", "n-fraction", "n0-float-inexact",
+            "precision-fraction"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, body):
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

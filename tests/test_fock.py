@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from triladder import (ModelParams, anticrossing_gap, build_hamiltonian,
-                       eigen_near, exact_dressed_levels, resonance_sharpness_map,
-                       track_levels, wkb_levels)
-from triladder.fock import sector_labels
+from triladder import (ConvergenceError, ModelParams, anticrossing_gap,
+                       build_hamiltonian, eigen_near, exact_dressed_levels,
+                       resonance_sharpness_map, track_levels, wkb_levels)
+from triladder.fock import _SweepSolver, sector_labels
 
 
 def dense_full_basis(params, nmax):
@@ -60,6 +62,15 @@ class TestBuild:
         assert dense[h.index_of(2, 40), h.index_of(2, 40)] == pytest.approx(51.0)
         assert_allclose(dense, dense.T, atol=0.0)
 
+    def test_labels_read_only(self):
+        # the sector structure is cached and shared by every assembly
+        p = ModelParams(0.0, 11.0, 24.0, 0.1, 0.1, 60)
+        h = build_hamiltonian(p, 60, 20, "odd")
+        with pytest.raises(ValueError):
+            h.labels[0, 0] = 2
+        with pytest.raises(ValueError):
+            sector_labels(60, 20, "odd")[0, 1] = 0
+
     def test_window_bounds_checked(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.1, 0.1, 10)
         with pytest.raises(ValueError):
@@ -101,8 +112,69 @@ class TestEigenNear:
     def test_rejects_silly_count(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 50)
         h = build_hamiltonian(p, 50, 10, "even")
-        with pytest.raises(ValueError):
-            eigen_near(h, 50.0, 0)
+        for count in (0, h.dim):
+            with pytest.raises(ValueError):
+                eigen_near(h, 50.0, count)
+
+    def test_solver_failure_raises(self, ladder, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        h = build_hamiltonian(ladder.with_couplings(0.3, 0.1), 10**8, 40, "even")
+        with pytest.raises(ConvergenceError):
+            eigen_near(h, 10**8 + 1.0, 3)
+        with pytest.raises(ConvergenceError):
+            track_levels(ladder, (0.0, 0.0), (0.3, 0.1), 3, 10**8, 40,
+                         [(1, 10**8 + 1), (2, 10**8)])
+
+
+coupling = st.one_of(st.just((0.0, 0.0)),
+                     st.tuples(st.floats(1e-4, 1.0), st.floats(1e-4, 1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n0=st.integers(60, 400), half_width=st.integers(20, 50),
+       parity=st.sampled_from(["even", "odd"]), g=coupling,
+       count=st.integers(1, 9), offset=st.floats(-20.0, 40.0))
+def test_eigen_near_matches_dense_nearest(n0, half_width, parity, g, count, offset):
+    p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, n0).with_couplings(*g)
+    h = build_hamiltonian(p, n0, half_width, parity)
+    reference = np.linalg.eigvalsh(h.dense())
+    distance = np.abs(reference - offset)
+    order = np.argsort(distance)
+    assume(distance[order[count]] - distance[order[count - 1]] > 1e-6)
+    nearest = reference[order[:count]]
+    vals, _ = eigen_near(h, n0 + offset, count)
+    assert_allclose(np.sort(vals - h.energy_offset), np.sort(nearest), rtol=0, atol=1e-9)
+
+
+# one coupling zero splits H into blocks, and the seeds then lie in one of them
+some_zero = st.one_of(coupling,
+                      st.tuples(st.just(0.0), st.floats(1e-4, 1.0)),
+                      st.tuples(st.floats(1e-4, 1.0), st.just(0.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n0=st.integers(60, 400), half_width=st.integers(20, 50),
+       parity=st.sampled_from(["even", "odd"]), g=some_zero,
+       tracked=st.integers(1, 2), offset=st.floats(-20.0, 40.0))
+def test_seeded_solve_near_matches_dense_nearest(n0, half_width, parity, g, tracked,
+                                                 offset):
+    solver = _SweepSolver(ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, n0), n0, half_width,
+                          parity)
+    h = solver.hamiltonian(g)
+    reference, states = np.linalg.eigh(h.dense())
+    # seed with the eigenvectors nearest the offset, as a sweep holds them
+    held = np.sort(np.argsort(np.abs(reference - offset), kind="stable")[:tracked])
+    assume(np.ptp(reference[held]) <= 3.0)   # one target group
+    distance = np.abs(reference - (np.mean(reference[held]) + 1.1e-4))
+    order = np.argsort(distance)
+    k = 4 + 3 * tracked
+    assume(distance[order[k]] - distance[order[k - 1]] > 1e-6)
+    vals, _, _ = solver.solve_near(g, reference[held] + h.energy_offset, states[:, held])
+    assert_allclose(np.sort(vals - h.energy_offset), np.sort(reference[order[:k]]),
+                    rtol=0, atol=1e-9)
 
 
 class TestTracking:

@@ -146,17 +146,23 @@ def _run_transition(cfg, default="1,2"):
         j, k = (int(part) for part in raw.split(","))
     except ValueError as err:
         raise ConfigError(f"[run] transition = {raw!r}; expected 'j,k'") from err
+    if not 1 <= j < k <= 3:
+        raise ConfigError(f"[run] transition = {raw!r}; expected levels 1 <= j < k <= 3")
     return j, k
 
 
-def _run_int_list(cfg, key):
-    raw = cfg.run.get(key)
+def _run_delta_n_list(cfg):
+    raw = cfg.run.get("delta_n_list")
     if raw is None:
-        raise ConfigError(f"[run] is missing required key {key!r}")
+        raise ConfigError("[run] is missing required key 'delta_n_list'")
+    expected = f"[run] delta_n_list = {raw!r}; expected comma-separated odd positive integers"
     try:
-        return [int(part) for part in raw.replace(" ", "").split(",") if part]
+        values = [int(part) for part in raw.replace(" ", "").split(",") if part]
     except ValueError as err:
-        raise ConfigError(f"[run] {key} = {raw!r}; expected comma-separated integers") from err
+        raise ConfigError(expected) from err
+    if any(dn <= 0 or dn % 2 == 0 for dn in values):
+        raise ConfigError(expected)
+    return values
 
 
 def _format(value, precision):
@@ -205,7 +211,7 @@ def render_wkb(cfg) -> str:
 
 def render_contours(cfg) -> str:
     j, k = _run_transition(cfg)
-    dns = _run_int_list(cfg, "delta_n_list")
+    dns = _run_delta_n_list(cfg)
     rays = _run_int(cfg, "rays", 181)
     radius = _run_float(cfg, "radius", 1.25)
     scan = _run_int(cfg, "scan_points", 160)
@@ -242,12 +248,18 @@ def render_resonance_map(cfg) -> str:
 
 def render_splittings(cfg, threads=1) -> str:
     j, k = _run_transition(cfg)
-    dns = _run_int_list(cfg, "delta_n_list")
+    dns = _run_delta_n_list(cfg)
     ratio = _run_float(cfg, "ratio")
+    if not (np.isfinite(ratio) and ratio >= 0):
+        raise ConfigError(f"[run] ratio = {cfg.run['ratio']!r} is not a finite number >= 0")
     width = _run_int(cfg, "half_width", 400, lowest=8)
     g1_max = _run_float(cfg, "g1_max", 1.05)
     mode = cfg.run.get("mode", "pair")
+    if mode not in ("pair", "nearest"):
+        raise ConfigError(f"[run] mode = {mode!r}; expected 'pair' or 'nearest'")
     vicinity = _run_float(cfg, "vicinity", 0.08)
+    if not (np.isfinite(vicinity) and vicinity > 0):
+        raise ConfigError(f"[run] vicinity = {cfg.run['vicinity']!r} is not a positive number")
     scan = _run_int(cfg, "scan_points", 101)
 
     def one(dn):

@@ -5,10 +5,9 @@ derivative-coupling matrix G(y) = B^T (dB/dy).  Because dM/dy is constant
 (sqrt(2) u at (1,2), sqrt(2) v at (2,3)), the off-diagonal Hellmann-Feynman
 identity gives G in closed form from one eigensystem,
 G_jk = b_j^T (dM/dy) b_k / (E_k - E_j), antisymmetric with a zero diagonal.
-Its three independent entries F12, F13, F23 drive the residual operators of
-the rotated problem: a derivative-coupling operator (anticommutator of d/dy
-with each F_jk) that connects different levels, and a small diagonal
-remainder built from the squares of the F functions.
+Its three independent entries F12, F13, F23 drive the residual operator of
+the rotated problem that connects different levels: the anticommutator of
+d/dy with each F_jk.
 
 Matrix elements between product states (level j, oscillator quantum n) are
 evaluated two independent ways: a Gauss-Hermite product quadrature usable up
@@ -39,16 +38,6 @@ METHOD_FOCK = "fock-window"
 
 _REL_TOL = 1e-8
 _ABS_FLOOR = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingSample:
-    """The three coupling-function values at one coordinate."""
-
-    y: float
-    f12: float
-    f13: float
-    f23: float
 
 
 @dataclass(frozen=True)
@@ -96,22 +85,16 @@ def coupling_matrix(params: ModelParams, y: float) -> np.ndarray:
     return _coupling_batch(params, [float(y)])[0]
 
 
-def coupling_functions(params: ModelParams, y: float) -> CouplingSample:
-    """F12, F13, F23 at one coordinate, in closed form from the eigenbasis."""
-    g = coupling_matrix(params, y)
-    return CouplingSample(float(y), float(g[0, 1]), float(g[0, 2]), float(g[1, 2]))
-
-
 def _converged(new, old, scale):
     delta = abs(new - old)
     return delta <= _REL_TOL * abs(new) or delta <= _ABS_FLOOR * scale
 
 
-def _refine(evaluate, size, converged, what, route):
+def _refine(evaluate, size, what, route):
     """Evaluate at ``size``, then double the size up to three times.
 
     ``evaluate(size)`` returns ``(value, scale)``; the first doubled value
-    that passes ``converged(new, previous, scale)`` is returned.  Otherwise
+    that passes ``_converged(new, previous, scale)`` is returned.  Otherwise
     ConvergenceError names ``what``, the refinement ``route`` and the last
     change.
     """
@@ -119,9 +102,9 @@ def _refine(evaluate, size, converged, what, route):
     for _ in range(3):
         size *= 2
         new, scale = evaluate(size)
-        if converged(new, value, scale):
+        if _converged(new, value, scale):
             return new
-        last_change = np.max(np.abs(new - value))
+        last_change = abs(new - value)
         value = new
     raise ConvergenceError(
         f"{what} not stable under {route} refinement; last change {last_change:.3e}")
@@ -202,7 +185,7 @@ def v_matrix_element(params: ModelParams, req: MatrixElementRequest) -> float:
     else:
         size = 4 * abs(req.n - req.m) + 64
         evaluate = lambda s: _element_fock(params, pair, req.n, req.m, s)
-    value = _refine(evaluate, size, _converged,
+    value = _refine(evaluate, size,
                     f"matrix element ({req.j},{req.n})<->({req.k},{req.m})", req.method)
     return -0.5 * sigma * value
 
@@ -269,51 +252,7 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int,
         return float(uj @ op @ uk), float(np.abs(uj) @ (np.abs(op) @ np.abs(uk)))
 
     size = pad if pad is not None else 4 * abs(n - m) + 96
-    value = _refine(evaluate, size, _converged,
+    value = _refine(evaluate, size,
                     f"rotated-frame element ({j},{n})<->({k},{m})", "window")
     return -0.5 * sigma * value
 
-
-def _remainder(dens, g):
-    """(1/2) <dens, F_a^2 + F_b^2> over the two couplings touching each level."""
-    s12, s13, s23 = g[:, 0, 1] ** 2, g[:, 0, 2] ** 2, g[:, 1, 2] ** 2
-    return np.array([np.sum(dens * (s12 + s13)),
-                     np.sum(dens * (s12 + s23)),
-                     np.sum(dens * (s13 + s23))]) / 2.0
-
-
-def _vector_converged(new, old, _scale):
-    return np.all(np.abs(new - old) <= _REL_TOL * np.abs(new) + _ABS_FLOOR)
-
-
-def w_expectation(params: ModelParams, n: int, method: str = None) -> np.ndarray:
-    """Diagonal expectation of the quadratic remainder, per level.
-
-    Returns the three values (1/2) <n| F12^2 + F13^2 |n>,
-    (1/2) <n| F12^2 + F23^2 |n>, (1/2) <n| F13^2 + F23^2 |n>, all >= 0.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if method is None:
-        method = METHOD_HERMITE if n <= HERMITE_MAX_N else METHOD_FOCK
-    if method == METHOD_HERMITE:
-        if n > HERMITE_MAX_N:
-            raise ValueError(f"{METHOD_HERMITE} supports n <= {HERMITE_MAX_N}")
-        def evaluate(order):
-            y = roots_hermite(order)[0]
-            rows = eigenfunction_rows(y, sorted({order - 1, n}))
-            row = {k: rows[i] for i, k in enumerate(sorted({order - 1, n}))}
-            w = 1.0 / (order * row[order - 1] ** 2)
-            inside = _classical_mask(y, n)
-            g = np.zeros((y.size, 3, 3))
-            g[inside] = _coupling_batch(params, y[inside])
-            return _remainder(w * row[n] ** 2, g), None
-        size = 2 * n + 64
-    elif method == METHOD_FOCK:
-        def evaluate(pad):
-            lo, nodes, q = _window(n, n, pad)
-            return _remainder(q[n - lo] ** 2, _coupling_batch(params, nodes)), None
-        size = 96
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _refine(evaluate, size, _vector_converged, f"diagonal remainder at n={n}", method)

@@ -29,6 +29,9 @@ _WKB_MAX_DOUBLINGS = 8
 #: contour points must satisfy the resonance condition to this residual
 CONTOUR_RESIDUAL = 1e-6
 
+#: halvings a bracketed root search may take before it gives up
+_MAX_BISECTIONS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class DressedLevel:
@@ -63,6 +66,43 @@ class ResonanceContour:
 def _check_level(j):
     if j not in (1, 2, 3):
         raise ValueError(f"level index must be 1, 2 or 3, got {j}")
+
+
+def _check_transition(transition):
+    """``(j, k)`` when it names levels 1 <= j < k <= 3, else ValueError."""
+    j, k = transition
+    _check_level(j)
+    _check_level(k)
+    if j >= k:
+        raise ValueError("transition must be ordered (lower, upper)")
+    return j, k
+
+
+def _check_odd(delta_n):
+    if delta_n % 2 == 0 or delta_n <= 0:
+        raise ValueError(f"only odd positive quantum exchange is resonant, got {delta_n}")
+
+
+def _bisect_root(f, lo, hi, tol, what, flo=None):
+    """Bisect a sign change of ``f`` on [lo, hi] until |f(mid)| <= tol.
+
+    Returns ``(mid, f(mid))``; ``flo`` is f(lo) when the caller already has
+    it.  Raises ConvergenceError naming ``what`` when the halvings run out.
+    """
+    if flo is None:
+        flo = f(lo)
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return mid, fm
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    raise ConvergenceError(
+        f"{what} not within {tol:.1e} after {_MAX_BISECTIONS} bisections; "
+        f"last residual {fm:.3e} at {float(mid)!r}")
 
 
 def _wkb_average(params, n, nodes):
@@ -229,15 +269,11 @@ def resonance_contour(template: ModelParams, transition, delta_n: int, *,
     Along each ray from the origin, the sign changes of
     (dressed transition) - delta_n are bracketed on a radius grid and polished
     by bisection.  Every accepted point is re-verified with the quadrature
-    node count doubled.  Rays without a bracket are reported, not fatal.
+    node count doubled; a point that fails the check is bisected again at
+    the doubled count.  Rays without a bracket are reported, not fatal.
     """
-    j, k = transition
-    _check_level(j)
-    _check_level(k)
-    if j >= k:
-        raise ValueError("transition must be ordered (lower, upper)")
-    if delta_n % 2 == 0 or delta_n <= 0:
-        raise ValueError(f"only odd positive quantum exchange is resonant, got {delta_n}")
+    j, k = _check_transition(transition)
+    _check_odd(delta_n)
     if n is None:
         n = template.n0
     if angles is None:
@@ -253,35 +289,20 @@ def resonance_contour(template: ModelParams, transition, delta_n: int, *,
         def f(t, quad_nodes=nodes):
             return _transition_gap(template, t * c, t * s, (j, k), n, quad_nodes) - delta_n
 
+        def polish(a, b, fa):
+            quad = nodes
+            for _ in range(_WKB_MAX_DOUBLINGS):
+                mid, _ = _bisect_root(lambda t: f(t, quad), a, b, residual_tol,
+                                      f"contour point on ray {phi}", fa)
+                if abs(f(mid, 2 * quad)) <= residual_tol:
+                    return mid
+                quad, fa = 2 * quad, None
+            raise ConvergenceError(f"contour point on ray {phi} fails the doubled-node check")
+
         vals = np.array([f(t) for t in ts])
         sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        exact = np.nonzero(vals == 0.0)[0]
-        roots = []
-        for i in exact:
-            roots.append(ts[i])
-        for i in sign_change:
-            a, b, fa = ts[i], ts[i + 1], vals[i]
-            quad = nodes
-            fm = None
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = f(mid, quad)
-                if abs(fm) <= residual_tol:
-                    check = f(mid, 2 * quad)
-                    if abs(check) <= residual_tol:
-                        roots.append(mid)
-                        break
-                    quad *= 2
-                    fm = check
-                if fm == 0.0:
-                    roots.append(mid)
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            else:
-                raise ConvergenceError(f"contour bisection stalled on ray {phi}")
+        roots = [ts[i] for i in np.nonzero(vals == 0.0)[0]]
+        roots += [polish(ts[i], ts[i + 1], vals[i]) for i in sign_change]
         if not roots:
             missed.append(phi)
             continue
@@ -305,11 +326,10 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
     Bisects on the polar angle at fixed radius.  Useful for contours that
     terminate at the origin, where radial scans of any fixed ray fan stop
     resolving them.  Returns ``((g1, g2), residual)`` or raises
-    ConvergenceError when the arc is not crossed.
+    ConvergenceError when the arc is not crossed or the bisection runs out.
     """
-    j, k = transition
-    if delta_n % 2 == 0 or delta_n <= 0:
-        raise ValueError(f"only odd positive quantum exchange is resonant, got {delta_n}")
+    j, k = _check_transition(transition)
+    _check_odd(delta_n)
     if n is None:
         n = template.n0
 
@@ -326,16 +346,6 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
     if flo * fhi > 0:
         raise ConvergenceError(
             f"contour ({j},{k},{delta_n}) does not cross the arc of radius {radius}")
-    mid, fm = lo, flo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= residual_tol * 1e-3 or hi - lo < 1e-15:
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    if abs(fm) > residual_tol:
-        raise ConvergenceError("arc bisection stalled above the residual tolerance")
+    mid, fm = _bisect_root(f, lo, hi, residual_tol * 1e-3,
+                           f"contour ({j},{k},{delta_n}) on the arc of radius {radius}", flo)
     return (radius * math.cos(mid), radius * math.sin(mid)), float(fm)

@@ -29,6 +29,7 @@ import scipy.sparse.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import linear_sum_assignment
 
+from .dressed import _bisect_root, _check_odd, _check_transition, _transition_gap
 from .errors import ConvergenceError, TrackingError
 from .trilevel import ModelParams
 
@@ -503,25 +504,38 @@ class GapScan:
     gaps: np.ndarray            # scanned gap values
 
 
-class _PairTracker:
-    """Continue a two-state subspace along a line and expose the gap."""
+def _pair_rule(vals, vecs, anchors):
+    """The two candidates overlapping most with the anchor pair, and their gap.
 
-    def __init__(self, solver, line_start, line_end):
-        self.solver = solver
-        self.start = np.asarray(line_start, dtype=float)
-        self.end = np.asarray(line_end, dtype=float)
+    Returns the pair's values and vectors in energy order (the next anchors)
+    and the distance between the two values.
+    """
+    score = np.sum((vecs.T @ anchors) ** 2, axis=1)
+    if score.size < 2:
+        raise TrackingError("pair tracking lost both states")
+    top = np.argsort(score, kind="stable")[-2:]
+    top = top[np.argsort(vals[top], kind="stable")]
+    return vals[top], vecs[:, top], abs(vals[top[1]] - vals[top[0]])
 
-    def g_of(self, t):
-        return self.start + t * (self.end - self.start)
 
-    def pair_at(self, t, anchor_vals, anchor_vecs):
-        vals, vecs, _ = self.solver.solve_near(self.g_of(t), anchor_vals, anchor_vecs)
-        score = np.sum((vecs.T @ anchor_vecs) ** 2, axis=1)
-        if score.size < 2:
-            raise TrackingError("pair tracking lost both states")
-        top = np.argsort(score, kind="stable")[-2:]
-        top = top[np.argsort(vals[top], kind="stable")]
-        return vals[top], vecs[:, top]
+def _nearest_rule(vals, vecs, anchor):
+    """The candidate overlapping most with the single anchor, and its gap.
+
+    Returns its value, the next anchor and the distance to the nearest other
+    candidate.  The anchor only moves where the identity is unambiguous
+    (overlap >= 0.9), so sitting inside a hybridization zone does not switch
+    the continuation onto the partner branch.
+    """
+    ovl = np.abs(vecs.T @ anchor)[:, 0]
+    pick = int(np.argmax(ovl))
+    if ovl[pick] >= 0.9:
+        anchor = vecs[:, pick:pick + 1]
+    others = np.delete(vals, pick)
+    gap = np.min(np.abs(others - vals[pick])) if others.size else np.inf
+    return vals[pick:pick + 1], anchor, gap
+
+
+_GAP_RULES = {"pair": _pair_rule, "nearest": _nearest_rule}
 
 
 def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
@@ -545,11 +559,13 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     eigenvalue comes closest; use it where a third level interferes and the
     single predicted resonance splits into several.
     """
-    from .dressed import _transition_gap  # local import to keep modules acyclic
-
     j, k = transition
-    if delta_n % 2 == 0 or delta_n <= 0:
-        raise ValueError(f"anticrossings exchange an odd number of quanta, got {delta_n}")
+    _check_odd(delta_n)
+    if mode not in _GAP_RULES:
+        raise ValueError(f"unknown scan mode {mode!r}")
+    rule = _GAP_RULES[mode]
+    if not (math.isfinite(vicinity) and vicinity > 0):
+        raise ValueError(f"vicinity must be a positive number, got {vicinity}")
     start = np.asarray(line[0], dtype=float)
     end = np.asarray(line[1], dtype=float)
     if np.any(start != 0.0):
@@ -557,8 +573,11 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
     n0 = int(n0)
 
+    def g_of(t):
+        return start + t * (end - start)
+
     def dressed_mismatch(t):
-        g = start + t * (end - start)
+        g = g_of(t)
         return _transition_gap(template, g[0], g[1], (j, k), n0, quad_nodes) - delta_n
 
     lo, hi = 1e-6, 1.0
@@ -566,57 +585,32 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     if flo * fhi > 0:
         raise ConvergenceError(
             f"the ({j},{k}) resonance with {delta_n} quanta does not cross this line")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = dressed_mismatch(mid)
-        if abs(fm) < 1e-8:
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    t_star = mid
+    t_star, _ = _bisect_root(dressed_mismatch, lo, hi, 1e-8,
+                             f"the ({j},{k}) resonance with {delta_n} quanta", flo)
 
     nb = central_quantum(j, n0)
     which = [(j, nb), (k, nb - delta_n)]
     t_lo = max(t_star * (1.0 - vicinity), 1e-9)
     t_hi = min(t_star * (1.0 + vicinity), 1.0)
 
-    approach = track_levels(template, tuple(start), tuple(start + t_lo * (end - start)),
+    approach = track_levels(template, tuple(start), tuple(g_of(t_lo)),
                             approach_steps, n0, half_width, which)
     solver = _SweepSolver(template, n0, half_width, "even")
-    tracker = _PairTracker(solver, start, end)
+
+    def measure(t, vals, vecs):
+        cand_vals, cand_vecs, _ = solver.solve_near(g_of(t), vals, vecs)
+        return rule(cand_vals, cand_vecs, vecs)
 
     ts = np.linspace(t_lo, t_hi, scan_points)
-    if mode == "pair":
-        vals, vecs = approach.energies[-1], approach.vectors
-        scan_vals, scan_vecs, gaps = [], [], []
-        for t in ts:
-            vals, vecs = tracker.pair_at(t, vals, vecs)
-            scan_vals.append(vals)
-            scan_vecs.append(vecs)
-            gaps.append(abs(vals[1] - vals[0]))
-    elif mode == "nearest":
-        # follow the bra state diabatically and measure its distance to the
-        # nearest neighbour; the anchor vector only updates where the identity
-        # is unambiguous, so sitting inside a hybridization zone does not
-        # switch the continuation onto the partner branch
-        val = approach.energies[-1][:1]
-        anchor = approach.vectors[:, :1]
-        scan_vals, scan_vecs, gaps = [], [], []
-        for t in ts:
-            cand_vals, cand_vecs, _ = solver.solve_near(tracker.g_of(t), val, anchor)
-            ovl = np.abs(cand_vecs.T @ anchor)[:, 0]
-            pick = int(np.argmax(ovl))
-            val = cand_vals[pick:pick + 1]
-            if ovl[pick] >= 0.9:
-                anchor = cand_vecs[:, pick:pick + 1]
-            others = np.delete(cand_vals, pick)
-            scan_vals.append(val)
-            scan_vecs.append(anchor)
-            gaps.append(np.min(np.abs(others - val[0])) if others.size else np.inf)
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
+    # "nearest" follows the bra state alone
+    width = 2 if mode == "pair" else 1
+    vals, vecs = approach.energies[-1][:width], approach.vectors[:, :width]
+    scan_vals, scan_vecs, gaps = [], [], []
+    for t in ts:
+        vals, vecs, gap = measure(t, vals, vecs)
+        scan_vals.append(vals)
+        scan_vecs.append(vecs)
+        gaps.append(gap)
     gaps = np.array(gaps)
 
     interior = np.nonzero((gaps[1:-1] <= gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))[0] + 1
@@ -631,14 +625,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     def gap_at(t):
         ref = int(np.clip(np.searchsorted(ts, t), 1, len(ts) - 1))
         near = ref if abs(ts[ref] - t) < abs(ts[ref - 1] - t) else ref - 1
-        if mode == "pair":
-            vals, _ = tracker.pair_at(t, scan_vals[near], scan_vecs[near])
-            return abs(vals[1] - vals[0])
-        cand_vals, cand_vecs, _ = solver.solve_near(tracker.g_of(t), scan_vals[near],
-                                                    scan_vecs[near])
-        pick = int(np.argmax(np.abs(cand_vecs.T @ scan_vecs[near])))
-        others = np.delete(cand_vals, pick)
-        return float(np.min(np.abs(others - cand_vals[pick])))
+        return measure(t, scan_vals[near], scan_vecs[near])[2]
 
     minima = []
     span_g = np.linalg.norm(end - start)
@@ -674,7 +661,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
                 d = a + _GOLDEN * (b - a)
                 fd = gap_at(d)
         t_min = 0.5 * (a + b)
-        g_min = tuple(tracker.g_of(t_min))
+        g_min = tuple(g_of(t_min))
         minima.append((g_min[0], g_min[1], gap_at(t_min)))
 
     minima.sort(key=lambda m: m[2])
@@ -687,14 +674,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         wide_h = wide.hamiltonian((g1s, g2s))
         anchors = _embed_vectors(scan_vecs[ref], solver, wide_h)
         vals, vecs, _ = wide.solve_near((g1s, g2s), scan_vals[ref], anchors)
-        if mode == "pair":
-            score = np.sum((vecs.T @ anchors) ** 2, axis=1)
-            top = np.argsort(score, kind="stable")[-2:]
-            wide_gap = abs(np.diff(np.sort(vals[top]))[0])
-        else:
-            pick = int(np.argmax(np.abs(vecs.T @ anchors)))
-            others = np.delete(vals, pick)
-            wide_gap = float(np.min(np.abs(others - vals[pick])))
+        wide_gap = rule(vals, vecs, anchors)[2]
         # gaps below 1e-9 are zero to solver tolerance; no relative check there
         if abs(wide_gap - best) > 0.01 * max(best, 1e-9):
             raise ConvergenceError(
@@ -740,7 +720,7 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
     The exact dressed energies come from overlap-tracked windowed eigenvalues:
     one sweep up the g2 axis seeds the start vectors of every constant-g2 row.
     """
-    j, k = transition
+    j, k = _check_transition(transition)
     g1_grid = np.asarray(g1_grid, dtype=float)
     g2_grid = np.asarray(g2_grid, dtype=float)
     if g1_grid[0] != 0.0:

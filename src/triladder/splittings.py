@@ -17,7 +17,8 @@ import numpy as np
 from .coupling import (HERMITE_MAX_N, METHOD_FOCK, METHOD_HERMITE,
                        MatrixElementRequest, v_matrix_element,
                        v_matrix_element_h0)
-from .dressed import dressed_transition, _transition_gap
+from .dressed import (_bisect_root, _check_odd, _transition_gap,
+                      dressed_transition)
 from .errors import ConvergenceError, OffResonanceError, TriladderError
 from .fock import anticrossing_gap, central_quantum
 from .trilevel import ModelParams
@@ -38,12 +39,6 @@ class SplittingRecord:
     minima: list            # every local gap minimum found, (g1, g2, gap)
     ok: bool
     note: str = ""
-
-
-def _check_odd(delta_n):
-    if delta_n % 2 == 0 or delta_n <= 0:
-        raise ValueError(
-            f"anticrossings exchange an odd positive number of quanta, got {delta_n}")
 
 
 def pt_splitting(params: ModelParams, transition, delta_n: int, n: int = None, *,
@@ -100,19 +95,8 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
         raise ConvergenceError(
             f"({j},{k}) resonance with {delta_n} quanta does not cross g2={ratio}*g1 "
             f"for g1 <= {g1_max}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    else:
-        raise ConvergenceError(
-            f"({j},{k}) resonance with {delta_n} quanta on g2={ratio}*g1 not within "
-            f"{tol:.1e} after 200 bisections; last residual {fm:.3e} at g1={mid!r}")
+    mid, _ = _bisect_root(f, lo, hi, tol,
+                          f"({j},{k}) resonance with {delta_n} quanta on g2={ratio}*g1", flo)
     return mid, ratio * mid
 
 

@@ -5,8 +5,9 @@ amplitude ``u`` and 2<->3 with amplitude ``v``.  Treating the oscillator
 coordinate ``y`` as a parameter gives a real symmetric tridiagonal 3x3 matrix
 whose eigenvalues are obtained in closed form from the depressed-cubic
 characteristic equation via the triple-angle sine identity.  Eigenvectors are
-computed from row cross products of the shifted matrix, with sign conventions
-that make the basis usable for numerical differentiation along ``y``.
+computed from row cross products of the shifted matrix; their column signs
+are fixed by the dominant component, by a reference basis, or by continuity
+along an ascending scan, which is the basis the derivative couplings use.
 """
 
 from __future__ import annotations
@@ -99,34 +100,6 @@ class ModelParams:
         return replace(self, u=g1 * (self.e2 - self.e1) / rt, v=g2 * (self.e3 - self.e2) / rt)
 
 
-@dataclass(frozen=True, eq=False)
-class CubicCoefficients:
-    """Depressed-cubic data for the characteristic equation at one coordinate.
-
-    The offset energy eps = E - (e1+e2+e3)/3 satisfies eps^3 - alpha*eps = beta.
-    ``amp`` is sqrt(4*alpha/3) and ``theta`` is arcsin(-4*beta/amp^3), clamped
-    against harmless floating-point excursions past +-1.
-    """
-
-    alpha: float
-    beta: float
-    amp: float
-    theta: float
-
-
-@dataclass(frozen=True, eq=False)
-class AdiabaticPoint:
-    """Sorted levels and sign-fixed orthonormal eigenbasis at one coordinate.
-
-    ``basis`` columns are the eigenvectors in level order; the matrix is
-    orthogonal with determinant +1.
-    """
-
-    y: float
-    levels: np.ndarray
-    basis: np.ndarray
-
-
 def level_matrix(params: ModelParams, y) -> np.ndarray:
     """The 3x3 three-level matrix at oscillator coordinate ``y``.
 
@@ -144,20 +117,6 @@ def level_matrix(params: ModelParams, y) -> np.ndarray:
     return m
 
 
-def characteristic_residual(params: ModelParams, y, energy) -> np.ndarray:
-    """Value of the cubic characteristic polynomial at ``energy``.
-
-    Zero (to roundoff) exactly when ``energy`` is an eigenvalue of the
-    three-level matrix at coordinate ``y``.
-    """
-    y = np.asarray(y, dtype=float)
-    e = np.asarray(energy, dtype=float)
-    uy2 = 2.0 * (params.u * y) ** 2
-    vy2 = 2.0 * (params.v * y) ** 2
-    return ((params.e1 - e) * (params.e2 - e) * (params.e3 - e)
-            - (params.e1 - e) * vy2 - (params.e3 - e) * uy2)
-
-
 def _cubic_terms(params: ModelParams, y):
     """alpha, beta of the depressed cubic, broadcast over ``y``."""
     mean = (params.e1 + params.e2 + params.e3) / 3.0
@@ -170,19 +129,6 @@ def _cubic_terms(params: ModelParams, y):
     alpha = 0.5 * (d1 * d1 + d2 * d2 + d3 * d3) + uy2 + vy2
     beta = d1 * d2 * d3 - uy2 * d3 - vy2 * d1
     return alpha, beta, mean
-
-
-def cubic_coefficients(params: ModelParams, y: float) -> CubicCoefficients:
-    """Depressed-cubic coefficients, amplitude and clamped angle at one coordinate."""
-    alpha, beta, _ = _cubic_terms(params, float(y))
-    amp = math.sqrt(4.0 * alpha / 3.0)
-    if amp < _DEGENERATE_CUBIC:
-        raise DegenerateLevelsError(float(y), None, "cubic amplitude vanishes; spectrum degenerate")
-    s = -4.0 * beta / amp**3
-    if abs(s) > 1.0 + _ARCSIN_SLACK:
-        raise TriladderError(f"arcsin argument {s} exceeds 1 beyond roundoff slack")
-    theta = math.asin(min(1.0, max(-1.0, s)))
-    return CubicCoefficients(float(alpha), float(beta), amp, theta)
 
 
 def eigenvalues_at(params: ModelParams, y) -> np.ndarray:
@@ -330,7 +276,7 @@ def _chained_bases(params, y):
 
     The first point uses the dominant-component convention; every later point
     inherits the sign that keeps each column aligned with its predecessor.
-    Used for differentiating the basis along a scan.
+    The derivative couplings are evaluated on this basis.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -351,25 +297,3 @@ def _chained_bases(params, y):
     out[1:] *= signs[:, None, :]
     return energies, out
 
-
-def eigenbasis_at(params: ModelParams, y: float, reference=None) -> AdiabaticPoint:
-    """Adiabatic levels and eigenbasis at one coordinate.
-
-    Parameters
-    ----------
-    params : ModelParams
-    y : float
-        Oscillator coordinate.
-    reference : (3, 3) array, optional
-        When given, each eigenvector column takes the sign that maximizes its
-        overlap with the corresponding reference column.  This is the
-        continuity convention used when differentiating the basis.
-
-    Raises
-    ------
-    DegenerateLevelsError
-        If two levels at this coordinate are separated by less than the
-        degeneracy guard; the basis direction is not defined there.
-    """
-    energies, bases = _eigensystem(params, [float(y)], reference=reference)
-    return AdiabaticPoint(float(y), energies[0], bases[0])

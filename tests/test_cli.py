@@ -105,10 +105,11 @@ class TestOtherCommands:
         got = np.array([float(v) for v in rows[1][2:]])
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
-    def test_contours_rejects_even_exchange(self, tmp_path):
+    def test_contours_rejects_even_exchange(self, tmp_path, capsys):
         body = MODEL + "[run]\ntransition = 1,2\ndelta_n_list = 12\nrays = 5\n"
         cfg = write_config(tmp_path, body)
-        assert main(["contours", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert main(["contours", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_contours_csv(self, tmp_path):
         body = MODEL + ("[run]\ntransition = 1,2\ndelta_n_list = 13\n"
@@ -168,13 +169,26 @@ class TestOtherCommands:
         ("wkb", GRID + "n = 2.5\n"),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 12345678901234567e0")),
         ("levels", LEVELS + "[output]\nprecision = 17.5\n"),
+        ("contours", CONTOURS + "transition = 1,5\n"),
+        ("resonance-map", GRID + "transition = 1,5\n"),
+        ("splittings", SPLITTINGS + "transition = 2,1\n"),
+        ("contours", CONTOURS + "transition = 0,2\n"),
+        ("contours", CONTOURS.replace("delta_n_list = 13", "delta_n_list = 13,-15")),
+        ("splittings", SPLITTINGS.replace("delta_n_list = 13", "delta_n_list = 14")),
+        ("splittings", SPLITTINGS + "mode = both\n"),
+        ("splittings", SPLITTINGS.replace("ratio = 0.3", "ratio = -0.3")),
+        ("splittings", SPLITTINGS + "vicinity = 0\n"),
+        ("splittings", SPLITTINGS + "vicinity = -1\n"),
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
             "splittings-scan-points-zero", "n0-text", "n0-fraction",
             "half-width-below-8", "half-width-fraction", "nodes-negative",
             "nodes-below-16", "n-negative", "n-fraction", "n0-float-inexact",
-            "precision-fraction"])
+            "precision-fraction", "contours-transition-1-5",
+            "resonance-map-transition-1-5", "splittings-transition-unordered",
+            "contours-transition-0-2", "delta-n-negative", "delta-n-even",
+            "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, body):
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
 
-from triladder import (ModelParams, MatrixElementRequest, coupling_functions,
-                       coupling_matrix, v_matrix_element, v_matrix_element_h0,
-                       w_expectation)
-from triladder.oscillator import eigenfunction_rows, product_quadrature
+from triladder import (ModelParams, MatrixElementRequest, coupling_matrix,
+                       v_matrix_element, v_matrix_element_h0)
+from triladder.oscillator import eigenfunction_rows
 import triladder.coupling as coupling
 import triladder.trilevel as trilevel
 from triladder.dressed import _sinc_kinetic
@@ -24,16 +22,16 @@ def two_level_f12(u, gap, y):
 class TestCouplingFunctions:
     def test_vanish_without_coupling(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 100)
-        cs = coupling_functions(p, 0.9)
-        assert (cs.f12, cs.f13, cs.f23) == (0.0, 0.0, 0.0)
+        g = coupling_matrix(p, 0.9)
+        assert (g[0, 1], g[0, 2], g[1, 2]) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("y", [0.0, 0.3, -1.3, 2.0])
     def test_two_level_closed_form(self, y):
         p = ModelParams(0.0, 11.0, 24.0, 1.0, 0.0, 100)
-        cs = coupling_functions(p, y)
-        assert cs.f12 == pytest.approx(two_level_f12(1.0, 11.0, y), rel=1e-6)
-        assert cs.f13 == 0.0
-        assert cs.f23 == 0.0
+        g = coupling_matrix(p, y)
+        assert g[0, 1] == pytest.approx(two_level_f12(1.0, 11.0, y), rel=1e-6)
+        assert g[0, 2] == 0.0
+        assert g[1, 2] == 0.0
 
     def test_antisymmetric_within_tolerance(self, rng):
         for _ in range(30):
@@ -218,26 +216,3 @@ class TestRotatedFrameElements:
                                                             "fock-window")))
         assert distorted > 10 * bare
 
-
-class TestQuadraticRemainder:
-    def test_vanishes_without_coupling(self):
-        p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 100)
-        assert_allclose(w_expectation(p, 50), 0.0)
-
-    def test_two_level_closed_form(self):
-        n = 200
-        p = ModelParams(0.0, 11.0, 24.0, 0.3, 0.0, n)
-        got = w_expectation(p, n)
-        y, w = product_quadrature(2 * n + 64)
-        phi = eigenfunction_rows(y, [n])[0]
-        f12 = np.array([two_level_f12(0.3, 11.0, v) for v in y])
-        expected = 0.5 * np.sum(w * phi * phi * f12 * f12)
-        assert got[0] == pytest.approx(expected, rel=1e-6)
-        assert got[1] == pytest.approx(expected, rel=1e-6)
-        assert got[2] == 0.0
-
-    def test_small_at_large_quantum_number(self):
-        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.5, 10**8)
-        values = w_expectation(p, 10**8, method="fock-window")
-        assert np.all(values >= 0.0)
-        assert np.max(np.abs(values)) < 0.1

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from triladder import (ModelParams, contour_arc_crossing, dressed_transition,
-                       h0_level_fd, resonance_contour, wkb_dressed_energy,
-                       wkb_levels)
-from triladder.dressed import _sinc_kinetic, _count_nodes, _wkb_average
+from triladder import (ConvergenceError, ModelParams, contour_arc_crossing,
+                       dressed_transition, h0_level_fd, resonance_contour,
+                       wkb_dressed_energy, wkb_levels)
+from triladder.dressed import _bisect_root, _sinc_kinetic, _count_nodes, _wkb_average
 
 from conftest import random_params
 
@@ -133,9 +133,52 @@ class TestResonanceContours:
         (g1, g2), resid = contour_arc_crossing(ladder, (2, 3), 13, 0.05)
         assert abs(resid) <= 1e-6
 
+    def test_unreachable_tolerance_raises(self, ladder):
+        # on this ray and this arc the residual never rounds to exactly zero,
+        # so both searches exhaust their halvings instead of returning a
+        # midpoint (elsewhere a zero residual can occur and is accepted)
+        with pytest.raises(ConvergenceError, match="200 bisections"):
+            resonance_contour(ladder, (1, 2), 13, angles=np.array([0.1]),
+                              scan_points=30, residual_tol=0.0)
+        with pytest.raises(ConvergenceError, match="200 bisections"):
+            contour_arc_crossing(ladder, (1, 2), 11, 0.06, residual_tol=0.0)
+
     def test_missing_bracket_reported_not_fatal(self, ladder):
         c = resonance_contour(ladder, (1, 2), 25,
                               angles=np.array([0.02, 1.55]), radius=0.3,
                               scan_points=50)
         assert len(c.missed_angles) == 2
         assert len(c.points) == 0
+
+
+class TestBisectRoot:
+    def test_returns_midpoint_within_tolerance(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        root, value = _bisect_root(f, 1.0, 2.0, 1e-12, "sqrt(2)")
+        assert root == calls[-1]
+        assert value == f(root)
+        assert abs(value) <= 1e-12
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        # an exact root at the first midpoint comes back at once
+        assert _bisect_root(lambda x: x - 0.5, 0.0, 1.0, 0.0, "x = 1/2") == (0.5, 0.0)
+        # a known f(lo) is not evaluated again
+        calls.clear()
+        _bisect_root(f, 1.0, 2.0, 1e-12, "sqrt(2)", flo=-1.0)
+        assert 1.0 not in calls
+
+    def test_unreachable_tolerance_raises(self):
+        # x * x never rounds to exactly 2, so tol = 0 can never be met
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        with pytest.raises(ConvergenceError, match="sqrt\\(2\\) .* 200 bisections"):
+            _bisect_root(f, 1.0, 2.0, 0.0, "sqrt(2)")
+        assert len(calls) == 1 + 200

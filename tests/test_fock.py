@@ -221,6 +221,17 @@ class TestAnticrossing:
         with pytest.raises(ValueError):
             anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 12, (1, 2), 10**8, 100)
 
+    @pytest.mark.parametrize("vicinity", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_vicinity_rejected(self, ladder, vicinity):
+        with pytest.raises(ValueError, match="vicinity"):
+            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+                             vicinity=vicinity)
+
+    def test_unknown_mode_rejected(self, ladder):
+        with pytest.raises(ValueError, match="mode"):
+            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+                             mode="both")
+
     def test_decoupled_transition_gap_vanishes(self):
         # with the lower coupling off, level-1 states cross exactly; the
         # third level sits far away so no accidental resonance interferes
@@ -248,6 +259,12 @@ class TestSharpnessMap:
         assert row["delta_n"] == 11
         assert row["sharpness"] == pytest.approx(1e6)
         assert bool(row["ok"])
+
+    @pytest.mark.parametrize("transition", [(1, 5), (2, 1), (0, 2)])
+    def test_bad_transition_rejected(self, ladder, transition):
+        with pytest.raises(ValueError):
+            resonance_sharpness_map(ladder, transition, np.array([0.0, 0.1]),
+                                    np.array([0.0]), 10**8, 60)
 
     def test_ridges_align_with_contours(self, ladder):
         # along one row of the map, the sharpness peak of the 13-quantum

@@ -5,11 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from triladder import (DegenerateLevelsError, ModelParams, cubic_coefficients,
-                       eigenbasis_at, eigenvalues_at, level_matrix)
-from triladder.trilevel import characteristic_residual
+from triladder import DegenerateLevelsError, ModelParams, eigenvalues_at, level_matrix
+from triladder.trilevel import _cubic_terms, _eigensystem
 
 from conftest import random_params
+
+
+def characteristic_residual(params, y, energy):
+    """Value of the cubic characteristic polynomial at ``energy``.
+
+    Zero (to roundoff) exactly when ``energy`` is an eigenvalue of the
+    three-level matrix at coordinate ``y``.
+    """
+    y = np.asarray(y, dtype=float)
+    e = np.asarray(energy, dtype=float)
+    uy2 = 2.0 * (params.u * y) ** 2
+    vy2 = 2.0 * (params.v * y) ** 2
+    return ((params.e1 - e) * (params.e2 - e) * (params.e3 - e)
+            - (params.e1 - e) * vy2 - (params.e3 - e) * uy2)
+
+
+def eigensystem_at(params, y, reference=None):
+    """Levels and sign-fixed basis at one coordinate."""
+    levels, bases = _eigensystem(params, [y], reference=reference)
+    return levels[0], bases[0]
 
 
 def jacobi_eigenvalues(mats, sweeps=24):
@@ -46,22 +65,14 @@ valid_params = st.builds(
 class TestCubicCoefficients:
     def test_zero_coupling_reference_values(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 100)
-        cc = cubic_coefficients(p, 0.37)
-        assert_allclose(cc.alpha, 433.0 / 3.0, rtol=1e-14)
-        assert_allclose(cc.beta, 2590.0 / 27.0, rtol=1e-13)
+        alpha, beta, mean = _cubic_terms(p, 0.37)
+        assert mean == pytest.approx(35.0 / 3.0, rel=1e-15)
+        assert_allclose(alpha, 433.0 / 3.0, rtol=1e-14)
+        assert_allclose(beta, 2590.0 / 27.0, rtol=1e-13)
         # every offset root of the diagonal problem satisfies the depressed cubic
         for e in (0.0, 11.0, 24.0):
             eps = e - 35.0 / 3.0
-            assert_allclose(eps**3 - cc.alpha * eps, cc.beta, rtol=1e-12)
-
-    def test_amplitude_and_angle_consistency(self, rng):
-        for _ in range(50):
-            p = random_params(rng)
-            y = rng.uniform(-4, 4)
-            cc = cubic_coefficients(p, y)
-            assert cc.alpha > 0
-            assert cc.amp == pytest.approx(math.sqrt(4 * cc.alpha / 3), rel=1e-14)
-            assert abs(math.sin(cc.theta) + 4 * cc.beta / cc.amp**3) < 1e-10
+            assert_allclose(eps**3 - alpha * eps, beta, rtol=1e-12)
 
     def test_roots_solve_characteristic_polynomial(self, rng):
         for _ in range(300):
@@ -129,58 +140,57 @@ class TestEigenvalues:
 @given(valid_params, st.floats(-6, 6))
 def test_adiabatic_point_invariants(params, y):
     try:
-        point = eigenbasis_at(params, y)
+        levels, basis = eigensystem_at(params, y)
     except DegenerateLevelsError:
         return
-    basis = point.basis
     assert np.max(np.abs(basis.T @ basis - np.eye(3))) <= 1e-12
     assert np.linalg.det(basis) == pytest.approx(1.0, abs=1e-10)
-    resid = characteristic_residual(params, y, point.levels)
-    assert np.all(np.abs(resid) <= 1e-10 * np.maximum(1.0, np.abs(point.levels) ** 3))
-    assert np.all(np.diff(point.levels) >= 0)
+    resid = characteristic_residual(params, y, levels)
+    assert np.all(np.abs(resid) <= 1e-10 * np.maximum(1.0, np.abs(levels) ** 3))
+    assert np.all(np.diff(levels) >= 0)
 
 
 class TestEigenbasis:
     def test_identity_at_zero_coordinate(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.9, 0.4, 100)
-        point = eigenbasis_at(p, 0.0)
-        assert_allclose(point.basis, np.eye(3), atol=1e-12)
+        _, basis = eigensystem_at(p, 0.0)
+        assert_allclose(basis, np.eye(3), atol=1e-12)
 
     def test_two_level_mixing_angle(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.8, 0.0, 100)
         y = 1.3
-        point = eigenbasis_at(p, y)
+        _, basis = eigensystem_at(p, y)
         phi = 0.5 * math.atan(2.0 * math.sqrt(2.0) * 0.8 * y / 11.0)
-        assert_allclose(point.basis[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
+        assert_allclose(basis[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
         expected = np.array([[math.cos(phi), math.sin(phi)],
                              [-math.sin(phi), math.cos(phi)]])
-        assert_allclose(point.basis[:2, :2], expected, atol=1e-10)
+        assert_allclose(basis[:2, :2], expected, atol=1e-10)
 
     def test_diagonalizes_the_level_matrix(self, rng):
         for _ in range(50):
             p = random_params(rng)
             y = rng.uniform(-4, 4)
             try:
-                point = eigenbasis_at(p, y)
+                levels, basis = eigensystem_at(p, y)
             except DegenerateLevelsError:
                 continue
-            m = point.basis.T @ level_matrix(p, y) @ point.basis
+            m = basis.T @ level_matrix(p, y) @ basis
             off = m - np.diag(np.diag(m))
             assert np.max(np.abs(off)) <= 1e-9
-            assert_allclose(np.diag(m), point.levels, rtol=1e-9, atol=1e-9)
+            assert_allclose(np.diag(m), levels, rtol=1e-9, atol=1e-9)
 
     def test_reference_fixes_column_signs(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.8, 0.5, 100)
-        a = eigenbasis_at(p, 1.0)
-        b = eigenbasis_at(p, 1.0 + 1e-5, reference=a.basis)
-        overlaps = np.einsum("ij,ij->j", a.basis, b.basis)
+        _, a = eigensystem_at(p, 1.0)
+        _, b = eigensystem_at(p, 1.0 + 1e-5, reference=a)
+        overlaps = np.einsum("ij,ij->j", a, b)
         assert np.all(overlaps > 0.999)
 
     def test_exact_degeneracy_is_refused(self):
         # a decoupled level crossing the lower block: gap vanishes at y = 2 sqrt(2)
         p = ModelParams(0.0, 6.0, 8.0, 1.0, 0.0, 100)
         with pytest.raises(DegenerateLevelsError):
-            eigenbasis_at(p, 2.0 * math.sqrt(2.0))
+            eigensystem_at(p, 2.0 * math.sqrt(2.0))
 
 
 class TestModelParams:

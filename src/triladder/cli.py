@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +130,13 @@ def _run_float(cfg, key, default=None):
         raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a number") from err
 
 
+def _run_positive(cfg, key, default):
+    value = _run_float(cfg, key, default)
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a positive number")
+    return value
+
+
 def _run_int(cfg, key, default=None, lowest=1):
     if key not in cfg.run:
         return _run_float(cfg, key, default)
@@ -213,10 +219,10 @@ def render_contours(cfg) -> str:
     j, k = _run_transition(cfg)
     dns = _run_delta_n_list(cfg)
     rays = _run_int(cfg, "rays", 181)
-    radius = _run_float(cfg, "radius", 1.25)
+    radius = _run_positive(cfg, "radius", 1.25)
     scan = _run_int(cfg, "scan_points", 160)
     nodes = _run_int(cfg, "nodes", 256, lowest=16)
-    tol = _run_float(cfg, "residual_tol", 1e-6)
+    tol = _run_positive(cfg, "residual_tol", 1e-6)
     angles = np.linspace(0.0, np.pi / 2.0, rays)
     rows = []
     for dn in dns:
@@ -246,33 +252,23 @@ def render_resonance_map(cfg) -> str:
     return _render(cfg, ("g1", "g2", "diff", "delta_n", "sharpness", "ok"), rows)
 
 
-def render_splittings(cfg, threads=1) -> str:
+def render_splittings(cfg) -> str:
     j, k = _run_transition(cfg)
     dns = _run_delta_n_list(cfg)
     ratio = _run_float(cfg, "ratio")
     if not (np.isfinite(ratio) and ratio >= 0):
         raise ConfigError(f"[run] ratio = {cfg.run['ratio']!r} is not a finite number >= 0")
     width = _run_int(cfg, "half_width", 400, lowest=8)
-    g1_max = _run_float(cfg, "g1_max", 1.05)
+    g1_max = _run_positive(cfg, "g1_max", 1.05)
     mode = cfg.run.get("mode", "pair")
     if mode not in ("pair", "nearest"):
         raise ConfigError(f"[run] mode = {mode!r}; expected 'pair' or 'nearest'")
-    vicinity = _run_float(cfg, "vicinity", 0.08)
-    if not (np.isfinite(vicinity) and vicinity > 0):
-        raise ConfigError(f"[run] vicinity = {cfg.run['vicinity']!r} is not a positive number")
+    vicinity = _run_positive(cfg, "vicinity", 0.08)
     scan = _run_int(cfg, "scan_points", 101)
-
-    def one(dn):
-        return compare_splittings(cfg.params, ratio, [dn], (j, k),
-                                  n0=cfg.params.n0, half_width=width,
-                                  g1_max=g1_max, mode=mode, vicinity=vicinity,
-                                  scan_points=scan)[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, sorted(dns)))
-    else:
-        records = [one(dn) for dn in sorted(dns)]
+    records = [compare_splittings(cfg.params, ratio, [dn], (j, k), n0=cfg.params.n0,
+                                  half_width=width, g1_max=g1_max, mode=mode,
+                                  vicinity=vicinity, scan_points=scan)[0]
+               for dn in sorted(dns)]
     rows = []
     for r in records:
         rows.append((r.transition[0], r.transition[1], r.delta_n, r.line_ratio,
@@ -289,12 +285,6 @@ def _write(cfg, args, name, text):
     path = out_dir / f"{name}.csv"
     path.write_text(text)
     print(f"wrote {path}")
-
-
-def _thread_count(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
 
 
 def cmd_validate() -> int:
@@ -318,18 +308,16 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     renderers = {
-        "levels": lambda cfg, args: render_levels(cfg),
-        "wkb": lambda cfg, args: render_wkb(cfg),
-        "contours": lambda cfg, args: render_contours(cfg),
-        "resonance-map": lambda cfg, args: render_resonance_map(cfg),
-        "splittings": lambda cfg, args: render_splittings(cfg, args.threads),
+        "levels": render_levels,
+        "wkb": render_wkb,
+        "contours": render_contours,
+        "resonance-map": render_resonance_map,
+        "splittings": render_splittings,
     }
     for name in renderers:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
-        if name == "splittings":
-            cmd.add_argument("--threads", type=_thread_count, default=1)
     sub.add_parser("validate")
     args = parser.parse_args(argv)
 
@@ -337,7 +325,7 @@ def main(argv=None) -> int:
         return cmd_validate()
     try:
         cfg = load_config(args.config)
-        text = renderers[args.command](cfg, args)
+        text = renderers[args.command](cfg)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -24,11 +24,12 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
+from .dressed import wkb_levels
 from .errors import ConvergenceError
 from .oscillator import (derivative_from_rows, derivative_matrix,
                          eigenfunction_rows, position_offdiagonal,
                          roots_hermite)
-from .trilevel import ModelParams, _chained_bases
+from .trilevel import ModelParams, _chained_bases, eigenvalues_at
 
 #: quantum number cap for the Gauss-Hermite route
 HERMITE_MAX_N = 5000
@@ -198,7 +199,7 @@ def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     ``target_dressed + nq`` is the distorted oscillator state carrying
     quantum label ``nq``.
     """
-    energies = _adiabatic_curve(params, level, nodes)
+    energies = eigenvalues_at(params, nodes)[:, level - 1]
     h0 = (q * energies) @ q.T
     idx = np.arange(nodes.size)
     h0[idx, idx] += (lo + idx) - float(nq)   # oscillator rungs counted from nq
@@ -213,13 +214,7 @@ def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     return vec if vec[np.argmax(np.abs(vec))] >= 0 else -vec
 
 
-def _adiabatic_curve(params, level, y_sorted):
-    from .trilevel import eigenvalues_at
-    return eigenvalues_at(params, y_sorted)[:, level - 1]
-
-
-def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int,
-                        pad: int = None) -> float:
+def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> float:
     """Derivative-coupling element between rotated-frame eigenstates.
 
     Unlike :func:`v_matrix_element`, the oscillator factors here are the
@@ -228,14 +223,13 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int,
     perturbation theory in the rotated frame calls for.  Far-multiphoton
     elements are exponentially sensitive to this distortion.
 
-    Evaluated on a Fock window around the two quantum numbers; the window
-    padding doubles until the value is stable.
+    Evaluated on a Fock window around the two quantum numbers, padded by
+    4 |n - m| + 96 states; the padding doubles until the value is stable.
     """
     if j not in (1, 2, 3) or k not in (1, 2, 3) or j == k:
         raise ValueError(f"levels must be distinct members of 1..3, got ({j}, {k})")
     if n < 0 or m < 0:
         raise ValueError("oscillator quantum numbers must be >= 0")
-    from .dressed import wkb_levels
     # rung identification only needs the dressed values to a fraction of one
     # quantum, so a kinked integrand (decoupled-level crossing) is tolerable
     dressed = wkb_levels(params, max(n, m), tol=1e-6)
@@ -251,8 +245,7 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int,
         _, _, op = _window_operators(params, pair, lo, nodes, q)
         return float(uj @ op @ uk), float(np.abs(uj) @ (np.abs(op) @ np.abs(uk)))
 
-    size = pad if pad is not None else 4 * abs(n - m) + 96
-    value = _refine(evaluate, size,
+    value = _refine(evaluate, 4 * abs(n - m) + 96,
                     f"rotated-frame element ({j},{n})<->({k},{m})", "window")
     return -0.5 * sigma * value
 

@@ -190,24 +190,24 @@ def _count_nodes(vec):
     return int(np.sum(s[1:] * s[:-1] < 0))
 
 
-def h0_level_fd(params: ModelParams, j: int, n: int, *, oversample: float = 1.15,
-                padding: float = 10.0, refine_check: bool = True) -> DressedLevel:
+def h0_level_fd(params: ModelParams, j: int, n: int) -> DressedLevel:
     """Dressed level from a grid solution of the one-dimensional problem.
 
     Solves (E + 1/2) u = [E_j(y) + (1/2)(-d^2/dy^2 + y^2)] u on a uniform
     grid, picks the eigenfunction with exactly ``n`` sign changes, and
     subtracts the ladder offset.  The grid spacing is set from the local
-    momentum at the target energy (``oversample`` times the Nyquist rate) and
-    the extent from where the potential exceeds the target by a safe margin.
+    momentum at the target energy (1.15 times the Nyquist rate) and the
+    extent from where the potential exceeds the target by a margin of 10.
 
-    With ``refine_check`` the solve is repeated on a finer, wider grid and a
-    shift above 1e-6 raises ConvergenceError.
+    The solve is repeated on a finer grid and a shift above 1e-6 raises
+    ConvergenceError.
     """
     _check_level(j)
     if n < 0 or n > 2000:
         raise ValueError("the brute-force route supports 0 <= n <= 2000")
 
     ej = [params.e1, params.e2, params.e3][j - 1]
+    padding = 10.0
 
     def solve(stretch):
         # probe the potential to size the grid
@@ -220,7 +220,7 @@ def h0_level_fd(params: ModelParams, j: int, n: int, *, oversample: float = 1.15
         extent = turning.max() if turning.size else abs(probe[-1])
         extent = max(extent, math.sqrt(2.0 * n + 1.0) * 0.5 + padding) + padding
         kmax = math.sqrt(2.0 * max(bound - vmin, 1.0))
-        dx = np.pi / (oversample * stretch * kmax)
+        dx = np.pi / (1.15 * stretch * kmax)
         npts = int(2 * extent / dx) + 1
         y = (np.arange(npts) - (npts - 1) / 2.0) * dx
         pot = eigenvalues_at(params, y)[:, j - 1] + 0.5 * y * y
@@ -234,13 +234,11 @@ def h0_level_fd(params: ModelParams, j: int, n: int, *, oversample: float = 1.15
         raise TrackingError(f"no grid eigenfunction with {n} nodes near index {n}")
 
     lam = solve(1.0)
-    if refine_check:
-        lam_fine = solve(1.35)
-        if abs(lam_fine - lam) > 1e-6:
-            raise ConvergenceError(
-                f"grid eigenvalue moved by {abs(lam_fine - lam):.2e} on refinement")
-        lam = lam_fine
-    return DressedLevel(j, int(n), lam - 0.5 - n, "fd")
+    lam_fine = solve(1.35)
+    if abs(lam_fine - lam) > 1e-6:
+        raise ConvergenceError(
+            f"grid eigenvalue moved by {abs(lam_fine - lam):.2e} on refinement")
+    return DressedLevel(j, int(n), lam_fine - 0.5 - n, "fd")
 
 
 # ---------------------------------------------------------------------------

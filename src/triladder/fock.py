@@ -2,19 +2,21 @@
 
 The full Hamiltonian conserves the parity of (level index + oscillator
 quantum), so each parity sector is a real symmetric banded matrix on the
-product basis {level i} x {n0-W .. n0+W}.  Energies are assembled with the
-n0 * hbar_omega0 ladder offset removed, which keeps eigenvalues accurate to
-machine precision even at n0 = 1e8; reported energies add the offset back.
-The structure of a sector (labels, band positions, sqrt(n) factors) is built
-once per window and parity, so assembly at a new coupling is a diagonal fill
-plus two scaled scatters.
+product basis {level i} x {n0-W .. n0+W}.  Every energy this module takes
+or returns is measured from n0 * hbar_omega0, the frame the matrix is
+assembled in: its diagonal is e_i + (n - n0), so eigenvalues keep machine
+precision even at n0 = 1e8, where adding the offset back would round them
+to ulp(1e8) ~ 1.5e-8.  The structure of a sector (labels, band positions,
+sqrt(n) factors) is built once per window and parity, so assembly at a new
+coupling is a diagonal fill plus two scaled scatters.
 
 Eigenpairs come from one route: shift-invert Lanczos whose inverse is a
 banded LU of H - sigma, started from the vectors already tracked at the
 previous point.  Around it the module continues eigenpairs along coupling
 sweeps by eigenvector overlap (energy order swaps at every anticrossing, the
-vectors do not), locates anticrossing gap minima by golden-section search,
-and rasterizes resonance-sharpness maps from the tracked exact spectrum.
+vectors do not), locates anticrossing gap minima by a bounded scalar
+minimization of gap^2, and rasterizes resonance-sharpness maps from the
+tracked exact spectrum.
 """
 
 from __future__ import annotations
@@ -27,19 +29,20 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .dressed import _bisect_root, _check_odd, _check_transition, _transition_gap
 from .errors import ConvergenceError, TrackingError
 from .trilevel import ModelParams
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: resolve tracked-state identities only when the best overlap clears this
 OVERLAP_FLOOR = 0.5
 
 #: two candidate overlaps closer than this make the assignment ambiguous
 AMBIGUITY = 1e-3
+
+#: a sweep step is halved at most this many times before tracking gives up
+_MAX_REFINES = 14
 
 
 def _parity_bit(parity):
@@ -52,10 +55,11 @@ def _parity_bit(parity):
 class FockWindowHamiltonian:
     """One parity sector of the windowed Hamiltonian in banded storage.
 
-    ``bands`` holds the lower bands (diagonal first); the stored diagonal has
-    the n0 offset subtracted, recorded in ``energy_offset``.  ``labels`` lists
-    the (level, quantum-number) pair of every basis state in matrix order; it
-    is read-only because every assembly on the same window shares it.
+    ``bands`` holds the lower bands (diagonal first); the diagonal is
+    e_i + (n - n0), so every energy of the sector is measured from
+    n0 * hbar_omega0.  ``labels`` lists the (level, quantum-number) pair of
+    every basis state in matrix order; it is read-only because every assembly
+    on the same window shares it.
     """
 
     params: ModelParams
@@ -64,13 +68,12 @@ class FockWindowHamiltonian:
     parity: str
     labels: np.ndarray
     bands: np.ndarray
-    energy_offset: float
 
     @property
     def dim(self) -> int:
         return self.labels.shape[0]
 
-    def dense(self, with_offset=False) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Dense symmetric matrix (mostly for small cross-checks)."""
         dim = self.dim
         m = np.zeros((dim, dim))
@@ -79,12 +82,10 @@ class FockWindowHamiltonian:
             idx = np.arange(dim - r)
             m[idx + r, idx] = self.bands[r, :dim - r]
             m[idx, idx + r] = self.bands[r, :dim - r]
-        if with_offset:
-            m[np.diag_indices(dim)] += self.energy_offset
         return m
 
     def matvec(self, x) -> np.ndarray:
-        """Product of the (offset-removed) matrix with vectors (dim,) or (dim, k)."""
+        """Product of the matrix with vectors (dim,) or (dim, k)."""
         x = np.asarray(x)
         y = self.bands[0].reshape(-1, *([1] * (x.ndim - 1))) * x
         for r in range(1, self.bands.shape[0]):
@@ -185,8 +186,7 @@ def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
     bands[0] = np.array([params.e1, params.e2, params.e3])[sector.level] + sector.shift
     for amp, (rows, cols, roots) in zip((params.u, params.v), sector.ladders):
         bands[rows, cols] = amp * roots
-    return FockWindowHamiltonian(params, n0, half_width, parity, sector.labels,
-                                 bands, float(n0))
+    return FockWindowHamiltonian(params, n0, half_width, parity, sector.labels, bands)
 
 
 def _cluster_targets(targets, width=3.0):
@@ -226,7 +226,7 @@ def _lanczos(h, sigma, k, v0, group):
 
 
 def _shift_invert_near(h, targets, v0=None, k=None):
-    """Eigenpairs around each (offset-removed) target.
+    """Eigenpairs around each target.
 
     Targets within 3 of each other form a group; each group gets the ``k``
     eigenpairs nearest sigma = mean + 1.1e-4 (4 + 3 per target by default),
@@ -269,7 +269,7 @@ def _shift_invert_near(h, targets, v0=None, k=None):
 
 
 def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
-    """The ``count`` eigenpairs nearest ``target`` (absolute energies).
+    """The ``count`` eigenpairs nearest ``target`` (energies measured from n0).
 
     ``count`` may be 1..dim-1, the range shift-invert Lanczos can deliver.
     Residuals are verified against 1e-9 of the window norm and the vectors
@@ -277,11 +277,10 @@ def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
     """
     if count < 1 or count >= h.dim:
         raise ValueError(f"count must be within 1..{h.dim - 1}")
-    st = target - h.energy_offset
     # four spare pairs, so that the 1.1e-4 offset of sigma from the target
     # cannot push one of the count nearest the target out of the solve
-    vals, vecs = _shift_invert_near(h, [st], k=count + 4)
-    order = np.argsort(np.abs(vals - st), kind="stable")[:count]
+    vals, vecs = _shift_invert_near(h, [target], k=count + 4)
+    order = np.argsort(np.abs(vals - target), kind="stable")[:count]
     order = order[np.argsort(vals[order], kind="stable")]
     vals, vecs = vals[order], vecs[:, order]
     resid = h.matvec(vecs) - vals * vecs
@@ -290,7 +289,7 @@ def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
     gram = vecs.T @ vecs - np.eye(count)
     if np.max(np.abs(gram)) > 1e-10:
         raise ConvergenceError("eigenvectors lost orthonormality")
-    return vals + h.energy_offset, vecs
+    return vals, vecs
 
 
 @dataclass(eq=False)
@@ -299,7 +298,7 @@ class TrackedLevels:
 
     which: list
     gs: np.ndarray              # (steps, 2) sweep points in (g1, g2)
-    energies: np.ndarray        # (steps, L) absolute eigenvalues
+    energies: np.ndarray        # (steps, L) eigenvalues measured from n0
     overlaps: np.ndarray        # (steps, L); first row is 1
     relabelings: list           # (step index, note) where the energy order changed
     vectors: np.ndarray         # (dim, L) eigenvectors at the final point
@@ -319,8 +318,8 @@ class _SweepSolver:
         params = self.template.with_couplings(g[0], g[1])
         return build_hamiltonian(params, self.n0, self.half_width, self.parity)
 
-    def solve_near(self, g, centers_abs, seeds=None):
-        """Candidate eigenpairs at g near the tracked energies.
+    def solve_near(self, g, centers, seeds=None):
+        """Candidate eigenpairs at g near the tracked energies (from n0).
 
         ``seeds`` are the vectors the caller already holds for those states;
         their sum starts the Lanczos iteration (uniform start without them).
@@ -329,12 +328,11 @@ class _SweepSolver:
         seeds' block would never see the eigenvalues of the others.
         """
         h = self.hamiltonian(g)
-        st = np.asarray(centers_abs, dtype=float) - h.energy_offset
         v0 = None
         if seeds is not None:
             v0 = np.sum(seeds, axis=1) + 1e-3 / math.sqrt(h.dim)
-        vals, vecs = _shift_invert_near(h, st, v0)
-        return vals + h.energy_offset, vecs, h
+        vals, vecs = _shift_invert_near(h, centers, v0)
+        return vals, vecs, h
 
     def assign(self, prev_vecs, vals, vecs):
         """Best permutation of candidates onto tracked states.
@@ -358,16 +356,16 @@ class _SweepSolver:
 
 def track_levels(template: ModelParams, start, end, steps: int, n0: int,
                  half_width: int, which, *, parity: str = None,
-                 start_vectors=None, max_refines: int = 14,
-                 keep_vectors: bool = False) -> TrackedLevels:
+                 start_vectors=None, keep_vectors: bool = False) -> TrackedLevels:
     """Continue labelled eigenstates along a straight line in (g1, g2).
 
     ``which`` lists (level, quantum-number) labels; all must live in one
     parity sector.  The sweep must start at zero coupling (where the labels
     are exact basis states) unless ``start_vectors`` supplies the starting
     eigenvectors explicitly.  Steps are bisected automatically whenever the
-    consecutive overlap of any tracked state drops below 0.5; an assignment
-    whose best and runner-up overlaps agree within 1e-3 raises TrackingError.
+    consecutive overlap of any tracked state drops below 0.5, at most 14
+    halvings deep; an assignment whose best and runner-up overlaps agree
+    within 1e-3 raises TrackingError.  Energies are measured from n0.
     """
     which = [(int(j), int(nq)) for j, nq in which]
     bits = {(j + nq) % 2 for j, nq in which}
@@ -381,7 +379,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
     end = np.asarray(end, dtype=float)
     h0 = solver.hamiltonian(start)
     idx = [h0.index_of(j, nq) for j, nq in which]
-    guess = h0.bands[0][idx] + h0.energy_offset
+    guess = h0.bands[0][idx]
     if start_vectors is None:
         if np.any(start != 0.0):
             raise ValueError("sweeps must start at (0, 0) unless start_vectors is given")
@@ -420,7 +418,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
                 raise TrackingError(
                     f"ambiguous level identity at g={tuple(g)}: overlaps within {AMBIGUITY}")
             return new_vals, new_vecs
-        if depth >= max_refines:
+        if depth >= _MAX_REFINES:
             raise TrackingError(f"overlap tracking failed near g={tuple(g)}")
         t_mid = 0.5 * (t_from + t_to)
         vals, vecs = advance(t_from, t_mid, vals, vecs, depth + 1)
@@ -457,24 +455,22 @@ def central_quantum(level, n0):
 
 
 def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
-                         half_width: int, *, steps: int = None,
-                         check_window: bool = False) -> np.ndarray:
+                         half_width: int, *, check_window: bool = False) -> np.ndarray:
     """Dressed energies of the three levels from the exact windowed spectrum.
 
     Tracks the states labelled (1, .), (2, .), (3, .) near the window centre
-    from zero coupling to (g1, g2) and subtracts each state's own ladder
-    offset.  With ``check_window`` the values are re-derived at doubled window
+    from zero coupling to (g1, g2) and subtracts each state's ladder rung
+    n - n0.  With ``check_window`` the values are re-derived at doubled window
     width and must agree to 1e-8.
     """
     n0 = int(n0)
     nq = [central_quantum(j, n0) for j in (1, 2, 3)]
     which = list(zip((1, 2, 3), nq))
-    if steps is None:
-        steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
+    steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
 
     def run(width):
         tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, n0, width, which)
-        return tr.energies[-1] - np.array(nq, dtype=float)
+        return tr.energies[-1] - np.array([q - n0 for q in nq], dtype=float)
 
     dressed = run(half_width)
     if check_window:
@@ -540,18 +536,18 @@ _GAP_RULES = {"pair": _pair_rule, "nearest": _nearest_rule}
 
 def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
                      n0: int, half_width: int, *, scan_points: int = 101,
-                     vicinity: float = 0.08, tol_g: float = 1e-5,
-                     approach_steps: int = 24, verify_window: bool = True,
-                     quad_nodes: int = 512, mode: str = "pair") -> GapScan:
+                     vicinity: float = 0.08, mode: str = "pair") -> GapScan:
     """Locate and refine the avoided-crossing gap of one resonance.
 
     ``line`` is a pair of (g1, g2) endpoints starting at zero coupling.  The
     resonance location is first estimated from the dressed (orbit-averaged)
     transition energy, the two resonant states are tracked out to the
     vicinity, the gap is scanned on ``scan_points`` points and every local
-    minimum is polished by golden-section search down to a parameter
-    resolution of ``tol_g``.  The reported gap must be stable to 1 percent
-    when the window width doubles, unless ``verify_window`` is switched off.
+    minimum is polished by a bounded scalar minimization of gap^2 down to a
+    resolution of 1e-10 in (g1, g2).  gap^2 is quadratic at the bottom of an
+    anticrossing (the two-state hyperbola) and of an exact crossing alike, so
+    its parabolic steps converge on either.  The reported gap must be stable
+    to 1 percent when the window width doubles.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -578,7 +574,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
     def dressed_mismatch(t):
         g = g_of(t)
-        return _transition_gap(template, g[0], g[1], (j, k), n0, quad_nodes) - delta_n
+        return _transition_gap(template, g[0], g[1], (j, k), n0, 512) - delta_n
 
     lo, hi = 1e-6, 1.0
     flo, fhi = dressed_mismatch(lo), dressed_mismatch(hi)
@@ -594,7 +590,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     t_hi = min(t_star * (1.0 + vicinity), 1.0)
 
     approach = track_levels(template, tuple(start), tuple(g_of(t_lo)),
-                            approach_steps, n0, half_width, which)
+                            24, n0, half_width, which)
     solver = _SweepSolver(template, n0, half_width, "even")
 
     def measure(t, vals, vecs):
@@ -631,54 +627,28 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     span_g = np.linalg.norm(end - start)
     for i in keep:
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-        # golden-section shrink; keep going below tol_g until the bottom of the
-        # hyperbola is resolved (the bracket width no longer biases the value)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = gap_at(c), gap_at(d)
-        best = math.inf
-        stall = 0
-        for _ in range(200):
-            if (b - a) * span_g <= 1e-10:
-                break
-            # past the requested resolution, keep going only while the bottom
-            # still improves (a hyperbola flattens out, an exact crossing
-            # keeps dropping all the way to the width floor); golden steps
-            # fail to improve on alternate iterations, hence the stall count
-            if min(fc, fd) < best * (1.0 - 1e-3):
-                best = min(fc, fd)
-                stall = 0
-            else:
-                stall += 1
-            if (b - a) * span_g <= tol_g and stall >= 12:
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = gap_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = gap_at(d)
-        t_min = 0.5 * (a + b)
-        g_min = tuple(g_of(t_min))
-        minima.append((g_min[0], g_min[1], gap_at(t_min)))
+        res = minimize_scalar(lambda t: gap_at(t) ** 2, bounds=(a, b), method="bounded",
+                              options={"xatol": 1e-10 / span_g})
+        if not res.success:
+            raise ConvergenceError(
+                f"gap minimum near g={tuple(g_of(res.x))} not refined: {res.message}")
+        g_min = tuple(g_of(res.x))
+        minima.append((g_min[0], g_min[1], math.sqrt(res.fun)))
 
     minima.sort(key=lambda m: m[2])
     g1s, g2s, best = minima[0]
 
-    if verify_window:
-        t_min = np.linalg.norm(np.array([g1s, g2s]) - start) / span_g
-        ref = int(np.clip(np.searchsorted(ts, t_min), 1, len(ts) - 1))
-        wide = _SweepSolver(template, n0, 2 * half_width, solver.parity)
-        wide_h = wide.hamiltonian((g1s, g2s))
-        anchors = _embed_vectors(scan_vecs[ref], solver, wide_h)
-        vals, vecs, _ = wide.solve_near((g1s, g2s), scan_vals[ref], anchors)
-        wide_gap = rule(vals, vecs, anchors)[2]
-        # gaps below 1e-9 are zero to solver tolerance; no relative check there
-        if abs(wide_gap - best) > 0.01 * max(best, 1e-9):
-            raise ConvergenceError(
-                f"gap changed from {best:.3e} to {wide_gap:.3e} when the window doubled")
+    t_min = np.linalg.norm(np.array([g1s, g2s]) - start) / span_g
+    ref = int(np.clip(np.searchsorted(ts, t_min), 1, len(ts) - 1))
+    wide = _SweepSolver(template, n0, 2 * half_width, solver.parity)
+    wide_h = wide.hamiltonian((g1s, g2s))
+    anchors = _embed_vectors(scan_vecs[ref], solver, wide_h)
+    vals, vecs, _ = wide.solve_near((g1s, g2s), scan_vals[ref], anchors)
+    wide_gap = rule(vals, vecs, anchors)[2]
+    # gaps below 1e-9 are zero to solver tolerance; no relative check there
+    if abs(wide_gap - best) > 0.01 * max(best, 1e-9):
+        raise ConvergenceError(
+            f"gap changed from {best:.3e} to {wide_gap:.3e} when the window doubled")
 
     minima.sort(key=lambda m: (m[0], m[1]))
     return GapScan((j, k), int(delta_n), (g1s, g2s), float(best),
@@ -750,7 +720,7 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
             tr = track_levels(template, (0.0, g2), (g1_grid[-1], g2), len(g1_grid),
                               n0, half_width, which,
                               start_vectors=column.step_vectors[col_idx])
-            diffs = (tr.energies[:, 1] - nq[k]) - (tr.energies[:, 0] - nq[j])
+            diffs = (tr.energies[:, 1] - (nq[k] - n0)) - (tr.energies[:, 0] - (nq[j] - n0))
             ok = np.ones(len(g1_grid), dtype=bool)
         except TrackingError:
             diffs = np.full(len(g1_grid), np.nan)

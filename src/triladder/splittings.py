@@ -42,8 +42,7 @@ class SplittingRecord:
 
 
 def pt_splitting(params: ModelParams, transition, delta_n: int, n: int = None, *,
-                 wavefunctions: str = "h0", resonance_tol: float = 1e-4,
-                 nodes: int = 512, quad_tol: float = 1e-9) -> float:
+                 wavefunctions: str = "h0", resonance_tol: float = 1e-4) -> float:
     """Splitting estimate 2 |<j,n| V |k,n-delta_n>| at a resonance point.
 
     The coupling point must satisfy the dressed resonance condition to within
@@ -61,7 +60,7 @@ def pt_splitting(params: ModelParams, transition, delta_n: int, n: int = None, *
     _check_odd(delta_n)
     if n is None:
         n = params.n0
-    resid = dressed_transition(params, j, k, n, nodes=nodes, tol=quad_tol) - delta_n
+    resid = dressed_transition(params, j, k, n, nodes=512) - delta_n
     if abs(resid) > resonance_tol:
         raise OffResonanceError(
             f"point (g1={params.g1:.6f}, g2={params.g2:.6f}) misses the "
@@ -79,7 +78,7 @@ def pt_splitting(params: ModelParams, transition, delta_n: int, n: int = None, *
 
 def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
                           ratio: float, g1_max: float = 1.05, n: int = None,
-                          nodes: int = 512, tol: float = 1e-8):
+                          tol: float = 1e-8):
     """Where the dressed (j,k,delta_n) contour crosses the line g2 = ratio*g1."""
     j, k = transition
     _check_odd(delta_n)
@@ -87,7 +86,7 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
         n = template.n0
 
     def f(g1):
-        return _transition_gap(template, g1, ratio * g1, (j, k), n, nodes) - delta_n
+        return _transition_gap(template, g1, ratio * g1, (j, k), n, 512) - delta_n
 
     lo, hi = 1e-6, g1_max
     flo, fhi = f(lo), f(hi)
@@ -103,8 +102,7 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
 def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition=(1, 2),
                        *, n0: int = None, half_width: int = 400, g1_max: float = 1.05,
                        wavefunctions: str = "h0", mode: str = "pair",
-                       vicinity: float = 0.08, scan_points: int = 101,
-                       nodes: int = 512) -> list:
+                       vicinity: float = 0.08, scan_points: int = 101) -> list:
     """PT-versus-exact records for every requested quantum exchange.
 
     Failures of an individual entry (resonance off the line, lost tracking)
@@ -122,13 +120,13 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
         note = ""
         try:
             gc = contour_point_on_line(template, (j, k), dn, ratio=ratio,
-                                       g1_max=g1_max, n=n0, nodes=nodes)
+                                       g1_max=g1_max, n=n0)
             at_contour = template.with_couplings(*gc)
             pt = pt_splitting(at_contour, (j, k), dn, n0,
-                              wavefunctions=wavefunctions, nodes=nodes)
+                              wavefunctions=wavefunctions)
             scan = anticrossing_gap(template, line, dn, (j, k), n0, half_width,
                                     mode=mode, vicinity=vicinity,
-                                    scan_points=scan_points, quad_nodes=nodes)
+                                    scan_points=scan_points)
         except TriladderError as err:
             records.append(SplittingRecord((j, k), dn, ratio, (np.nan, np.nan),
                                            (np.nan, np.nan), np.nan, np.nan, np.nan,

@@ -58,16 +58,15 @@ class ModelParams:
     u: float
     v: float
     n0: int
-    min_gap: float = MIN_BARE_GAP
 
     def __post_init__(self):
         for name in ("e1", "e2", "e3", "u", "v"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
-        if not (self.e2 - self.e1 >= self.min_gap and self.e3 - self.e2 >= self.min_gap):
+        if not (self.e2 - self.e1 >= MIN_BARE_GAP and self.e3 - self.e2 >= MIN_BARE_GAP):
             raise ValueError(
-                f"bare energies must be strictly ordered with gaps >= {self.min_gap}: "
+                f"bare energies must be strictly ordered with gaps >= {MIN_BARE_GAP}: "
                 f"({self.e1}, {self.e2}, {self.e3})"
             )
         if self.u < 0 or self.v < 0:
@@ -89,10 +88,10 @@ class ModelParams:
         return self.v * math.sqrt(self.n0) / (self.e3 - self.e2)
 
     @classmethod
-    def from_dimensionless(cls, e1, e2, e3, g1, g2, n0, **kw) -> "ModelParams":
+    def from_dimensionless(cls, e1, e2, e3, g1, g2, n0) -> "ModelParams":
         """Build params from the dimensionless couplings instead of (u, v)."""
         rt = math.sqrt(int(n0))
-        return cls(e1, e2, e3, g1 * (e2 - e1) / rt, g2 * (e3 - e2) / rt, int(n0), **kw)
+        return cls(e1, e2, e3, g1 * (e2 - e1) / rt, g2 * (e3 - e2) / rt, int(n0))
 
     def with_couplings(self, g1, g2) -> "ModelParams":
         """Same bare levels and n0, couplings replaced via (g1, g2)."""
@@ -202,37 +201,17 @@ def _raw_bases(params, y, energies):
     return out
 
 
-def _fix_signs_dominant(bases):
-    """Largest component of each column positive; det forced to +1.
+def _orient(bases, score):
+    """Each column signed to make its ``score`` (N, 3) positive; det forced to +1.
 
-    When the dominant-component rule alone would give det = -1, the column
-    whose dominant component is smallest (the least committed sign) is
-    flipped.
+    Where those signs give det = -1, the column with the smallest |score|
+    (the least certain sign) is flipped back.
     """
-    idx = np.argmax(np.abs(bases), axis=1)
-    dom = np.take_along_axis(bases, idx[:, None, :], axis=1)[:, 0, :]
-    signs = np.where(dom < 0, -1.0, 1.0)
+    signs = np.where(score < 0, -1.0, 1.0)
     bases = bases * signs[:, None, :]
-    det = _det3(bases)
-    bad = det < 0
+    bad = _det3(bases) < 0
     if np.any(bad):
-        weakest = np.argmin(np.abs(dom), axis=-1)
-        flip = np.ones_like(signs)
-        np.put_along_axis(flip, weakest[:, None], -1.0, axis=1)
-        bases = np.where(bad[:, None, None], bases * flip[:, None, :], bases)
-    return bases
-
-
-def _fix_signs_reference(bases, reference):
-    """Column signs chosen to maximize overlap with the reference columns."""
-    ov = np.einsum("nij,nij->nj", bases, reference)
-    signs = np.where(ov < 0, -1.0, 1.0)
-    bases = bases * signs[:, None, :]
-    det = _det3(bases)
-    bad = det < 0
-    if np.any(bad):
-        # a far-off reference can leave det = -1; flip the least certain column
-        weakest = np.argmin(np.abs(ov), axis=-1)
+        weakest = np.argmin(np.abs(score), axis=-1)
         flip = np.ones_like(signs)
         np.put_along_axis(flip, weakest[:, None], -1.0, axis=1)
         bases = np.where(bad[:, None, None], bases * flip[:, None, :], bases)
@@ -256,19 +235,21 @@ def _check_separation(y, energies, guard=DEGENERACY_GUARD):
 def _eigensystem(params, y, reference=None):
     """Vectorized levels and sign-fixed bases at coordinates ``y`` (1-D array).
 
-    ``reference`` may be a single (3, 3) matrix or a per-point (N, 3, 3) stack;
-    without it, the dominant-component convention applies.
+    ``reference`` may be a single (3, 3) matrix or a per-point (N, 3, 3)
+    stack, and each column takes the sign of positive overlap with it;
+    without it, each column's largest component is made positive.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     energies = eigenvalues_at(params, y)
     _check_separation(y, energies)
     bases = _raw_bases(params, y, energies)
     if reference is None:
-        return energies, _fix_signs_dominant(bases)
-    reference = np.asarray(reference, dtype=float)
-    if reference.ndim == 2:
-        reference = np.broadcast_to(reference, bases.shape)
-    return energies, _fix_signs_reference(bases, reference)
+        idx = np.argmax(np.abs(bases), axis=1)
+        score = np.take_along_axis(bases, idx[:, None, :], axis=1)[:, 0, :]
+    else:
+        reference = np.broadcast_to(np.asarray(reference, dtype=float), bases.shape)
+        score = np.einsum("nij,nij->nj", bases, reference)
+    return energies, _orient(bases, score)
 
 
 def _chained_bases(params, y):

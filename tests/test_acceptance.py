@@ -52,7 +52,7 @@ def test_criterion_01_cubic_against_rotation_oracle():
 def test_criterion_02_small_basis_exactness():
     t0 = time.time()
     p = ModelParams(0.0, 11.0, 24.0, 0.07, 0.05, 50)
-    reference = np.linalg.eigvalsh(dense_full_basis(p, 100))
+    reference = np.linalg.eigvalsh(dense_full_basis(p, 100)) - 50
     windowed = np.sort(np.concatenate(
         [sector_eigenvalues(build_hamiltonian(p, 50, 50, parity))
          for parity in ("even", "odd")]))

@@ -179,6 +179,10 @@ class TestOtherCommands:
         ("splittings", SPLITTINGS.replace("ratio = 0.3", "ratio = -0.3")),
         ("splittings", SPLITTINGS + "vicinity = 0\n"),
         ("splittings", SPLITTINGS + "vicinity = -1\n"),
+        ("contours", CONTOURS + "residual_tol = -1\n"),
+        ("contours", CONTOURS + "residual_tol = 0\n"),
+        ("contours", CONTOURS + "radius = -1\n"),
+        ("splittings", SPLITTINGS + "g1_max = -1\n"),
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
@@ -188,7 +192,9 @@ class TestOtherCommands:
             "precision-fraction", "contours-transition-1-5",
             "resonance-map-transition-1-5", "splittings-transition-unordered",
             "contours-transition-0-2", "delta-n-negative", "delta-n-even",
-            "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative"])
+            "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative",
+            "residual-tol-negative", "residual-tol-zero", "radius-negative",
+            "g1-max-negative"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, body):
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from triladder import (ConvergenceError, ModelParams, anticrossing_gap,
                        build_hamiltonian, eigen_near, exact_dressed_levels,
                        resonance_sharpness_map, track_levels, wkb_levels)
+from triladder import fock
 from triladder.fock import _SweepSolver, sector_labels
 
 
@@ -26,8 +28,8 @@ def dense_full_basis(params, nmax):
 
 
 def sector_eigenvalues(h):
-    return np.sort(scipy.linalg.eig_banded(h.bands, lower=True,
-                                           eigvals_only=True)) + h.energy_offset
+    """Eigenvalues of one sector, measured from n0 like every fock energy."""
+    return np.sort(scipy.linalg.eig_banded(h.bands, lower=True, eigvals_only=True))
 
 
 class TestBuild:
@@ -35,7 +37,7 @@ class TestBuild:
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 50)
         h = build_hamiltonian(p, 50, 50, "even")
         evals = np.array([p.e1, p.e2, p.e3])
-        expected = evals[h.labels[:, 0] - 1] + h.labels[:, 1]
+        expected = evals[h.labels[:, 0] - 1] + (h.labels[:, 1] - h.n0)
         assert_allclose(np.sort(sector_eigenvalues(h)), np.sort(expected), atol=1e-12)
         assert np.all(np.abs(h.bands[1:]) == 0.0)
 
@@ -49,7 +51,7 @@ class TestBuild:
     def test_coupling_matrix_elements(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.37, 0.21, 50)
         h = build_hamiltonian(p, 50, 20, "even")
-        dense = h.dense(with_offset=True)
+        dense = h.dense()
         i = h.index_of(1, 41)
         j = h.index_of(2, 40)
         assert dense[j, i] == pytest.approx(0.37 * np.sqrt(41.0), rel=1e-15)
@@ -59,7 +61,7 @@ class TestBuild:
         i = h.index_of(2, 40)
         j = h.index_of(3, 41)
         assert dense[j, i] == pytest.approx(0.21 * np.sqrt(41.0), rel=1e-15)
-        assert dense[h.index_of(2, 40), h.index_of(2, 40)] == pytest.approx(51.0)
+        assert dense[h.index_of(2, 40), h.index_of(2, 40)] == pytest.approx(1.0)
         assert_allclose(dense, dense.T, atol=0.0)
 
     def test_labels_read_only(self):
@@ -82,7 +84,7 @@ class TestBuild:
 
     def test_full_basis_window_matches_dense_assembly(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.07, 0.05, 20)
-        reference = np.linalg.eigvalsh(dense_full_basis(p, 40))
+        reference = np.linalg.eigvalsh(dense_full_basis(p, 40)) - 20
         both = np.sort(np.concatenate([
             sector_eigenvalues(build_hamiltonian(p, 20, 20, "even")),
             sector_eigenvalues(build_hamiltonian(p, 20, 20, "odd"))]))
@@ -93,20 +95,19 @@ class TestEigenNear:
     def test_uncoupled_basis_state(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 50)
         h = build_hamiltonian(p, 50, 30, "even")
-        vals, vecs = eigen_near(h, 11.0 + 50.0, 1)
-        assert vals[0] == pytest.approx(61.0, abs=1e-12)
+        vals, vecs = eigen_near(h, 11.0, 1)
+        assert vals[0] == pytest.approx(11.0, abs=1e-12)
         assert np.max(np.abs(vecs[:, 0])) == pytest.approx(1.0)
 
     def test_matches_dense_oracle(self, rng):
         p = ModelParams(0.0, 9.0, 21.0, 0.4, 0.3, 40)
         h = build_hamiltonian(p, 40, 30, "odd")
-        dense = h.dense(with_offset=True)
-        reference = np.linalg.eigvalsh(dense)
-        target = 9.0 + 40.0
+        reference = np.linalg.eigvalsh(h.dense())
+        target = 9.0
         vals, vecs = eigen_near(h, target, 5)
         nearest = reference[np.argsort(np.abs(reference - target))[:5]]
         assert_allclose(np.sort(vals), np.sort(nearest), atol=1e-10)
-        resid = h.matvec(vecs) - (vals - h.energy_offset) * vecs
+        resid = h.matvec(vecs) - vals * vecs
         assert np.max(np.abs(resid)) < 1e-9 * h.norm_estimate()
 
     def test_rejects_silly_count(self):
@@ -123,7 +124,7 @@ class TestEigenNear:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         h = build_hamiltonian(ladder.with_couplings(0.3, 0.1), 10**8, 40, "even")
         with pytest.raises(ConvergenceError):
-            eigen_near(h, 10**8 + 1.0, 3)
+            eigen_near(h, 1.0, 3)
         with pytest.raises(ConvergenceError):
             track_levels(ladder, (0.0, 0.0), (0.3, 0.1), 3, 10**8, 40,
                          [(1, 10**8 + 1), (2, 10**8)])
@@ -145,8 +146,8 @@ def test_eigen_near_matches_dense_nearest(n0, half_width, parity, g, count, offs
     order = np.argsort(distance)
     assume(distance[order[count]] - distance[order[count - 1]] > 1e-6)
     nearest = reference[order[:count]]
-    vals, _ = eigen_near(h, n0 + offset, count)
-    assert_allclose(np.sort(vals - h.energy_offset), np.sort(nearest), rtol=0, atol=1e-9)
+    vals, _ = eigen_near(h, offset, count)
+    assert_allclose(np.sort(vals), np.sort(nearest), rtol=0, atol=1e-9)
 
 
 # one coupling zero splits H into blocks, and the seeds then lie in one of them
@@ -172,9 +173,8 @@ def test_seeded_solve_near_matches_dense_nearest(n0, half_width, parity, g, trac
     order = np.argsort(distance)
     k = 4 + 3 * tracked
     assume(distance[order[k]] - distance[order[k - 1]] > 1e-6)
-    vals, _, _ = solver.solve_near(g, reference[held] + h.energy_offset, states[:, held])
-    assert_allclose(np.sort(vals - h.energy_offset), np.sort(reference[order[:k]]),
-                    rtol=0, atol=1e-9)
+    vals, _, _ = solver.solve_near(g, reference[held], states[:, held])
+    assert_allclose(np.sort(vals), np.sort(reference[order[:k]]), rtol=0, atol=1e-9)
 
 
 class TestTracking:
@@ -198,6 +198,17 @@ class TestTracking:
         assert len(tr.relabelings) >= 1
         assert tr.energies.shape == (31, 2)
 
+    def test_energies_in_the_matrix_frame(self, ladder):
+        # tracked energies are measured from n0, the frame the window matrix
+        # is stored in, so they carry its full precision at n0 = 1e8
+        n0 = 10**8
+        which = [(1, n0 + 1), (2, n0), (3, n0 + 1)]
+        tr = track_levels(ladder, (0.0, 0.0), (0.4, 0.2), 9, n0, 40, which)
+        h = build_hamiltonian(ladder.with_couplings(0.4, 0.2), n0, 40, "even")
+        reference = np.linalg.eigvalsh(h.dense())
+        nearest = np.argmin(np.abs(reference[:, None] - tr.energies[-1]), axis=0)
+        assert_allclose(tr.energies[-1], reference[nearest], rtol=0, atol=1e-12)
+
     def test_exact_dressed_levels_near_orbit_average(self, ladder):
         exact = exact_dressed_levels(ladder, 0.5, 0.5, 10**8, 400, check_window=True)
         approx = wkb_levels(ladder.with_couplings(0.5, 0.5))
@@ -208,8 +219,8 @@ class TestTracking:
         # repeating with a two-quantum offset
         p = ladder.with_couplings(0.5, 0.5)
         h = build_hamiltonian(p, 10**8, 400, "even")
-        vals, _ = eigen_near(h, 10**8 + 12.0, 12)
-        vals = np.sort(vals) - h.energy_offset
+        vals, _ = eigen_near(h, 12.0, 12)
+        vals = np.sort(vals)
         lower = vals[(vals >= 10.0) & (vals < 12.0)]
         upper = vals[(vals >= 12.0) & (vals < 14.0)]
         assert lower.size == 3 and upper.size == 3
@@ -239,6 +250,17 @@ class TestAnticrossing:
         res = anticrossing_gap(remote, ((0.0, 0.0), (0.0, 0.2)), 9, (1, 2),
                                10**8, 120, scan_points=61, vicinity=0.05)
         assert res.gap < 1e-7
+
+    def test_failed_refinement_raises(self, ladder, monkeypatch):
+        def no_convergence(fun, bounds=None, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                x=bounds[0], fun=fun(bounds[0]), success=False,
+                message="Maximum number of function calls reached.")
+
+        monkeypatch.setattr(fock, "minimize_scalar", no_convergence)
+        with pytest.raises(ConvergenceError, match="not refined"):
+            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+                             scan_points=31)
 
     def test_benign_line_gap_matches_two_state_estimate(self, ladder):
         from triladder import pt_splitting

@@ -13,12 +13,13 @@ from triladder import ModelParams, contour_arc_crossing, resonance_contour
 template = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 10**8)
 angles = np.linspace(0.0, np.pi / 2.0, 61)
 
+# one scan of the ray fan serves all five quantum exchanges
 contours = {}
-for dn in (13, 15, 17, 19, 21):
-    c = resonance_contour(template, (1, 2), dn, angles=angles, scan_points=110)
-    contours[dn] = c.points
+for c in resonance_contour(template, (1, 2), (13, 15, 17, 19, 21),
+                           angles=angles, scan_points=110):
+    contours[c.delta_n] = c.points
     radii = np.linalg.norm(c.points, axis=1)
-    print(f"lower-pair contour, {dn} quanta: {len(c.points)} points, "
+    print(f"lower-pair contour, {c.delta_n} quanta: {len(c.points)} points, "
           f"radius {radii.min():.3f}..{radii.max():.3f}")
 
 point, resid = contour_arc_crossing(template, (1, 2), 11, 1e-3)

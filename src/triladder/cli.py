@@ -224,11 +224,11 @@ def render_contours(cfg) -> str:
     nodes = _run_int(cfg, "nodes", 256, lowest=16)
     tol = _run_positive(cfg, "residual_tol", 1e-6)
     angles = np.linspace(0.0, np.pi / 2.0, rays)
+    contours = resonance_contour(cfg.params, (j, k), dns, angles=angles,
+                                 radius=radius, scan_points=scan, nodes=nodes,
+                                 residual_tol=tol)
     rows = []
-    for dn in dns:
-        contour = resonance_contour(cfg.params, (j, k), dn, angles=angles,
-                                    radius=radius, scan_points=scan, nodes=nodes,
-                                    residual_tol=tol)
+    for dn, contour in zip(dns, contours):
         for i in range(len(contour.points)):
             rows.append((j, k, dn, contour.angles[i], contour.points[i, 0],
                          contour.points[i, 1], contour.residuals[i],

@@ -3,12 +3,17 @@
 For large quantum number n the spectrum organizes into three dressed levels
 plus the oscillator ladder.  The dressed part of level j is the classical
 average of the adiabatic energy E_j(y) over the orbit of energy 2n+1, which
-the Chebyshev-Gauss rule integrates with the exactly matching weight.  A
-brute-force grid solution of the corresponding one-dimensional Schroedinger
-problem serves as the independent oracle at moderate n.
+the Chebyshev-Gauss rule integrates with the exactly matching weight.  Every
+orbit average goes through one batched route, ``_orbit_levels``, which
+evaluates the cubic of ``trilevel`` for many coupling points at once on half
+the (symmetric) nodes.  A brute-force grid solution of the corresponding
+one-dimensional Schroedinger problem serves as the independent oracle at
+moderate n.
 
 Resonance contours in the (g1, g2) plane collect the points where a dressed
-transition energy equals an odd number of oscillator quanta.
+transition energy equals an odd number of oscillator quanta.  One table of
+the transition over a fan of rays serves every quantum exchange asked for,
+and all brackets on it are bisected together.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, TrackingError
-from .trilevel import ModelParams, eigenvalues_at
+from .trilevel import ModelParams, _branches, eigenvalues_at
 
 WKB_DEFAULT_NODES = 256
 _WKB_TOL = 1e-9
@@ -31,6 +36,10 @@ CONTOUR_RESIDUAL = 1e-6
 
 #: halvings a bracketed root search may take before it gives up
 _MAX_BISECTIONS = 200
+
+#: kernel points (coupling points times evaluated nodes) per block of an
+#: orbit average; bounds the temporaries of a large batch
+_CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,34 +92,81 @@ def _check_odd(delta_n):
         raise ValueError(f"only odd positive quantum exchange is resonant, got {delta_n}")
 
 
-def _bisect_root(f, lo, hi, tol, what, flo=None):
-    """Bisect a sign change of ``f`` on [lo, hi] until |f(mid)| <= tol.
+def _bisect_root(f, lo, hi, tol, what, flo=None, args=()):
+    """Bisect the sign changes of ``f`` on the brackets [lo, hi] until |f(mid)| <= tol.
 
-    Returns ``(mid, f(mid))``; ``flo`` is f(lo) when the caller already has
-    it.  Raises ConvergenceError naming ``what`` when the halvings run out.
+    ``lo`` and ``hi`` are arrays of brackets; ``f(x, *args)`` maps an array of
+    points, and the matching entries of each array in ``args``, to an array of
+    values.  Every bracket halves on its own and stops at its first midpoint
+    with |f(mid)| <= tol.  Returns the arrays ``(mid, f(mid))``; ``flo`` is
+    f(lo) when the caller already has it.  Raises ConvergenceError naming
+    ``what`` (a string, or a function of the bracket index) when a bracket
+    runs out of halvings.
     """
-    if flo is None:
-        flo = f(lo)
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    args = tuple(np.asarray(a) for a in args)
+    flo = np.array(f(lo, *args) if flo is None else flo, dtype=float, ndmin=1)
+    mid, fmid = np.empty_like(lo), np.empty_like(lo)
+    live = np.arange(lo.size)
     for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid, fm
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"{what} not within {tol:.1e} after {_MAX_BISECTIONS} bisections; "
-        f"last residual {fm:.3e} at {float(mid)!r}")
+        if live.size == 0:
+            break
+        m = 0.5 * (lo[live] + hi[live])
+        fm = f(m, *(a[live] for a in args))
+        mid[live], fmid[live] = m, fm
+        open_ = np.abs(fm) > tol
+        up = open_ & ((fm > 0) == (flo[live] > 0))
+        down = open_ & ~up
+        lo[live[up]], flo[live[up]] = m[up], fm[up]
+        hi[live[down]] = m[down]
+        live = live[open_]
+    if live.size:
+        i = live[0]
+        raise ConvergenceError(
+            f"{what(i) if callable(what) else what} not within {tol:.1e} after "
+            f"{_MAX_BISECTIONS} bisections; last residual {fmid[i]:.3e} at {float(mid[i])!r}")
+    return mid, fmid
 
 
-def _wkb_average(params, n, nodes):
-    """Average of all three adiabatic levels over the classical orbit."""
-    eps = 2.0 * float(n) + 1.0
-    theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * np.pi / (2.0 * nodes)
-    y = math.sqrt(eps) * np.cos(theta)
-    return eigenvalues_at(params, y).mean(axis=0)
+def _couplings(template, g1, g2):
+    """Amplitudes (u, v) of dimensionless couplings, formed as ``with_couplings`` does."""
+    rt = math.sqrt(template.n0)
+    return (np.asarray(g1, dtype=float) * (template.e2 - template.e1) / rt,
+            np.asarray(g2, dtype=float) * (template.e3 - template.e2) / rt)
+
+
+def _orbit_levels(template, u, v, n, nodes):
+    """Dressed levels, shape (N, 3), at the N coupling points (u[i], v[i]).
+
+    Each adiabatic level of ``template``'s bare levels is averaged over the
+    classical orbit of energy 2n+1 by the ``nodes``-point Chebyshev-Gauss
+    rule.  The levels depend on y**2 only and the nodes are symmetric, so
+    only the first half is evaluated, with weight 2 (the middle node of an
+    odd count, weight 1); the cubic branches are summed in their ascending
+    order 2, 0, 1 instead of being sorted.  The points go through the kernel
+    in blocks of about ``_CHUNK_POINTS`` kernel points.
+    """
+    u = np.array(u, dtype=float, ndmin=1)
+    v = np.array(v, dtype=float, ndmin=1)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("coupling amplitudes must be finite")
+    if np.any(u < 0) or np.any(v < 0):
+        i = int(np.argmax((u < 0) | (v < 0)))
+        raise ValueError(f"coupling amplitudes must be non-negative: u={u[i]}, v={v[i]}")
+    pairs = nodes // 2
+    theta = (2.0 * np.arange(1, nodes - pairs + 1) - 1.0) * np.pi / (2.0 * nodes)
+    y = math.sqrt(2.0 * float(n) + 1.0) * np.cos(theta)
+    rows = max(1, _CHUNK_POINTS // y.size)
+    out = np.empty((u.size, 3))
+    for start in range(0, u.size, rows):
+        block = slice(start, start + rows)
+        roots = _branches(template, y, u[block, None], v[block, None])
+        total = 2.0 * roots[:, :pairs].sum(axis=1)
+        if nodes % 2:
+            total += roots[:, pairs]
+        out[block] = total[:, [2, 0, 1]] / nodes
+    return out
 
 
 def wkb_levels(params: ModelParams, n: int = None, nodes: int = WKB_DEFAULT_NODES,
@@ -118,20 +174,24 @@ def wkb_levels(params: ModelParams, n: int = None, nodes: int = WKB_DEFAULT_NODE
     """All three dressed energies at once, with node-doubling control.
 
     Doubles the Chebyshev-Gauss node count until the result moves by less
-    than ``tol``; raises ConvergenceError if that never happens.
+    than ``tol``; raises ConvergenceError naming the point if that never
+    happens.
     """
     if n is None:
         n = params.n0
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
-    value = _wkb_average(params, n, nodes)
+    value = _orbit_levels(params, params.u, params.v, n, nodes)[0]
     for _ in range(_WKB_MAX_DOUBLINGS):
         nodes *= 2
-        new = _wkb_average(params, n, nodes)
-        if np.max(np.abs(new - value)) <= tol:
+        new = _orbit_levels(params, params.u, params.v, n, nodes)[0]
+        change = np.max(np.abs(new - value))
+        if change <= tol:
             return new
         value = new
-    raise ConvergenceError(f"dressed-level quadrature did not settle to {tol}")
+    raise ConvergenceError(
+        f"dressed-level quadrature did not settle to {tol} at g1={params.g1:.6g}, "
+        f"g2={params.g2:.6g}, n={n}: last change {change:.3e} at {nodes} nodes")
 
 
 def wkb_dressed_energy(params: ModelParams, j: int, n: int = None,
@@ -246,9 +306,11 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> DressedLevel:
 
 
 def _transition_gap(template, g1, g2, jk, n, nodes):
-    p = template.with_couplings(g1, g2)
-    levels = _wkb_average(p, n, nodes)
-    return levels[jk[1] - 1] - levels[jk[0] - 1]
+    """Dressed transition E_k - E_j at the coupling points (g1, g2), in their shape."""
+    shape = np.broadcast(g1, g2).shape
+    u, v = _couplings(template, g1, g2)
+    levels = _orbit_levels(template, np.ravel(u), np.ravel(v), n, nodes)
+    return (levels[:, jk[1] - 1] - levels[:, jk[0] - 1]).reshape(shape)[()]
 
 
 def _scan_grid(radius, points):
@@ -258,62 +320,80 @@ def _scan_grid(radius, points):
     return np.concatenate([dense, coarse])
 
 
-def resonance_contour(template: ModelParams, transition, delta_n: int, *,
+def resonance_contour(template: ModelParams, transition, delta_ns, *,
                       angles=None, radius: float = 1.25, scan_points: int = 160,
                       n: int = None, nodes: int = WKB_DEFAULT_NODES,
-                      residual_tol: float = CONTOUR_RESIDUAL) -> ResonanceContour:
-    """Locate the (j, k, delta_n) resonance contour on a fan of rays.
+                      residual_tol: float = CONTOUR_RESIDUAL) -> list:
+    """Locate the (j, k, delta_n) resonance contours on a fan of rays.
 
-    Along each ray from the origin, the sign changes of
-    (dressed transition) - delta_n are bracketed on a radius grid and polished
-    by bisection.  Every accepted point is re-verified with the quadrature
-    node count doubled; a point that fails the check is bisected again at
-    the doubled count.  Rays without a bracket are reported, not fatal.
+    Returns one ResonanceContour per entry of ``delta_ns``, in that order.
+    The dressed transition is tabulated once on a radius grid along every
+    ray, and the sign changes of (transition) - delta_n are bracketed on that
+    table for every delta_n and polished by bisection, all brackets at once.
+    Every accepted point is re-verified with the quadrature node count
+    doubled; a point that fails the check is bisected again at the doubled
+    count.  Rays without a bracket are reported, not fatal.
     """
     j, k = _check_transition(transition)
-    _check_odd(delta_n)
+    delta_ns = list(delta_ns)
+    for dn in delta_ns:
+        _check_odd(dn)
     if n is None:
         n = template.n0
     if angles is None:
         angles = np.linspace(0.0, np.pi / 2.0, 181)
     angles = np.asarray(angles, dtype=float)
+    if not np.all((angles >= 0.0) & (angles <= np.pi / 2.0)):
+        raise ValueError("ray angles must lie in [0, pi/2]")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be a finite positive number, got {radius}")
+    cos = np.array([math.cos(phi) for phi in angles])
+    sin = np.array([math.sin(phi) for phi in angles])
+    dns = np.array(delta_ns)
 
+    def mismatch(t, ray, d, quad=nodes):
+        return _transition_gap(template, t * cos[ray], t * sin[ray], (j, k), n, quad) - dns[d]
+
+    # one table of the transition over rays x radii serves every delta_n
     ts = _scan_grid(radius, scan_points)
-    pts, angs, resid, multi, missed = [], [], [], [], []
+    table = _transition_gap(template, np.outer(cos, ts), np.outer(sin, ts), (j, k), n, nodes)
+    vals = table[None, :, :] - dns[:, None, None]
+    zero_d, zero_r, zero_i = np.nonzero(vals == 0.0)
+    br_d, br_r, br_i = np.nonzero(np.sign(vals[..., :-1]) * np.sign(vals[..., 1:]) < 0)
 
-    for phi in angles:
-        c, s = math.cos(phi), math.sin(phi)
+    roots = np.empty(br_d.size)
+    pending, quad, flo = np.arange(br_d.size), nodes, vals[br_d, br_r, br_i]
+    for _ in range(_WKB_MAX_DOUBLINGS):
+        if pending.size == 0:
+            break
+        args = (br_r[pending], br_d[pending])
+        mid, _ = _bisect_root(lambda t, ray, d: mismatch(t, ray, d, quad),
+                              ts[br_i[pending]], ts[br_i[pending] + 1], residual_tol,
+                              lambda i: f"contour point on ray {angles[args[0][i]]}",
+                              flo, args)
+        ok = np.abs(mismatch(mid, *args, 2 * quad)) <= residual_tol
+        roots[pending[ok]] = mid[ok]
+        pending, quad, flo = pending[~ok], 2 * quad, None
+    if pending.size:
+        raise ConvergenceError(f"contour point on ray {angles[br_r[pending[0]]]} "
+                               "fails the doubled-node check")
 
-        def f(t, quad_nodes=nodes):
-            return _transition_gap(template, t * c, t * s, (j, k), n, quad_nodes) - delta_n
-
-        def polish(a, b, fa):
-            quad = nodes
-            for _ in range(_WKB_MAX_DOUBLINGS):
-                mid, _ = _bisect_root(lambda t: f(t, quad), a, b, residual_tol,
-                                      f"contour point on ray {phi}", fa)
-                if abs(f(mid, 2 * quad)) <= residual_tol:
-                    return mid
-                quad, fa = 2 * quad, None
-            raise ConvergenceError(f"contour point on ray {phi} fails the doubled-node check")
-
-        vals = np.array([f(t) for t in ts])
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        roots = [ts[i] for i in np.nonzero(vals == 0.0)[0]]
-        roots += [polish(ts[i], ts[i + 1], vals[i]) for i in sign_change]
-        if not roots:
-            missed.append(phi)
-            continue
-        for t in sorted(roots):
-            pts.append((t * c, t * s))
-            angs.append(phi)
-            resid.append(f(t, 2 * nodes))
-            multi.append(len(roots) > 1)
-
-    return ResonanceContour((j, k), int(delta_n),
-                            np.array(pts).reshape(-1, 2), np.array(angs),
-                            np.array(resid), np.array(multi, dtype=bool),
-                            np.array(missed))
+    d_all = np.concatenate([zero_d, br_d])
+    r_all = np.concatenate([zero_r, br_r])
+    t_all = np.concatenate([ts[zero_i], roots])
+    order = np.lexsort((t_all, r_all, d_all))
+    d_all, r_all, t_all = d_all[order], r_all[order], t_all[order]
+    resid = mismatch(t_all, r_all, d_all, 2 * nodes)
+    count = np.zeros((dns.size, angles.size), dtype=int)
+    np.add.at(count, (d_all, r_all), 1)
+    contours = []
+    for d, dn in enumerate(delta_ns):
+        on = d_all == d
+        r, t = r_all[on], t_all[on]
+        contours.append(ResonanceContour(
+            (j, k), int(dn), np.column_stack([t * cos[r], t * sin[r]]), angles[r],
+            resid[on], count[d, r] > 1, angles[count[d] == 0]))
+    return contours
 
 
 def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
@@ -332,11 +412,11 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
         n = template.n0
 
     def f(phi):
-        return _transition_gap(template, radius * math.cos(phi), radius * math.sin(phi),
+        return _transition_gap(template, radius * np.cos(phi), radius * np.sin(phi),
                                (j, k), n, nodes) - delta_n
 
     lo, hi = 0.0, math.pi / 2.0
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f(np.array([lo, hi]))
     if flo == 0.0:
         return (radius, 0.0), 0.0
     if fhi == 0.0:
@@ -346,4 +426,4 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
             f"contour ({j},{k},{delta_n}) does not cross the arc of radius {radius}")
     mid, fm = _bisect_root(f, lo, hi, residual_tol * 1e-3,
                            f"contour ({j},{k},{delta_n}) on the arc of radius {radius}", flo)
-    return (radius * math.cos(mid), radius * math.sin(mid)), float(fm)
+    return (float(radius * np.cos(mid[0])), float(radius * np.sin(mid[0]))), float(fm[0])

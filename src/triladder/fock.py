@@ -573,16 +573,17 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         return start + t * (end - start)
 
     def dressed_mismatch(t):
-        g = g_of(t)
-        return _transition_gap(template, g[0], g[1], (j, k), n0, 512) - delta_n
+        g = g_of(t[:, None])
+        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n0, 512) - delta_n
 
     lo, hi = 1e-6, 1.0
-    flo, fhi = dressed_mismatch(lo), dressed_mismatch(hi)
+    flo, fhi = dressed_mismatch(np.array([lo, hi]))
     if flo * fhi > 0:
         raise ConvergenceError(
             f"the ({j},{k}) resonance with {delta_n} quanta does not cross this line")
     t_star, _ = _bisect_root(dressed_mismatch, lo, hi, 1e-8,
                              f"the ({j},{k}) resonance with {delta_n} quanta", flo)
+    t_star = float(t_star[0])
 
     nb = central_quantum(j, n0)
     which = [(j, nb), (k, nb - delta_n)]

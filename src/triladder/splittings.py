@@ -89,13 +89,14 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
         return _transition_gap(template, g1, ratio * g1, (j, k), n, 512) - delta_n
 
     lo, hi = 1e-6, g1_max
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f(np.array([lo, hi]))
     if flo * fhi > 0:
         raise ConvergenceError(
             f"({j},{k}) resonance with {delta_n} quanta does not cross g2={ratio}*g1 "
             f"for g1 <= {g1_max}")
     mid, _ = _bisect_root(f, lo, hi, tol,
                           f"({j},{k}) resonance with {delta_n} quanta on g2={ratio}*g1", flo)
+    mid = float(mid[0])
     return mid, ratio * mid
 
 

@@ -34,6 +34,9 @@ _DEGENERATE_CUBIC = 1e-12
 #: chained sign fixing refuses when consecutive bases overlap less than this
 _CHAIN_OVERLAP_FLOOR = 0.3
 
+#: phase shifts 2 pi k of the three cubic branches
+_SHIFTS = np.array([0.0, 2.0 * np.pi, 4.0 * np.pi])
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -116,18 +119,42 @@ def level_matrix(params: ModelParams, y) -> np.ndarray:
     return m
 
 
-def _cubic_terms(params: ModelParams, y):
-    """alpha, beta of the depressed cubic, broadcast over ``y``."""
+def _cubic_terms(params: ModelParams, y, u=None, v=None):
+    """alpha, beta of the depressed cubic, broadcast over ``y``.
+
+    ``u`` and ``v`` default to the couplings of ``params``; arrays that
+    broadcast against ``y`` evaluate many coupling points at once.
+    """
+    u = params.u if u is None else u
+    v = params.v if v is None else v
     mean = (params.e1 + params.e2 + params.e3) / 3.0
     d1 = params.e1 - mean
     d2 = params.e2 - mean
     d3 = params.e3 - mean
     y = np.asarray(y, dtype=float)
-    uy2 = 2.0 * (params.u * y) ** 2
-    vy2 = 2.0 * (params.v * y) ** 2
+    uy2 = 2.0 * (u * y) ** 2
+    vy2 = 2.0 * (v * y) ** 2
     alpha = 0.5 * (d1 * d1 + d2 * d2 + d3 * d3) + uy2 + vy2
     beta = d1 * d2 * d3 - uy2 * d3 - vy2 * d1
     return alpha, beta, mean
+
+
+def _branches(params: ModelParams, y, u=None, v=None):
+    """The three roots of the cubic, unsorted: branch k = 0, 1, 2 on the last axis.
+
+    For the arcsin angle theta in [-pi/2, pi/2] the branches are ordered
+    k = 2 <= k = 0 <= k = 1, so ``[..., [2, 0, 1]]`` is ascending without a sort.
+    ``u`` and ``v`` are as in :func:`_cubic_terms`.
+    """
+    alpha, beta, mean = _cubic_terms(params, y, u, v)
+    amp = np.sqrt(4.0 * np.asarray(alpha) / 3.0)
+    if np.any(amp < _DEGENERATE_CUBIC):
+        raise DegenerateLevelsError(y, None, "cubic amplitude vanishes; spectrum degenerate")
+    s = -4.0 * np.asarray(beta) / amp**3
+    if np.any(np.abs(s) > 1.0 + _ARCSIN_SLACK):
+        raise TriladderError("arcsin argument exceeds 1 beyond roundoff slack")
+    theta = np.arcsin(np.clip(s, -1.0, 1.0))
+    return mean + amp[..., None] * np.sin((theta[..., None] + _SHIFTS) / 3.0)
 
 
 def eigenvalues_at(params: ModelParams, y) -> np.ndarray:
@@ -138,17 +165,7 @@ def eigenvalues_at(params: ModelParams, y) -> np.ndarray:
     cheap and fully vectorized.
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
-    alpha, beta, mean = _cubic_terms(params, y)
-    amp = np.sqrt(4.0 * np.asarray(alpha) / 3.0)
-    if np.any(amp < _DEGENERATE_CUBIC):
-        raise DegenerateLevelsError(y, None, "cubic amplitude vanishes; spectrum degenerate")
-    s = -4.0 * np.asarray(beta) / amp**3
-    if np.any(np.abs(s) > 1.0 + _ARCSIN_SLACK):
-        raise TriladderError("arcsin argument exceeds 1 beyond roundoff slack")
-    theta = np.arcsin(np.clip(s, -1.0, 1.0))
-    shifts = np.array([0.0, 2.0 * np.pi, 4.0 * np.pi])
-    roots = mean + amp[..., None] * np.sin((theta[..., None] + shifts) / 3.0)
-    roots = np.sort(roots, axis=-1)
+    roots = np.sort(_branches(params, y), axis=-1)
     return roots[0] if (scalar and roots.ndim == 2) else roots
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -104,6 +105,20 @@ class TestOtherCommands:
         expect = wkb_levels(tpl.with_couplings(0.4, 0.1))
         got = np.array([float(v) for v in rows[1][2:]])
         np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+    def test_wkb_unsettled_point_is_named(self, tmp_path, capsys):
+        # at g2 = 0, g1 = 0.9 the decoupled third level crosses the second
+        # inside the orbit, the sorted average is kinked and the quadrature
+        # never settles to 1e-9: the run fails as a whole, naming the point
+        body = MODEL + ("[run]\ng1_min = 0\ng1_max = 1\ng1_points = 11\n"
+                        "g2_min = 0\ng2_max = 1\ng2_points = 6\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["wkb", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"computation failed: dressed-level quadrature did not settle "
+                         r"to 1e-09 at g1=0\.9, g2=0, n=100000000: "
+                         r"last change \d\.\d+e-\d+ at \d+ nodes", err)
+        assert not (tmp_path / "wkb.csv").exists()
 
     def test_contours_rejects_even_exchange(self, tmp_path, capsys):
         body = MODEL + "[run]\ntransition = 1,2\ndelta_n_list = 12\nrays = 5\n"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triladder import (ConvergenceError, ModelParams, contour_arc_crossing,
-                       dressed_transition, h0_level_fd, resonance_contour,
-                       wkb_dressed_energy, wkb_levels)
-from triladder.dressed import _bisect_root, _sinc_kinetic, _count_nodes, _wkb_average
+                       dressed_transition, eigenvalues_at, h0_level_fd,
+                       resonance_contour, wkb_dressed_energy, wkb_levels)
+from triladder import dressed
+from triladder.dressed import (_CHUNK_POINTS, _bisect_root, _couplings, _count_nodes,
+                               _orbit_levels, _sinc_kinetic)
 
 from conftest import random_params
 
@@ -32,7 +35,7 @@ class TestWkbAverage:
 
     def test_node_doubling_converges_geometrically(self, ladder):
         p = ladder.with_couplings(0.5, 0.5)
-        vals = [_wkb_average(p, p.n0, nodes) for nodes in (16, 32, 64, 128)]
+        vals = [_orbit_levels(p, p.u, p.v, p.n0, nodes)[0] for nodes in (16, 32, 64, 128)]
         steps = [np.max(np.abs(vals[i + 1] - vals[i])) for i in range(3)]
         # at least geometric until the update hits the roundoff floor
         floor = 1e-12
@@ -58,6 +61,35 @@ class TestWkbAverage:
         values = [dressed_transition(ladder.with_couplings(g1, 0.0), 1, 2, tol=1e-7)
                   for g1 in np.linspace(0.0, 1.0, 50)]
         assert all(b >= a - 1e-6 for a, b in zip(values, values[1:]))
+
+
+class TestOrbitLevels:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.integers(1, 10**8),
+           n=st.integers(0, 10**8), nodes=st.integers(16, 600), data=st.data())
+    def test_matches_per_point_oracle(self, seed, n0, n, nodes, data):
+        rng = np.random.default_rng(seed)
+        template = random_params(rng, n0=n0)
+        # one block of the batch, or more than one
+        per_block = _CHUNK_POINTS // (nodes - nodes // 2)
+        count = (data.draw(st.integers(0, 1), label="full blocks") * per_block
+                 + data.draw(st.integers(1, per_block), label="points"))
+        g1, g2 = rng.uniform(0.0, 1.5, count), rng.uniform(0.0, 1.5, count)
+        u, v = _couplings(template, g1, g2)
+        got = _orbit_levels(template, u, v, n, nodes)
+        assert got.shape == (count, 3)
+        theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * np.pi / (2.0 * nodes)
+        y = math.sqrt(2.0 * n + 1.0) * np.cos(theta)
+        for i in range(count):
+            p = template.with_couplings(g1[i], g2[i])
+            assert (p.u, p.v) == (u[i], v[i])
+            expect = eigenvalues_at(p, y).mean(axis=0)
+            assert np.all(np.abs(got[i] - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
+
+    def test_rejects_negative_or_non_finite_couplings(self, ladder):
+        for u, v in (([0.1, -1e-12], [0.0, 0.0]), ([0.1], [np.nan]), ([np.inf], [0.1])):
+            with pytest.raises(ValueError, match="coupling amplitudes"):
+                _orbit_levels(ladder, np.array(u), np.array(v), ladder.n0, 64)
 
 
 class TestGridOracle:
@@ -105,18 +137,46 @@ class TestGridOracle:
 class TestResonanceContours:
     def test_even_exchange_rejected(self, ladder):
         with pytest.raises(ValueError):
-            resonance_contour(ladder, (1, 2), 12)
+            resonance_contour(ladder, (1, 2), [12])
         with pytest.raises(ValueError):
             contour_arc_crossing(ladder, (1, 2), 12, 0.5)
 
+    def test_even_exchange_anywhere_rejected_before_the_scan(self, ladder, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned before checking the quantum exchanges")
+
+        monkeypatch.setattr(dressed, "_orbit_levels", no_scan)
+        for dns in ([12, 13], [13, 15, 16], [13, -1]):
+            with pytest.raises(ValueError, match="odd positive"):
+                resonance_contour(ladder, (1, 2), dns)
+
+    def test_rays_outside_the_quadrant_and_bad_radius_rejected(self, ladder):
+        for angles in ([-0.1, 0.5], [0.2, np.pi / 2 + 0.01], [0.3, np.nan]):
+            with pytest.raises(ValueError, match="ray angles"):
+                resonance_contour(ladder, (1, 2), [13], angles=np.array(angles),
+                                  scan_points=20)
+        for radius in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                resonance_contour(ladder, (1, 2), [13], radius=radius, scan_points=20)
+
+    def test_one_scan_serves_every_exchange_in_order(self, ladder):
+        kw = dict(angles=np.linspace(0.0, np.pi / 2, 7), scan_points=60)
+        both = resonance_contour(ladder, (1, 2), [15, 13], **kw)
+        assert [c.delta_n for c in both] == [15, 13]
+        for c in both:
+            alone, = resonance_contour(ladder, (1, 2), [c.delta_n], **kw)
+            for field in ("points", "angles", "residuals", "multiple", "missed_angles"):
+                assert np.array_equal(getattr(c, field), getattr(alone, field))
+        assert resonance_contour(ladder, (1, 2), [], **kw) == []
+
     def test_unordered_transition_rejected(self, ladder):
         with pytest.raises(ValueError):
-            resonance_contour(ladder, (2, 1), 11)
+            resonance_contour(ladder, (2, 1), [11])
 
     def test_contour_points_verify_residual(self, ladder):
-        c = resonance_contour(ladder, (1, 2), 13,
-                              angles=np.linspace(0.0, np.pi / 2, 19),
-                              scan_points=80)
+        c, = resonance_contour(ladder, (1, 2), [13],
+                               angles=np.linspace(0.0, np.pi / 2, 19),
+                               scan_points=80)
         assert len(c.points) > 0
         assert np.max(np.abs(c.residuals)) <= 1e-6
         # points come back ordered by ray angle
@@ -138,15 +198,15 @@ class TestResonanceContours:
         # so both searches exhaust their halvings instead of returning a
         # midpoint (elsewhere a zero residual can occur and is accepted)
         with pytest.raises(ConvergenceError, match="200 bisections"):
-            resonance_contour(ladder, (1, 2), 13, angles=np.array([0.1]),
+            resonance_contour(ladder, (1, 2), [13], angles=np.array([0.1]),
                               scan_points=30, residual_tol=0.0)
         with pytest.raises(ConvergenceError, match="200 bisections"):
-            contour_arc_crossing(ladder, (1, 2), 11, 0.06, residual_tol=0.0)
+            contour_arc_crossing(ladder, (1, 2), 11, 0.05, residual_tol=0.0)
 
     def test_missing_bracket_reported_not_fatal(self, ladder):
-        c = resonance_contour(ladder, (1, 2), 25,
-                              angles=np.array([0.02, 1.55]), radius=0.3,
-                              scan_points=50)
+        c, = resonance_contour(ladder, (1, 2), [25],
+                               angles=np.array([0.02, 1.55]), radius=0.3,
+                               scan_points=50)
         assert len(c.missed_angles) == 2
         assert len(c.points) == 0
 
@@ -159,16 +219,18 @@ class TestBisectRoot:
             calls.append(x)
             return x * x - 2.0
 
-        root, value = _bisect_root(f, 1.0, 2.0, 1e-12, "sqrt(2)")
+        root, value = _bisect_root(f, np.array([1.0]), np.array([2.0]), 1e-12, "sqrt(2)")
         assert root == calls[-1]
         assert value == f(root)
-        assert abs(value) <= 1e-12
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert abs(value[0]) <= 1e-12
+        assert root[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
         # an exact root at the first midpoint comes back at once
-        assert _bisect_root(lambda x: x - 0.5, 0.0, 1.0, 0.0, "x = 1/2") == (0.5, 0.0)
+        assert _bisect_root(lambda x: x - 0.5, np.array([0.0]), np.array([1.0]), 0.0,
+                            "x = 1/2") == (0.5, 0.0)
         # a known f(lo) is not evaluated again
         calls.clear()
-        _bisect_root(f, 1.0, 2.0, 1e-12, "sqrt(2)", flo=-1.0)
+        _bisect_root(f, np.array([1.0]), np.array([2.0]), 1e-12, "sqrt(2)",
+                     flo=np.array([-1.0]))
         assert 1.0 not in calls
 
     def test_unreachable_tolerance_raises(self):
@@ -180,5 +242,26 @@ class TestBisectRoot:
             return x * x - 2.0
 
         with pytest.raises(ConvergenceError, match="sqrt\\(2\\) .* 200 bisections"):
-            _bisect_root(f, 1.0, 2.0, 0.0, "sqrt(2)")
+            _bisect_root(f, np.array([1.0]), np.array([2.0]), 0.0, "sqrt(2)")
         assert len(calls) == 1 + 200
+
+    def test_brackets_bisect_as_if_alone(self):
+        # every bracket follows its own midpoint sequence and stops at its own
+        # first hit, so the batch returns what one-element calls return
+        targets = np.array([2.0, 3.0, 0.25, 5.0, 7.0])
+        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])    # rising and falling
+        lo = np.array([1.0, 1.0, 0.0, 2.0, 2.0])
+        hi = np.array([2.0, 2.0, 1.0, 3.0, 3.0])
+        roots, values = _bisect_root(lambda x, c, s: s * (x * x - c), lo, hi, 1e-9, "root",
+                                     args=(targets, signs))
+        for i in range(targets.size):
+            alone = _bisect_root(lambda x: signs[i] * (x * x - targets[i]),
+                                 lo[i:i + 1], hi[i:i + 1], 1e-9, "root")
+            assert (roots[i], values[i]) == (alone[0][0], alone[1][0])
+        assert roots[2] == 0.5    # met exactly at the first midpoint
+
+    def test_failing_bracket_is_named(self):
+        # the first bracket meets tol = 0 at once, the second never does
+        with pytest.raises(ConvergenceError, match="bracket 1 not within .* 200 bisections"):
+            _bisect_root(lambda x, c: x * x - c, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                         0.0, lambda i: f"bracket {i}", args=(np.array([0.25, 2.0]),))

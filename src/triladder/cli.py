@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .dressed import resonance_contour, wkb_levels
 from .errors import TriladderError
-from .fock import resonance_sharpness_map
+from .fock import _sweep_grids, resonance_sharpness_map
 from .splittings import compare_splittings
-from .trilevel import ModelParams, eigenvalues_at
+from .trilevel import ModelParams, _amplitudes, eigenvalues_at
 
 
 class ConfigError(ValueError):
@@ -74,16 +74,14 @@ def load_config(source) -> Config:
         n0 = _integer(model["n0"], 1)
         if n0 is None:
             raise ValueError(f"n0 = {model['n0']!r} is not an integer >= 1")
-        if "u" in model:
-            u = float(model["u"])
-        else:
-            u = float(model["g1"]) * (e2 - e1) / np.sqrt(n0)
-        if "v" in model:
-            v = float(model["v"])
-        else:
-            v = float(model["g2"]) * (e3 - e2) / np.sqrt(n0)
+        # a coupling given as an amplitude (u or v) is taken as it stands
+        scaled = _amplitudes(e1, e2, e3, n0, float(model.get("g1", "0")),
+                             float(model.get("g2", "0")))
+        u = float(model["u"]) if "u" in model else scaled[0]
+        v = float(model["v"]) if "v" in model else scaled[1]
         params = ModelParams(e1, e2, e3, u, v, n0)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
+        # OverflowError: an n0 too large for a float, met by sqrt(n0)
         raise ConfigError(f"[model] rejected: {err}") from err
 
     run = dict(parser["run"]) if "run" in parser else {}
@@ -125,16 +123,30 @@ def _run_float(cfg, key, default=None):
             raise ConfigError(f"[run] is missing required key {key!r}")
         return default
     try:
-        return float(cfg.run[key])
+        value = float(cfg.run[key])
     except ValueError as err:
         raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a number") from err
+    if not np.isfinite(value):
+        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a finite number")
+    return value
 
 
 def _run_positive(cfg, key, default):
     value = _run_float(cfg, key, default)
-    if not (np.isfinite(value) and value > 0):
+    if not value > 0:
         raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a positive number")
     return value
+
+
+def _run_coupling_grid(cfg, axis, low=None, high=None):
+    """The ``{axis}_min`` .. ``{axis}_max`` grid of ``{axis}_points`` couplings >= 0."""
+    bounds = []
+    for key, default in ((f"{axis}_min", low), (f"{axis}_max", high)):
+        value = _run_float(cfg, key, default)
+        if value < 0:
+            raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is a negative coupling")
+        bounds.append(value)
+    return np.linspace(*bounds, _run_int(cfg, f"{axis}_points"))
 
 
 def _run_int(cfg, key, default=None, lowest=1):
@@ -201,10 +213,8 @@ def render_levels(cfg) -> str:
 
 
 def render_wkb(cfg) -> str:
-    g1 = np.linspace(_run_float(cfg, "g1_min"), _run_float(cfg, "g1_max"),
-                     _run_int(cfg, "g1_points"))
-    g2 = np.linspace(_run_float(cfg, "g2_min"), _run_float(cfg, "g2_max"),
-                     _run_int(cfg, "g2_points"))
+    g1 = _run_coupling_grid(cfg, "g1")
+    g2 = _run_coupling_grid(cfg, "g2")
     n = _run_int(cfg, "n", cfg.params.n0, lowest=0)
     nodes = _run_int(cfg, "nodes", 256, lowest=16)
     rows = []
@@ -240,10 +250,12 @@ def render_contours(cfg) -> str:
 def render_resonance_map(cfg) -> str:
     """Rows are tracked sequentially; seeding vectors chain along the g2 axis."""
     j, k = _run_transition(cfg)
-    g1 = np.linspace(_run_float(cfg, "g1_min", 0.0), _run_float(cfg, "g1_max", 1.0),
-                     _run_int(cfg, "g1_points"))
-    g2 = np.linspace(_run_float(cfg, "g2_min", 0.0), _run_float(cfg, "g2_max", 1.25),
-                     _run_int(cfg, "g2_points"))
+    g1 = _run_coupling_grid(cfg, "g1", 0.0, 1.0)
+    g2 = _run_coupling_grid(cfg, "g2", 0.0, 1.25)
+    try:
+        _sweep_grids(g1, g2)
+    except ValueError as err:
+        raise ConfigError(f"[run] {err}") from err
     width = _run_int(cfg, "half_width", 400, lowest=8)
     table = resonance_sharpness_map(cfg.params, (j, k), g1, g2,
                                     cfg.params.n0, width)
@@ -256,7 +268,7 @@ def render_splittings(cfg) -> str:
     j, k = _run_transition(cfg)
     dns = _run_delta_n_list(cfg)
     ratio = _run_float(cfg, "ratio")
-    if not (np.isfinite(ratio) and ratio >= 0):
+    if not ratio >= 0:
         raise ConfigError(f"[run] ratio = {cfg.run['ratio']!r} is not a finite number >= 0")
     width = _run_int(cfg, "half_width", 400, lowest=8)
     g1_max = _run_positive(cfg, "g1_max", 1.05)
@@ -265,10 +277,9 @@ def render_splittings(cfg) -> str:
         raise ConfigError(f"[run] mode = {mode!r}; expected 'pair' or 'nearest'")
     vicinity = _run_positive(cfg, "vicinity", 0.08)
     scan = _run_int(cfg, "scan_points", 101)
-    records = [compare_splittings(cfg.params, ratio, [dn], (j, k), n0=cfg.params.n0,
-                                  half_width=width, g1_max=g1_max, mode=mode,
-                                  vicinity=vicinity, scan_points=scan)[0]
-               for dn in sorted(dns)]
+    records = compare_splittings(cfg.params, ratio, dns, (j, k), half_width=width,
+                                 g1_max=g1_max, mode=mode, vicinity=vicinity,
+                                 scan_points=scan)
     rows = []
     for r in records:
         rows.append((r.transition[0], r.transition[1], r.delta_n, r.line_ratio,

@@ -9,16 +9,19 @@ Its three independent entries F12, F13, F23 drive the residual operator of
 the rotated problem that connects different levels: the anticommutator of
 d/dy with each F_jk.
 
-Matrix elements between product states (level j, oscillator quantum n) are
-evaluated two independent ways: a Gauss-Hermite product quadrature usable up
-to moderate quantum numbers, and a windowed Fock-operator construction with
-no practical limit on n.
+Matrix elements between product states (level j, oscillator quantum n) come
+in two families with one argument check and one sign rule.
+``v_matrix_element`` takes bare oscillator eigenfunctions and is evaluated
+two independent ways, selected by ``method``: a Gauss-Hermite product
+quadrature usable up to moderate quantum numbers, and a windowed
+Fock-operator construction with no practical limit on n.
+``v_matrix_element_h0`` takes the eigenfunctions of the rotated single-level
+problem, which the two-state splitting estimate calls for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,26 +44,19 @@ _REL_TOL = 1e-8
 _ABS_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class MatrixElementRequest:
-    """One off-diagonal matrix element <j,n| . |k,m> of the derivative coupling."""
+def _ordered_pair(j, k, n, m):
+    """Sign and ordered level pair of the element <j,n| . |k,m>.
 
-    j: int
-    k: int
-    n: int
-    m: int
-    method: str
-
-    def __post_init__(self):
-        if self.j not in (1, 2, 3) or self.k not in (1, 2, 3) or self.j == self.k:
-            raise ValueError(f"levels must be distinct members of 1..3, got ({self.j}, {self.k})")
-        if self.n < 0 or self.m < 0:
-            raise ValueError("oscillator quantum numbers must be >= 0")
-        if self.method not in (METHOD_HERMITE, METHOD_FOCK):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == METHOD_HERMITE and max(self.n, self.m) > HERMITE_MAX_N:
-            raise ValueError(
-                f"{METHOD_HERMITE} supports n, m <= {HERMITE_MAX_N}; use {METHOD_FOCK}")
+    Checks that j and k are distinct levels of 1..3 and n, m >= 0.  The
+    operator for an ordered pair j < k is -(1/2) {d/dy, F_jk(y)}; for j > k
+    the sign flips, which together with the antisymmetry of the kernel in
+    (n, m) makes the full operator symmetric.
+    """
+    if j not in (1, 2, 3) or k not in (1, 2, 3) or j == k:
+        raise ValueError(f"levels must be distinct members of 1..3, got ({j}, {k})")
+    if n < 0 or m < 0:
+        raise ValueError("oscillator quantum numbers must be >= 0")
+    return (1.0 if j < k else -1.0), (min(j, k), max(j, k))
 
 
 def _coupling_batch(params, y):
@@ -169,25 +165,28 @@ def _element_fock(params, pair, n, m, pad):
     return float(op[n - lo, m - lo]), float(scale)
 
 
-def v_matrix_element(params: ModelParams, req: MatrixElementRequest) -> float:
+def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int,
+                     method: str) -> float:
     """<level j, n| derivative-coupling operator |level k, m>, in oscillator quanta.
 
-    The operator for an ordered pair j < k is -(1/2) {d/dy, F_jk(y)}; for
-    j > k the sign flips, which together with the antisymmetry of the kernel
-    in (n, m) makes the full operator symmetric.  Both evaluation methods
+    The oscillator factors are bare oscillator eigenfunctions.  ``method`` is
+    METHOD_HERMITE (n, m <= HERMITE_MAX_N) or METHOD_FOCK.  Both methods
     refine themselves (node doubling, window-padding doubling) until the
     result is stable to 1e-8 relative, and raise ConvergenceError otherwise.
     """
-    sigma = 1.0 if req.j < req.k else -1.0
-    pair = (min(req.j, req.k), max(req.j, req.k))
-    if req.method == METHOD_HERMITE:
-        size = 2 * max(req.n, req.m) + 64
-        evaluate = lambda s: _element_hermite(params, pair, req.n, req.m, s)
+    sigma, pair = _ordered_pair(j, k, n, m)
+    if method == METHOD_HERMITE:
+        if max(n, m) > HERMITE_MAX_N:
+            raise ValueError(
+                f"{METHOD_HERMITE} supports n, m <= {HERMITE_MAX_N}; use {METHOD_FOCK}")
+        size = 2 * max(n, m) + 64
+        evaluate = lambda s: _element_hermite(params, pair, n, m, s)
+    elif method == METHOD_FOCK:
+        size = 4 * abs(n - m) + 64
+        evaluate = lambda s: _element_fock(params, pair, n, m, s)
     else:
-        size = 4 * abs(req.n - req.m) + 64
-        evaluate = lambda s: _element_fock(params, pair, req.n, req.m, s)
-    value = _refine(evaluate, size,
-                    f"matrix element ({req.j},{req.n})<->({req.k},{req.m})", req.method)
+        raise ValueError(f"unknown method {method!r}")
+    value = _refine(evaluate, size, f"matrix element ({j},{n})<->({k},{m})", method)
     return -0.5 * sigma * value
 
 
@@ -226,15 +225,10 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
     Evaluated on a Fock window around the two quantum numbers, padded by
     4 |n - m| + 96 states; the padding doubles until the value is stable.
     """
-    if j not in (1, 2, 3) or k not in (1, 2, 3) or j == k:
-        raise ValueError(f"levels must be distinct members of 1..3, got ({j}, {k})")
-    if n < 0 or m < 0:
-        raise ValueError("oscillator quantum numbers must be >= 0")
+    sigma, pair = _ordered_pair(j, k, n, m)
     # rung identification only needs the dressed values to a fraction of one
     # quantum, so a kinked integrand (decoupled-level crossing) is tolerable
     dressed = wkb_levels(params, max(n, m), tol=1e-6)
-    sigma = 1.0 if j < k else -1.0
-    pair = (min(j, k), max(j, k))
 
     def evaluate(p):
         lo, nodes, q = _window(n, m, p)

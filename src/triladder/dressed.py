@@ -13,7 +13,9 @@ moderate n.
 Resonance contours in the (g1, g2) plane collect the points where a dressed
 transition energy equals an odd number of oscillator quanta.  One table of
 the transition over a fan of rays serves every quantum exchange asked for,
-and all brackets on it are bisected together.
+and all brackets on it are bisected together.  On a straight line from zero
+coupling, one bisection (``_line_resonance``) serves both the contour point
+and the gap scan of the splitting comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, TrackingError
-from .trilevel import ModelParams, _branches, eigenvalues_at
+from .trilevel import ModelParams, _amplitudes, _branches, eigenvalues_at
 
 WKB_DEFAULT_NODES = 256
 _WKB_TOL = 1e-9
@@ -37,19 +39,12 @@ CONTOUR_RESIDUAL = 1e-6
 #: halvings a bracketed root search may take before it gives up
 _MAX_BISECTIONS = 200
 
+#: a resonance on a line is bisected until its mismatch is this small
+_LINE_TOL = 1e-8
+
 #: kernel points (coupling points times evaluated nodes) per block of an
 #: orbit average; bounds the temporaries of a large batch
 _CHUNK_POINTS = 16384
-
-
-@dataclass(frozen=True, eq=False)
-class DressedLevel:
-    """One dressed level energy, excluding the n*hbar_omega0 ladder offset."""
-
-    j: int
-    n: int
-    energy: float
-    method: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +124,6 @@ def _bisect_root(f, lo, hi, tol, what, flo=None, args=()):
     return mid, fmid
 
 
-def _couplings(template, g1, g2):
-    """Amplitudes (u, v) of dimensionless couplings, formed as ``with_couplings`` does."""
-    rt = math.sqrt(template.n0)
-    return (np.asarray(g1, dtype=float) * (template.e2 - template.e1) / rt,
-            np.asarray(g2, dtype=float) * (template.e3 - template.e2) / rt)
-
-
 def _orbit_levels(template, u, v, n, nodes):
     """Dressed levels, shape (N, 3), at the N coupling points (u[i], v[i]).
 
@@ -194,15 +182,6 @@ def wkb_levels(params: ModelParams, n: int = None, nodes: int = WKB_DEFAULT_NODE
         f"g2={params.g2:.6g}, n={n}: last change {change:.3e} at {nodes} nodes")
 
 
-def wkb_dressed_energy(params: ModelParams, j: int, n: int = None,
-                       nodes: int = WKB_DEFAULT_NODES) -> DressedLevel:
-    """Dressed energy of level ``j`` from the classical-orbit average."""
-    _check_level(j)
-    if n is None:
-        n = params.n0
-    return DressedLevel(j, int(n), float(wkb_levels(params, n, nodes)[j - 1]), "wkb")
-
-
 def dressed_transition(params: ModelParams, j: int, k: int, n: int = None,
                        nodes: int = WKB_DEFAULT_NODES, tol: float = _WKB_TOL) -> float:
     """Dressed transition energy E_k - E_j (both from the orbit average).
@@ -250,8 +229,8 @@ def _count_nodes(vec):
     return int(np.sum(s[1:] * s[:-1] < 0))
 
 
-def h0_level_fd(params: ModelParams, j: int, n: int) -> DressedLevel:
-    """Dressed level from a grid solution of the one-dimensional problem.
+def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
+    """Dressed energy of level ``j`` from a grid solution of the one-dimensional problem.
 
     Solves (E + 1/2) u = [E_j(y) + (1/2)(-d^2/dy^2 + y^2)] u on a uniform
     grid, picks the eigenfunction with exactly ``n`` sign changes, and
@@ -298,7 +277,7 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> DressedLevel:
     if abs(lam_fine - lam) > 1e-6:
         raise ConvergenceError(
             f"grid eigenvalue moved by {abs(lam_fine - lam):.2e} on refinement")
-    return DressedLevel(j, int(n), lam_fine - 0.5 - n, "fd")
+    return lam_fine - 0.5 - n
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +287,8 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> DressedLevel:
 def _transition_gap(template, g1, g2, jk, n, nodes):
     """Dressed transition E_k - E_j at the coupling points (g1, g2), in their shape."""
     shape = np.broadcast(g1, g2).shape
-    u, v = _couplings(template, g1, g2)
+    u, v = _amplitudes(template.e1, template.e2, template.e3, template.n0,
+                       np.asarray(g1, dtype=float), np.asarray(g2, dtype=float))
     levels = _orbit_levels(template, np.ravel(u), np.ravel(v), n, nodes)
     return (levels[:, jk[1] - 1] - levels[:, jk[0] - 1]).reshape(shape)[()]
 
@@ -427,3 +407,29 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
     mid, fm = _bisect_root(f, lo, hi, residual_tol * 1e-3,
                            f"contour ({j},{k},{delta_n}) on the arc of radius {radius}", flo)
     return (float(radius * np.cos(mid[0])), float(radius * np.sin(mid[0]))), float(fm[0])
+
+
+def _line_resonance(template, end, transition, delta_n, n):
+    """Where the dressed (j, k) transition matches ``delta_n`` quanta on a line.
+
+    The line runs from zero coupling to the (g1, g2) point ``end``; the
+    returned t in [1e-6, 1] puts the resonance at g = t * end, bisected until
+    the mismatch is within ``_LINE_TOL``.  Raises ConvergenceError when the line
+    does not cross the resonance or the bisection runs out.
+    """
+    j, k = transition
+    end = np.asarray(end, dtype=float)
+
+    def mismatch(t):
+        g = t[:, None] * end
+        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n, 512) - delta_n
+
+    lo, hi = 1e-6, 1.0
+    flo, fhi = mismatch(np.array([lo, hi]))
+    if flo * fhi > 0:
+        raise ConvergenceError(
+            f"the ({j},{k}) resonance with {delta_n} quanta does not cross the line "
+            f"to (g1, g2) = ({end[0]:g}, {end[1]:g})")
+    t, _ = _bisect_root(mismatch, lo, hi, _LINE_TOL,
+                        f"the ({j},{k}) resonance with {delta_n} quanta", flo)
+    return float(t[0])

@@ -31,7 +31,7 @@ import scipy.sparse.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
-from .dressed import _bisect_root, _check_odd, _check_transition, _transition_gap
+from .dressed import _check_odd, _check_transition, _line_resonance
 from .errors import ConvergenceError, TrackingError
 from .trilevel import ModelParams
 
@@ -493,6 +493,7 @@ class GapScan:
 
     transition: tuple
     delta_n: int
+    g_contour: tuple            # (g1, g2) where the dressed resonance crosses the line
     g_star: tuple               # (g1, g2) at the global gap minimum
     gap: float                  # minimal |E_a - E_b|
     minima: list                # [(g1, g2, gap)] for every local minimum found
@@ -541,13 +542,14 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
     ``line`` is a pair of (g1, g2) endpoints starting at zero coupling.  The
     resonance location is first estimated from the dressed (orbit-averaged)
-    transition energy, the two resonant states are tracked out to the
-    vicinity, the gap is scanned on ``scan_points`` points and every local
-    minimum is polished by a bounded scalar minimization of gap^2 down to a
-    resolution of 1e-10 in (g1, g2).  gap^2 is quadratic at the bottom of an
-    anticrossing (the two-state hyperbola) and of an exact crossing alike, so
-    its parabolic steps converge on either.  The reported gap must be stable
-    to 1 percent when the window width doubles.
+    transition energy (reported as ``g_contour``), the two resonant states
+    are tracked out to the vicinity, the gap is scanned on ``scan_points``
+    points and every local minimum is polished by a bounded scalar
+    minimization of gap^2 down to a resolution of 1e-10 in (g1, g2).  gap^2
+    is quadratic at the bottom of an anticrossing (the two-state hyperbola)
+    and of an exact crossing alike, so its parabolic steps converge on
+    either.  The reported gap must be stable to 1 percent when the window
+    width doubles.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -572,18 +574,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     def g_of(t):
         return start + t * (end - start)
 
-    def dressed_mismatch(t):
-        g = g_of(t[:, None])
-        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n0, 512) - delta_n
-
-    lo, hi = 1e-6, 1.0
-    flo, fhi = dressed_mismatch(np.array([lo, hi]))
-    if flo * fhi > 0:
-        raise ConvergenceError(
-            f"the ({j},{k}) resonance with {delta_n} quanta does not cross this line")
-    t_star, _ = _bisect_root(dressed_mismatch, lo, hi, 1e-8,
-                             f"the ({j},{k}) resonance with {delta_n} quanta", flo)
-    t_star = float(t_star[0])
+    t_star = _line_resonance(template, end, (j, k), delta_n, n0)
 
     nb = central_quantum(j, n0)
     which = [(j, nb), (k, nb - delta_n)]
@@ -652,7 +643,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
             f"gap changed from {best:.3e} to {wide_gap:.3e} when the window doubled")
 
     minima.sort(key=lambda m: (m[0], m[1]))
-    return GapScan((j, k), int(delta_n), (g1s, g2s), float(best),
+    return GapScan((j, k), int(delta_n), tuple(g_of(t_star)), (g1s, g2s), float(best),
                    minima, ts, gaps)
 
 
@@ -680,6 +671,25 @@ def _embed_vectors(vecs, solver, wide_h):
 SHARPNESS_CAP = 1e6
 
 
+def _sweep_grids(g1_grid, g2_grid):
+    """The row and seeding-column grids of a sharpness map, from zero coupling.
+
+    Zero coupling is put in front of a grid that does not start there.  Rows
+    and the seeding column are swept as straight lines with uniform steps, so
+    the recorded points only match the requested grids when these are uniform
+    once the zero-coupling anchor is counted; ValueError otherwise.
+    """
+    grids = []
+    for name, grid in (("g1", g1_grid), ("g2", g2_grid)):
+        grid = np.asarray(grid, dtype=float)
+        if grid[0] != 0.0:
+            grid = np.concatenate([[0.0], grid])
+        if grid.size > 1 and not np.allclose(np.diff(grid), grid[1] - grid[0]):
+            raise ValueError(f"{name} grid must be uniformly spaced from zero coupling")
+        grids.append(grid)
+    return tuple(grids)
+
+
 def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
                             n0: int, half_width: int):
     """Inverse distance of the exact dressed transition to the nearest odd rung.
@@ -692,25 +702,13 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
     one sweep up the g2 axis seeds the start vectors of every constant-g2 row.
     """
     j, k = _check_transition(transition)
-    g1_grid = np.asarray(g1_grid, dtype=float)
     g2_grid = np.asarray(g2_grid, dtype=float)
-    if g1_grid[0] != 0.0:
-        g1_grid = np.concatenate([[0.0], g1_grid])
-        drop_first = True
-    else:
-        drop_first = False
+    drop_first = np.asarray(g1_grid, dtype=float)[0] != 0.0
+    seed_start = g2_grid[0] == 0.0
+    g1_grid, col_g2 = _sweep_grids(g1_grid, g2_grid)
     n0 = int(n0)
     nq = {lvl: central_quantum(lvl, n0) for lvl in (j, k)}
     which = [(j, nq[j]), (k, nq[k])]
-
-    seed_start = g2_grid[0] == 0.0
-    col_g2 = g2_grid if seed_start else np.concatenate([[0.0], g2_grid])
-    # rows and the seeding column are swept as straight lines with uniform
-    # steps, so the recorded points only match the requested grids when these
-    # are uniform once the zero-coupling anchor is counted
-    for name, grid in (("g1", g1_grid), ("g2", col_g2)):
-        if grid.size > 1 and not np.allclose(np.diff(grid), grid[1] - grid[0]):
-            raise ValueError(f"{name} grid must be uniformly spaced from zero coupling")
     column = track_levels(template, (0.0, 0.0), (0.0, col_g2[-1]),
                           len(col_g2), n0, half_width, which, keep_vectors=True)
 

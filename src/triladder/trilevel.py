@@ -93,13 +93,22 @@ class ModelParams:
     @classmethod
     def from_dimensionless(cls, e1, e2, e3, g1, g2, n0) -> "ModelParams":
         """Build params from the dimensionless couplings instead of (u, v)."""
-        rt = math.sqrt(int(n0))
-        return cls(e1, e2, e3, g1 * (e2 - e1) / rt, g2 * (e3 - e2) / rt, int(n0))
+        return cls(e1, e2, e3, *_amplitudes(e1, e2, e3, int(n0), g1, g2), int(n0))
 
     def with_couplings(self, g1, g2) -> "ModelParams":
         """Same bare levels and n0, couplings replaced via (g1, g2)."""
-        rt = math.sqrt(self.n0)
-        return replace(self, u=g1 * (self.e2 - self.e1) / rt, v=g2 * (self.e3 - self.e2) / rt)
+        u, v = _amplitudes(self.e1, self.e2, self.e3, self.n0, g1, g2)
+        return replace(self, u=u, v=v)
+
+
+def _amplitudes(e1, e2, e3, n0, g1, g2):
+    """Amplitudes (u, v) of the dimensionless couplings (g1, g2).
+
+    u = g1 (e2 - e1) / sqrt(n0) and v = g2 (e3 - e2) / sqrt(n0), elementwise
+    when ``g1`` and ``g2`` are arrays; the inverse of ``ModelParams.g1``/``g2``.
+    """
+    rt = math.sqrt(n0)
+    return g1 * (e2 - e1) / rt, g2 * (e3 - e2) / rt
 
 
 def level_matrix(params: ModelParams, y) -> np.ndarray:

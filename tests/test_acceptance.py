@@ -13,8 +13,7 @@ import pytest
 from triladder import (ModelParams, compare_splittings, contour_arc_crossing,
                        anticrossing_gap, build_hamiltonian, eigenvalues_at,
                        exact_dressed_levels, h0_level_fd, level_matrix,
-                       pt_splitting, track_levels, v_matrix_element,
-                       MatrixElementRequest, wkb_dressed_energy, wkb_levels)
+                       pt_splitting, track_levels, v_matrix_element, wkb_levels)
 from triladder.dressed import _transition_gap
 from triladder.validate import run_all
 
@@ -123,8 +122,7 @@ def test_criterion_06_wkb_vs_grid_oracle():
     gaps = []
     for n in (100, 400, 1000):
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.5, n)
-        worst = max(abs(wkb_dressed_energy(p, j, n).energy
-                        - h0_level_fd(p, j, n).energy) for j in (1, 2, 3))
+        worst = max(abs(wkb_levels(p, n)[j - 1] - h0_level_fd(p, j, n)) for j in (1, 2, 3))
         gaps.append(worst)
     elapsed = time.time() - t0
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-2 and elapsed < 120.0
@@ -135,7 +133,7 @@ def test_criterion_06_wkb_vs_grid_oracle():
 @pytest.fixture(scope="module")
 def benign_line_records():
     return compare_splittings(LADDER, 0.3, range(13, 28, 2), (1, 2),
-                              n0=10**8, half_width=400, g1_max=1.1)
+                              half_width=400, g1_max=1.1)
 
 
 def test_criterion_07_splitting_agreement_bands(benign_line_records):
@@ -195,10 +193,8 @@ def test_criterion_09_element_method_cross_check():
     p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, n)
     worst = 0.0
     for dn in range(11, 22, 2):
-        hermite = v_matrix_element(p, MatrixElementRequest(1, 2, n, n - dn,
-                                                           "hermite-quadrature"))
-        window = v_matrix_element(p, MatrixElementRequest(1, 2, n, n - dn,
-                                                          "fock-window"))
+        hermite = v_matrix_element(p, 1, 2, n, n - dn, "hermite-quadrature")
+        window = v_matrix_element(p, 1, 2, n, n - dn, "fock-window")
         worst = max(worst, abs(hermite / window - 1.0))
     ok = worst <= 1e-6
     assert report("9 element method cross-check", t0, ok,

@@ -198,6 +198,16 @@ class TestOtherCommands:
         ("contours", CONTOURS + "residual_tol = 0\n"),
         ("contours", CONTOURS + "radius = -1\n"),
         ("splittings", SPLITTINGS + "g1_max = -1\n"),
+        ("levels", LEVELS.replace("y_min = -1", "y_min = nan")),
+        ("levels", LEVELS.replace("y_min = -1", "y_min = -inf")),
+        ("wkb", GRID.replace("g1_min = 0", "g1_min = -0.5")),
+        ("wkb", GRID.replace("g1_min = 0", "g1_min = nan")),
+        ("resonance-map", GRID.replace("g1_min = 0\ng1_max = 0.2\ng1_points = 2",
+                                       "g1_min = 0.15\ng1_max = 1\ng1_points = 4")),
+        ("resonance-map", GRID.replace("g1_min = 0", "g1_min = -0.2")),
+        ("levels", LEVELS.replace("n0 = 100000000", "n0 = 1" + "0" * 400)),
+        ("levels", LEVELS.replace("g1 = 0.5\ng2 = 0.5\nn0 = 100000000",
+                                  "u = 0.1\nv = 0.1\nn0 = 1" + "0" * 400)),
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
@@ -209,7 +219,9 @@ class TestOtherCommands:
             "contours-transition-0-2", "delta-n-negative", "delta-n-even",
             "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative",
             "residual-tol-negative", "residual-tol-zero", "radius-negative",
-            "g1-max-negative"])
+            "g1-max-negative", "y-min-nan", "y-min-minus-inf", "wkb-g1-min-negative",
+            "wkb-g1-min-nan", "map-grid-not-from-zero", "map-g1-min-negative",
+            "n0-overflow-g", "n0-overflow-u"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, body):
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

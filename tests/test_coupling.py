@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from triladder import (ModelParams, MatrixElementRequest, coupling_matrix,
-                       v_matrix_element, v_matrix_element_h0)
+from triladder import (ModelParams, coupling_matrix, v_matrix_element,
+                       v_matrix_element_h0)
 from triladder.oscillator import eigenfunction_rows
 import triladder.coupling as coupling
 import triladder.trilevel as trilevel
@@ -75,58 +75,56 @@ class TestCouplingFunctions:
 
 
 class TestMatrixElements:
-    def test_request_validation(self):
+    def test_request_validation(self, monkeypatch):
+        # rejected before any evaluation
+        monkeypatch.setattr(coupling, "_refine", None)
+        p = ModelParams(0.0, 11.0, 24.0, 0.1, 0.1, 100)
         with pytest.raises(ValueError):
-            MatrixElementRequest(1, 1, 10, 9, "hermite-quadrature")
+            v_matrix_element(p, 1, 1, 10, 9, "hermite-quadrature")
         with pytest.raises(ValueError):
-            MatrixElementRequest(1, 2, -1, 9, "hermite-quadrature")
+            v_matrix_element(p, 1, 2, -1, 9, "hermite-quadrature")
         with pytest.raises(ValueError):
-            MatrixElementRequest(1, 2, 10, 9, "nonsense")
+            v_matrix_element(p, 1, 2, 10, 9, "nonsense")
         with pytest.raises(ValueError):
-            MatrixElementRequest(1, 2, 6000, 9, "hermite-quadrature")
+            v_matrix_element(p, 1, 2, 6000, 9, "hermite-quadrature")
+        for j, k, n in ((2, 2, 10), (0, 2, 10), (1, 2, -1)):
+            with pytest.raises(ValueError):
+                v_matrix_element_h0(p, j, k, n, 9)
 
     def test_decoupled_level_gives_zero(self):
         n = 500
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.2, n)
-        elem = v_matrix_element(p, MatrixElementRequest(1, 2, n, n - 11,
-                                                        "hermite-quadrature"))
+        elem = v_matrix_element(p, 1, 2, n, n - 11, "hermite-quadrature")
         assert elem == 0.0
 
     def test_parity_selection(self):
         n = 200
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.3, n)
-        allowed = abs(v_matrix_element(
-            p, MatrixElementRequest(1, 2, n, n - 11, "hermite-quadrature")))
+        allowed = abs(v_matrix_element(p, 1, 2, n, n - 11, "hermite-quadrature"))
         for j, k, dm in ((1, 2, 2), (1, 2, 10), (2, 3, 4), (1, 3, 3)):
-            elem = v_matrix_element(
-                p, MatrixElementRequest(j, k, n, n - dm, "hermite-quadrature"))
+            elem = v_matrix_element(p, j, k, n, n - dm, "hermite-quadrature")
             assert abs(elem) <= 1e-10 * max(allowed, 1.0)
 
     def test_hermitian_pairing(self):
         n = 300
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.3, n)
         for j, k, m in ((1, 2, n - 11), (2, 3, n - 13), (1, 3, n - 12)):
-            a = v_matrix_element(p, MatrixElementRequest(j, k, n, m,
-                                                         "hermite-quadrature"))
-            b = v_matrix_element(p, MatrixElementRequest(k, j, m, n,
-                                                         "hermite-quadrature"))
+            a = v_matrix_element(p, j, k, n, m, "hermite-quadrature")
+            b = v_matrix_element(p, k, j, m, n, "hermite-quadrature")
             assert a == pytest.approx(b, rel=1e-8, abs=1e-15)
 
     def test_methods_agree(self):
         n = 500
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, n)
         for dn in (11, 13):
-            eh = v_matrix_element(p, MatrixElementRequest(1, 2, n, n - dn,
-                                                          "hermite-quadrature"))
-            ef = v_matrix_element(p, MatrixElementRequest(1, 2, n, n - dn,
-                                                          "fock-window"))
+            eh = v_matrix_element(p, 1, 2, n, n - dn, "hermite-quadrature")
+            ef = v_matrix_element(p, 1, 2, n, n - dn, "fock-window")
             assert eh == pytest.approx(ef, rel=1e-6)
 
     def test_multiphoton_suppression_at_fixed_couplings(self):
         n0 = 10**8
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.6, 0.18, n0)
-        mags = [abs(v_matrix_element(p, MatrixElementRequest(1, 2, n0, n0 - dn,
-                                                             "fock-window")))
+        mags = [abs(v_matrix_element(p, 1, 2, n0, n0 - dn, "fock-window"))
                 for dn in range(11, 27, 2)]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
@@ -166,8 +164,7 @@ class TestRotatedFrameElements:
         g = coupling._coupling_batch(p, y)
         w12 = 0.5 * np.sum(phi[0] * g[:, 0, 2] * g[:, 1, 2] * phi[1])
         expected = full - w12
-        mine = v_matrix_element(p, MatrixElementRequest(1, 2, n, m,
-                                                        "hermite-quadrature"))
+        mine = v_matrix_element(p, 1, 2, n, m, "hermite-quadrature")
         assert mine == pytest.approx(expected, rel=1e-6)
 
     def test_h0_states_element_matches_grid(self):
@@ -212,7 +209,6 @@ class TestRotatedFrameElements:
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, g1, 0.3 * g1, n0)
         nb = n0 + 1
         distorted = abs(v_matrix_element_h0(p, 1, 2, nb, nb - 15))
-        bare = abs(v_matrix_element(p, MatrixElementRequest(1, 2, nb, nb - 15,
-                                                            "fock-window")))
+        bare = abs(v_matrix_element(p, 1, 2, nb, nb - 15, "fock-window"))
         assert distorted > 10 * bare
 

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
 from triladder import (ConvergenceError, ModelParams, OffResonanceError,
-                       compare_splittings, contour_point_on_line, pt_splitting)
+                       anticrossing_gap, compare_splittings, contour_point_on_line,
+                       pt_splitting, v_matrix_element)
+from triladder import dressed
+from triladder.fock import central_quantum
 
 
 class TestPtSplitting:
@@ -36,21 +40,27 @@ class TestPtSplitting:
         de = pt_splitting(params, (1, 2), 15)
         assert de == pytest.approx(1.698e-3, rel=0.25)
 
-    def test_bare_oscillator_wavefunctions_selectable(self, ladder):
+    def test_bare_oscillator_element_far_too_small(self, ladder):
         gc = contour_point_on_line(ladder, (1, 2), 15, ratio=0.3)
         params = ladder.with_couplings(*gc)
         dressed_waves = pt_splitting(params, (1, 2), 15)
-        bare_waves = pt_splitting(params, (1, 2), 15, wavefunctions="oscillator")
+        nb = central_quantum(1, params.n0)
+        bare_waves = 2.0 * abs(v_matrix_element(params, 1, 2, nb, nb - 15, "fock-window"))
         assert bare_waves < dressed_waves / 10
 
 
 class TestContourPoint:
-    def test_unreachable_tolerance_raises(self, ladder):
-        # on this line the residual never rounds to exactly zero, so the
-        # bisection exhausts its halvings instead of returning a midpoint
-        # (on other lines a zero residual can occur and is accepted)
+    def test_unreachable_tolerance_raises(self, ladder, monkeypatch):
+        # a mismatch that changes sign at g1 = 0.3 but never comes within the
+        # tolerance: the line search that both callers share exhausts its
+        # halvings, whatever the roundoff of the kernel
+        monkeypatch.setattr(dressed, "_transition_gap",
+                            lambda template, g1, g2, jk, n, nodes:
+                            np.where(np.asarray(g1) < 0.3, 16.5, 17.5))
         with pytest.raises(ConvergenceError, match="200 bisections"):
-            contour_point_on_line(ladder, (1, 2), 17, ratio=0.5, tol=0.0)
+            contour_point_on_line(ladder, (1, 2), 17, ratio=0.5)
+        with pytest.raises(ConvergenceError, match="200 bisections"):
+            anticrossing_gap(ladder, ((0.0, 0.0), (1.05, 0.525)), 17, (1, 2), 10**8, 400)
 
 
 class TestCompare:
@@ -70,6 +80,8 @@ class TestCompare:
         assert 0.5 <= r.ratio <= 2.0
         assert abs(r.g_contour[0] - r.g_star[0]) <= 0.02 * r.g_star[0]
         assert r.g_contour[1] == pytest.approx(0.3 * r.g_contour[0], rel=1e-9)
+        # the record carries the dressed point that the gap scan located
+        assert r.g_contour == contour_point_on_line(ladder, (1, 2), 15, ratio=0.3)
 
     def test_unreachable_resonance_marked_invalid(self, ladder):
         records = compare_splittings(ladder, 0.3, [29, 15], half_width=400,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dressed import resonance_contour, wkb_levels
-from .errors import TriladderError
+from .errors import ConvergenceError, TriladderError
 from .fock import _sweep_grids, resonance_sharpness_map
 from .splittings import compare_splittings
 from .trilevel import ModelParams, _amplitudes, eigenvalues_at
@@ -220,9 +220,15 @@ def render_wkb(cfg) -> str:
     rows = []
     for b in g2:
         for a in g1:
-            lv = wkb_levels(cfg.params.with_couplings(a, b), n, nodes)
-            rows.append((a, b, lv[0], lv[1], lv[2]))
-    return _render(cfg, ("g1", "g2", "E1", "E2", "E3"), rows)
+            # a point whose quadrature does not settle is flagged, named on
+            # stderr, and does not cost the rest of the grid
+            try:
+                lv, ok = wkb_levels(cfg.params.with_couplings(a, b), n, nodes), True
+            except ConvergenceError as err:
+                print(f"wkb: {err}", file=sys.stderr)
+                lv, ok = np.full(3, np.nan), False
+            rows.append((a, b, lv[0], lv[1], lv[2], ok))
+    return _render(cfg, ("g1", "g2", "E1", "E2", "E3", "ok"), rows)
 
 
 def render_contours(cfg) -> str:
@@ -276,7 +282,8 @@ def render_splittings(cfg) -> str:
     if mode not in ("pair", "nearest"):
         raise ConfigError(f"[run] mode = {mode!r}; expected 'pair' or 'nearest'")
     vicinity = _run_positive(cfg, "vicinity", 0.08)
-    scan = _run_int(cfg, "scan_points", 101)
+    # an interior gap minimum needs a grid point on either side of it
+    scan = _run_int(cfg, "scan_points", 101, lowest=3)
     records = compare_splittings(cfg.params, ratio, dns, (j, k), half_width=width,
                                  g1_max=g1_max, mode=mode, vicinity=vicinity,
                                  scan_points=scan)

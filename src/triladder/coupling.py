@@ -29,9 +29,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .dressed import wkb_levels
 from .errors import ConvergenceError
-from .oscillator import (derivative_from_rows, derivative_matrix,
-                         eigenfunction_rows, position_offdiagonal,
-                         roots_hermite)
+from .oscillator import (derivative_from_rows, eigenfunction_rows, ladder_rows,
+                         position_offdiagonal, roots_hermite)
 from .trilevel import ModelParams, _chained_bases, eigenvalues_at
 
 #: quantum number cap for the Gauss-Hermite route
@@ -151,18 +150,21 @@ def _window(n, m, pad):
 
 
 def _window_operators(params, pair, lo, nodes, q):
-    """Windowed F_jk(y), d/dy and anticommutator {d/dy, F_jk} matrices."""
+    """Windowed F_jk(y) and anticommutator {d/dy, F_jk} matrices."""
     f = _coupling_batch(params, nodes)[:, pair[0] - 1, pair[1] - 1]
     fmat = (q * f) @ q.T
-    dmat = derivative_matrix(lo, lo + nodes.size - 1)
-    return fmat, dmat, dmat @ fmat + fmat @ dmat
+    # F is symmetric and d/dy antisymmetric, so F d/dy = -(d/dy F)^T
+    dfmat = ladder_rows(lo, fmat, -1.0)
+    return fmat, dfmat - dfmat.T
 
 
 def _element_fock(params, pair, n, m, pad):
     lo, nodes, q = _window(n, m, pad)
-    fmat, dmat, op = _window_operators(params, pair, lo, nodes, q)
-    scale = (np.abs(dmat) @ np.abs(fmat) + np.abs(fmat) @ np.abs(dmat))[n - lo, m - lo]
-    return float(op[n - lo, m - lo]), float(scale)
+    fmat, op = _window_operators(params, pair, lo, nodes, q)
+    # |d/dy| is the position operator y, so the magnitude sum is y|F| + |F|y
+    yf = ladder_rows(lo, np.abs(fmat), 1.0)
+    a, b = n - lo, m - lo
+    return float(op[a, b]), float(yf[a, b] + yf[b, a])
 
 
 def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int,
@@ -236,7 +238,7 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
         uk = _window_h0_state(params, k, m, lo, nodes, q, dressed[k - 1])
         # built after the two eigensolves so the dense operators and the
         # eigensolver workspace are never held at once (peak memory)
-        _, _, op = _window_operators(params, pair, lo, nodes, q)
+        _, op = _window_operators(params, pair, lo, nodes, q)
         return float(uj @ op @ uk), float(np.abs(uj) @ (np.abs(op) @ np.abs(uk)))
 
     value = _refine(evaluate, 4 * abs(n - m) + 96,

@@ -14,8 +14,9 @@ Eigenpairs come from one route: shift-invert Lanczos whose inverse is a
 banded LU of H - sigma, started from the vectors already tracked at the
 previous point.  Around it the module continues eigenpairs along coupling
 sweeps by eigenvector overlap (energy order swaps at every anticrossing, the
-vectors do not), locates anticrossing gap minima by a bounded scalar
-minimization of gap^2, and rasterizes resonance-sharpness maps from the
+vectors do not), locates anticrossing gap minima by a coarse-to-fine scan
+steered by the exact level slopes and a bounded scalar minimization of
+gap^2, and rasterizes resonance-sharpness maps from the
 tracked exact spectrum.
 """
 
@@ -497,31 +498,31 @@ class GapScan:
     g_star: tuple               # (g1, g2) at the global gap minimum
     gap: float                  # minimal |E_a - E_b|
     minima: list                # [(g1, g2, gap)] for every local minimum found
-    ts: np.ndarray              # scan parameter values
-    gaps: np.ndarray            # scanned gap values
+    ts: np.ndarray              # scan parameter values evaluated, ascending
+    gaps: np.ndarray            # gap at each of them
 
 
 def _pair_rule(vals, vecs, anchors):
     """The two candidates overlapping most with the anchor pair, and their gap.
 
-    Returns the pair's values and vectors in energy order (the next anchors)
-    and the distance between the two values.
+    Returns the pair's candidate indices and vectors in energy order (the
+    next anchors) and the distance between the two values.
     """
     score = np.sum((vecs.T @ anchors) ** 2, axis=1)
     if score.size < 2:
         raise TrackingError("pair tracking lost both states")
     top = np.argsort(score, kind="stable")[-2:]
     top = top[np.argsort(vals[top], kind="stable")]
-    return vals[top], vecs[:, top], abs(vals[top[1]] - vals[top[0]])
+    return top, vecs[:, top], abs(vals[top[1]] - vals[top[0]])
 
 
 def _nearest_rule(vals, vecs, anchor):
     """The candidate overlapping most with the single anchor, and its gap.
 
-    Returns its value, the next anchor and the distance to the nearest other
-    candidate.  The anchor only moves where the identity is unambiguous
-    (overlap >= 0.9), so sitting inside a hybridization zone does not switch
-    the continuation onto the partner branch.
+    Returns its candidate index, the next anchor and the distance to the
+    nearest other candidate.  The anchor only moves where the identity is
+    unambiguous (overlap >= 0.9), so sitting inside a hybridization zone does
+    not switch the continuation onto the partner branch.
     """
     ovl = np.abs(vecs.T @ anchor)[:, 0]
     pick = int(np.argmax(ovl))
@@ -529,10 +530,25 @@ def _nearest_rule(vals, vecs, anchor):
         anchor = vecs[:, pick:pick + 1]
     others = np.delete(vals, pick)
     gap = np.min(np.abs(others - vals[pick])) if others.size else np.inf
-    return vals[pick:pick + 1], anchor, gap
+    return np.array([pick]), anchor, gap
 
 
 _GAP_RULES = {"pair": _pair_rule, "nearest": _nearest_rule}
+
+#: the gap scan first evaluates every this-many-th point of its grid
+_COARSE_STRIDE = 4
+
+
+def _crossing_ahead(vals, slopes, tracked, dt):
+    """Whether a candidate's first-order prediction crosses a tracked level within dt.
+
+    ``vals`` and ``slopes`` are every candidate's value and dE/dt at one scan
+    point, ``tracked`` the indices of the tracked levels among them; a
+    negative ``dt`` predicts backwards.
+    """
+    now = vals - vals[tracked][:, None]
+    later = now + (slopes - slopes[tracked][:, None]) * dt
+    return bool(np.any(now * later < 0.0))
 
 
 def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
@@ -542,14 +558,21 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
     ``line`` is a pair of (g1, g2) endpoints starting at zero coupling.  The
     resonance location is first estimated from the dressed (orbit-averaged)
-    transition energy (reported as ``g_contour``), the two resonant states
-    are tracked out to the vicinity, the gap is scanned on ``scan_points``
-    points and every local minimum is polished by a bounded scalar
+    transition energy (reported as ``g_contour``), and the two resonant
+    states are tracked out to the vicinity.  The gap is then scanned on a
+    grid of ``scan_points`` (at least 3) evenly spaced points across the
+    vicinity, coarse to fine: every fourth point and the last are evaluated
+    first, and the rest only inside coarse intervals that can hold a gap
+    minimum (they touch a coarse local minimum, ends included, or the
+    first-order prediction of a candidate level crosses a tracked one there,
+    from either end), widened by one coarse interval on each side.  Every
+    local minimum over the evaluated points is polished by a bounded scalar
     minimization of gap^2 down to a resolution of 1e-10 in (g1, g2).  gap^2
     is quadratic at the bottom of an anticrossing (the two-state hyperbola)
     and of an exact crossing alike, so its parabolic steps converge on
     either.  The reported gap must be stable to 1 percent when the window
-    width doubles.
+    width doubles.  ``ts`` and ``gaps`` of the result hold the evaluated
+    points only.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -564,6 +587,9 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     rule = _GAP_RULES[mode]
     if not (math.isfinite(vicinity) and vicinity > 0):
         raise ValueError(f"vicinity must be a positive number, got {vicinity}")
+    if scan_points < 3:
+        raise ValueError(f"scan_points must be at least 3 to hold an interior minimum, "
+                         f"got {scan_points}")
     start = np.asarray(line[0], dtype=float)
     end = np.asarray(line[1], dtype=float)
     if np.any(start != 0.0):
@@ -586,20 +612,54 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     solver = _SweepSolver(template, n0, half_width, "even")
 
     def measure(t, vals, vecs):
-        cand_vals, cand_vecs, _ = solver.solve_near(g_of(t), vals, vecs)
-        return rule(cand_vals, cand_vecs, vecs)
+        """Tracked values, next anchors, gap, and every candidate's value and slope."""
+        cand_vals, cand_vecs, h = solver.solve_near(g_of(t), vals, vecs)
+        tracked, anchors, gap = rule(cand_vals, cand_vecs, vecs)
+        # from zero coupling H(t) = D + t C, and the diagonal h.bands[0] is D
+        # at every t; by Hellmann-Feynman dE/dt = v^T C v = (E - v^T D v) / t
+        slopes = (cand_vals - h.bands[0] @ cand_vecs ** 2) / t
+        return cand_vals[tracked], anchors, gap, (cand_vals, slopes, tracked)
 
-    ts = np.linspace(t_lo, t_hi, scan_points)
+    grid = np.linspace(t_lo, t_hi, scan_points)
+    scanned = {}            # grid index -> measure() there
+
+    def scan(indices, vals, vecs):
+        for i in indices:
+            scanned[i] = measure(grid[i], vals, vecs)
+            vals, vecs = scanned[i][:2]
+
     # "nearest" follows the bra state alone
     width = 2 if mode == "pair" else 1
-    vals, vecs = approach.energies[-1][:width], approach.vectors[:, :width]
-    scan_vals, scan_vecs, gaps = [], [], []
-    for t in ts:
-        vals, vecs, gap = measure(t, vals, vecs)
-        scan_vals.append(vals)
-        scan_vecs.append(vecs)
-        gaps.append(gap)
-    gaps = np.array(gaps)
+    coarse = list(range(0, scan_points, _COARSE_STRIDE))
+    if coarse[-1] != scan_points - 1:
+        coarse.append(scan_points - 1)
+    scan(coarse, approach.energies[-1][:width], approach.vectors[:, :width])
+
+    # coarse interval s runs from coarse[s] to coarse[s + 1]; it can hold a gap
+    # minimum when it touches a coarse local minimum (ends included) or when a
+    # candidate's first-order prediction crosses a tracked level inside it
+    cg = np.array([scanned[i][2] for i in coarse])
+    low = np.ones(cg.size, dtype=bool)
+    low[1:] &= cg[1:] <= cg[:-1]
+    low[:-1] &= cg[:-1] <= cg[1:]
+    can_hold = low[:-1] | low[1:]
+    for s, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
+        dt = grid[b] - grid[a]
+        can_hold[s] |= (_crossing_ahead(*scanned[a][3], dt)
+                        or _crossing_ahead(*scanned[b][3], -dt))
+    # fill those in, with one coarse interval of margin on each side
+    fill = can_hold.copy()
+    fill[1:] |= can_hold[:-1]
+    fill[:-1] |= can_hold[1:]
+    for s in np.nonzero(fill)[0]:
+        a = coarse[s]
+        scan(range(a + 1, coarse[s + 1]), *scanned[a][:2])
+
+    order = sorted(scanned)
+    ts = grid[order]
+    scan_vals = [scanned[i][0] for i in order]
+    scan_vecs = [scanned[i][1] for i in order]
+    gaps = np.array([scanned[i][2] for i in order])
 
     interior = np.nonzero((gaps[1:-1] <= gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))[0] + 1
     if interior.size == 0:
@@ -610,9 +670,13 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         if i != keep[-1] + 1:
             keep.append(i)
 
-    def gap_at(t):
+    def nearest(t):
+        """Index of the evaluated point nearest t."""
         ref = int(np.clip(np.searchsorted(ts, t), 1, len(ts) - 1))
-        near = ref if abs(ts[ref] - t) < abs(ts[ref - 1] - t) else ref - 1
+        return ref if abs(ts[ref] - t) < abs(ts[ref - 1] - t) else ref - 1
+
+    def gap_at(t):
+        near = nearest(t)
         return measure(t, scan_vals[near], scan_vecs[near])[2]
 
     minima = []
@@ -630,8 +694,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     minima.sort(key=lambda m: m[2])
     g1s, g2s, best = minima[0]
 
-    t_min = np.linalg.norm(np.array([g1s, g2s]) - start) / span_g
-    ref = int(np.clip(np.searchsorted(ts, t_min), 1, len(ts) - 1))
+    ref = nearest(np.linalg.norm(np.array([g1s, g2s]) - start) / span_g)
     wide = _SweepSolver(template, n0, 2 * half_width, solver.parity)
     wide_h = wide.hamiltonian((g1s, g2s))
     anchors = _embed_vectors(scan_vecs[ref], solver, wide_h)

@@ -98,12 +98,15 @@ def position_offdiagonal(lo, hi):
     return np.sqrt(k / 2.0)
 
 
-def derivative_matrix(lo, hi):
-    """Dense antisymmetric matrix of d/dy = (a - a^dag)/sqrt(2) on states lo..hi."""
-    off = position_offdiagonal(lo, hi)
-    dim = hi - lo + 1
-    d = np.zeros((dim, dim))
-    idx = np.arange(dim - 1)
-    d[idx, idx + 1] = off
-    d[idx + 1, idx] = -off
-    return d
+def ladder_rows(lo, mat, sign):
+    """((a + sign a^dag)/sqrt(2)) @ mat on Fock states lo, lo + 1, ...
+
+    ``sign`` = -1 gives d/dy, +1 the position y.  Both are tridiagonal, so the
+    product is two row shifts weighted by ``position_offdiagonal``: O(n^2)
+    where a dense product is O(n^3).
+    """
+    off = position_offdiagonal(lo, lo + mat.shape[0] - 1)[:, None]
+    out = np.zeros_like(mat)
+    out[:-1] = off * mat[1:]
+    out[1:] += sign * off * mat[:-1]
+    return out

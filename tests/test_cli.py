@@ -103,22 +103,34 @@ class TestOtherCommands:
         assert len(rows) == 2
         tpl = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 10**8)
         expect = wkb_levels(tpl.with_couplings(0.4, 0.1))
-        got = np.array([float(v) for v in rows[1][2:]])
+        got = np.array([float(v) for v in rows[1][2:5]])
         np.testing.assert_allclose(got, expect, rtol=1e-12)
+        assert rows[1][5] == "1"
 
     def test_wkb_unsettled_point_is_named(self, tmp_path, capsys):
         # at g2 = 0, g1 = 0.9 the decoupled third level crosses the second
         # inside the orbit, the sorted average is kinked and the quadrature
-        # never settles to 1e-9: the run fails as a whole, naming the point
+        # never settles to 1e-9: that row is flagged and named, and every
+        # other point of the grid is still written
         body = MODEL + ("[run]\ng1_min = 0\ng1_max = 1\ng1_points = 11\n"
                         "g2_min = 0\ng2_max = 1\ng2_points = 6\n")
         cfg = write_config(tmp_path, body)
-        assert main(["wkb", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert main(["wkb", "--config", cfg, "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err
-        assert re.search(r"computation failed: dressed-level quadrature did not settle "
+        assert re.search(r"wkb: dressed-level quadrature did not settle "
                          r"to 1e-09 at g1=0\.9, g2=0, n=100000000: "
                          r"last change \d\.\d+e-\d+ at \d+ nodes", err)
-        assert not (tmp_path / "wkb.csv").exists()
+        lines = (tmp_path / "wkb.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == ["g1", "g2", "E1", "E2", "E3", "ok"]
+        rows = rows[1:]
+        assert len(rows) == 66
+        assert ["0.9", "0", "nan", "nan", "nan", "0"] in rows
+        tpl = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 10**8)
+        for row in [r for r in rows if r[5] == "1"][::6]:
+            expect = wkb_levels(tpl.with_couplings(float(row[0]), float(row[1])))
+            got = np.array([float(v) for v in row[2:5]])
+            np.testing.assert_allclose(got, expect, rtol=1e-12)
 
     def test_contours_rejects_even_exchange(self, tmp_path, capsys):
         body = MODEL + "[run]\ntransition = 1,2\ndelta_n_list = 12\nrays = 5\n"
@@ -174,6 +186,7 @@ class TestOtherCommands:
         ("contours", CONTOURS.replace("rays = 5", "rays = -1")),
         ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 2.5")),
         ("splittings", SPLITTINGS + "scan_points = 0\n"),
+        ("splittings", SPLITTINGS + "scan_points = 2\n"),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = abc")),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 100.5")),
         ("resonance-map", GRID + "half_width = 5\n"),
@@ -211,7 +224,8 @@ class TestOtherCommands:
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
-            "splittings-scan-points-zero", "n0-text", "n0-fraction",
+            "splittings-scan-points-zero", "splittings-scan-points-two", "n0-text",
+            "n0-fraction",
             "half-width-below-8", "half-width-fraction", "nodes-negative",
             "nodes-below-16", "n-negative", "n-fraction", "n0-float-inexact",
             "precision-fraction", "contours-transition-1-5",

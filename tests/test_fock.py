@@ -238,6 +238,12 @@ class TestAnticrossing:
             anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
                              vicinity=vicinity)
 
+    def test_too_few_scan_points_rejected(self, ladder):
+        # two points leave no room for an interior minimum
+        with pytest.raises(ValueError, match="scan_points"):
+            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+                             scan_points=2)
+
     def test_unknown_mode_rejected(self, ladder):
         with pytest.raises(ValueError, match="mode"):
             anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
@@ -269,6 +275,36 @@ class TestAnticrossing:
         params = ladder.with_couplings(*res.g_star)
         pt = pt_splitting(params, (1, 2), 15, resonance_tol=0.05)
         assert pt / res.gap == pytest.approx(1.0, abs=0.25)
+
+
+# criterion 8's interference line, the interference line of
+# tests/test_splittings.py (delta_n 13) and the seed-0 benchmark line
+SCAN_LINES = {
+    "interference-c8": (((0.0, 0.0), (1.0, 0.1)), 23,
+                        dict(mode="nearest", vicinity=0.09, scan_points=401)),
+    "interference-dn13": (((0.0, 0.0), (0.7, 0.77)), 13,
+                          dict(mode="nearest", vicinity=0.10, scan_points=301)),
+    "benign-dn13": (((0.0, 0.0), (1.1, 0.33)), 13, {}),
+}
+
+
+class TestCoarseToFineScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_LINES))
+    def test_matches_exhaustive_scan(self, ladder, monkeypatch, name):
+        line, dn, options = SCAN_LINES[name]
+        coarse = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        monkeypatch.setattr(fock, "_COARSE_STRIDE", 1)
+        every = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        assert every.ts.size == options.get("scan_points", 101)
+        assert len(coarse.minima) == len(every.minima)
+        assert_allclose(coarse.g_star, every.g_star, rtol=0.0, atol=1e-6)
+        assert coarse.gap == pytest.approx(every.gap, rel=1e-9)
+
+    def test_evaluates_at_most_half_the_grid(self, ladder):
+        line, dn, options = SCAN_LINES["benign-dn13"]
+        scan = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        assert scan.ts.size <= 50
+        assert np.all(np.diff(scan.ts) > 0)
 
 
 class TestSharpnessMap:

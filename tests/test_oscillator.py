@@ -4,8 +4,8 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.special import eval_hermite, gammaln
 
-from triladder.oscillator import (derivative_from_rows, derivative_matrix,
-                                  eigenfunction_rows, position_offdiagonal,
+from triladder.oscillator import (derivative_from_rows, eigenfunction_rows,
+                                  ladder_rows, position_offdiagonal,
                                   product_quadrature)
 
 
@@ -69,8 +69,17 @@ def test_window_operators_satisfy_commutator():
     idx = np.arange(dim - 1)
     y[idx, idx + 1] = off
     y[idx + 1, idx] = off
-    d = derivative_matrix(lo, hi)
+    assert_allclose(ladder_rows(lo, np.eye(dim), 1.0), y, atol=0.0)
+    d = ladder_rows(lo, np.eye(dim), -1.0)
     comm = d @ y - y @ d
     interior = comm[5:-5, 5:-5]
     assert_allclose(interior, np.eye(dim - 10), atol=1e-12)
     assert_allclose(d, -d.T, atol=0.0)
+
+
+def test_ladder_rows_match_dense_products(rng):
+    lo, dim = 200, 61
+    mat = rng.normal(size=(dim, dim))
+    for sign in (-1.0, 1.0):
+        dense = ladder_rows(lo, np.eye(dim), sign)
+        assert_allclose(ladder_rows(lo, mat, sign), dense @ mat, rtol=1e-13, atol=1e-12)

@@ -4,7 +4,11 @@ Subcommands: ``levels``, ``wkb``, ``contours``, ``resonance-map``,
 ``splittings``, ``validate``.  Each reads a small INI-style configuration
 with a ``[model]`` section (bare energies, couplings as either amplitudes or
 dimensionless values, reference quantum number), a command-specific ``[run]``
-section and an optional ``[output]`` section.  Outputs are deterministic CSV
+section and an optional ``[output]`` section.  Every key is read through one
+table (``MODEL_KEYS``, ``OUTPUT_KEYS`` and ``RUN_KEYS`` per subcommand) of
+its reader, the values it accepts and its default; an unknown section or key,
+a missing required key or a value the table rejects is a ``ConfigError``
+(exit 2) raised before any computation.  Outputs are deterministic CSV
 files: identical configuration bytes produce identical output bytes.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dressed import resonance_contour, wkb_levels
 from .errors import ConvergenceError, TriladderError
-from .fock import _sweep_grids, resonance_sharpness_map
+from .fock import _sweep_grids, central_quantum, resonance_sharpness_map
 from .splittings import compare_splittings
 from .trilevel import ModelParams, _amplitudes, eigenvalues_at
 
@@ -30,16 +35,100 @@ class ConfigError(ValueError):
 
 
 class Config:
-    def __init__(self, params, run, output, echo, precision):
+    def __init__(self, params, run, output, echo):
         self.params = params
-        self.run = run
-        self.output = output
+        self.run = run                # [run] as given, read by each renderer
+        self.output = output          # typed [output] values
         self.echo = echo              # ordered (key, value) pairs for provenance
-        self.precision = precision    # significant digits of CSV floats
+
+
+def _whole(text):
+    """Digits read exactly; a float form such as ``1e8`` only while a float
+    holds the whole number exactly (up to 2**53)."""
+    try:
+        return int(text)
+    except ValueError:
+        number = float(text)
+        if number.is_integer() and abs(number) <= 2 ** 53:
+            return int(number)
+        raise
+
+
+def _at_least(low):
+    return _whole, lambda n: n >= low, f"an integer >= {low}"
+
+
+# A kind is (read, ok, accepts): ``read`` parses the text (ValueError rejects
+# it), ``ok`` bounds the value and ``accepts`` says in words what passes.
+REQUIRED = "required"
+NUMBER = float, math.isfinite, "a finite number"
+NON_NEGATIVE = float, lambda x: 0 <= x < math.inf, "a finite number >= 0"
+POSITIVE = float, lambda x: 0 < x < math.inf, "a finite number > 0"
+TRANSITION = (lambda text: tuple(int(part) for part in text.split(",")),
+              lambda jk: len(jk) == 2 and 1 <= jk[0] < jk[1] <= 3,
+              "two levels 'j,k' with 1 <= j < k <= 3")
+DELTA_NS = (lambda text: [int(part) for part in text.split(",") if part.strip()],
+            lambda dns: dns and all(dn > 0 and dn % 2 for dn in dns),
+            "a comma-separated list of odd positive integers")
+MODEL_NUMBER = float, lambda x: True, "a number"   # ModelParams checks the values
+
+
+def _grid(axis, low=REQUIRED, high=REQUIRED):
+    return {f"{axis}_min": (NON_NEGATIVE, low), f"{axis}_max": (NON_NEGATIVE, high),
+            f"{axis}_points": (_at_least(1), REQUIRED)}
+
+
+# section (or subcommand, for [run]) -> key -> (kind, default or REQUIRED)
+MODEL_KEYS = {**dict.fromkeys(("e1", "e2", "e3"), (MODEL_NUMBER, REQUIRED)),
+              **dict.fromkeys(("u", "v", "g1", "g2"), (MODEL_NUMBER, None)),
+              "n0": (_at_least(1), REQUIRED)}
+OUTPUT_KEYS = {"precision": ((_whole, lambda n: 1 <= n <= 17, "an integer in 1..17"), 15),
+               "directory": ((str, lambda path: True, "a directory path"), ".")}
+RUN_KEYS = {
+    "levels": {"y_min": (NUMBER, REQUIRED), "y_max": (NUMBER, REQUIRED),
+               "y_points": (_at_least(1), REQUIRED)},
+    "wkb": {**_grid("g1"), **_grid("g2"), "n": (_at_least(0), None),
+            "nodes": (_at_least(16), 256)},
+    "contours": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
+                 "rays": (_at_least(1), 181), "radius": (POSITIVE, 1.25),
+                 "scan_points": (_at_least(1), 160), "nodes": (_at_least(16), 256),
+                 "residual_tol": (POSITIVE, 1e-6)},
+    "resonance-map": {"transition": (TRANSITION, (1, 2)), **_grid("g1", 0.0, 1.0),
+                      **_grid("g2", 0.0, 1.25), "half_width": (_at_least(8), 400)},
+    "splittings": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
+                   "ratio": (NON_NEGATIVE, REQUIRED), "half_width": (_at_least(8), 400),
+                   "g1_max": (POSITIVE, 1.05),
+                   "mode": ((str, lambda m: m in ("pair", "nearest"), "'pair' or 'nearest'"),
+                            "pair"),
+                   "vicinity": (POSITIVE, 0.08), "scan_points": (_at_least(3), 101)},
+}
+
+
+def _section(label, given, table) -> dict:
+    """The typed values of one section read through its key table."""
+    for key in given:
+        if key not in table:
+            raise ConfigError(f"{label} has unknown key {key!r}; it takes {', '.join(table)}")
+    values = {}
+    for key, ((read, ok, accepts), default) in table.items():
+        if key not in given:
+            if default == REQUIRED:
+                raise ConfigError(f"{label} is missing required key {key!r}")
+            values[key] = default
+            continue
+        try:
+            values[key] = read(given[key])
+            if not ok(values[key]):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"{label} {key} = {given[key]!r} is not {accepts}") from None
+    return values
 
 
 def load_config(source) -> Config:
-    """Parse and validate a configuration file (path or open text stream)."""
+    """Parse a configuration file (path or open text stream); check its
+    sections, ``[model]`` and ``[output]``.  Each renderer reads its own
+    ``[run]`` through ``read_run``."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
@@ -51,136 +140,68 @@ def load_config(source) -> Config:
     except (OSError, configparser.Error) as err:
         raise ConfigError(f"cannot read configuration: {err}") from err
 
+    # configparser would merge [DEFAULT] keys into every section
+    for name in parser.sections() + ([parser.default_section] if parser.defaults() else []):
+        if name not in ("model", "run", "output"):
+            raise ConfigError(f"unknown section [{name}]; sections are [model], [run], [output]")
     if "model" not in parser:
         raise ConfigError("missing [model] section")
-    model = parser["model"]
-
-    def need(key):
-        if key not in model:
-            raise ConfigError(f"[model] is missing required key {key!r}")
-        try:
-            return float(model[key])
-        except ValueError as err:
-            raise ConfigError(f"[model] {key} = {model[key]!r} is not a number") from err
-
-    e1, e2, e3 = need("e1"), need("e2"), need("e3")
-    if "n0" not in model:
-        raise ConfigError("[model] is missing required key 'n0'")
-    if ("u" in model) == ("g1" in model):
-        raise ConfigError("[model] must set exactly one of 'u' and 'g1'")
-    if ("v" in model) == ("g2" in model):
-        raise ConfigError("[model] must set exactly one of 'v' and 'g2'")
+    m = _section("[model]", parser["model"], MODEL_KEYS)
+    for amplitude, coupling in (("u", "g1"), ("v", "g2")):
+        if (m[amplitude] is None) == (m[coupling] is None):
+            raise ConfigError(f"[model] must set exactly one of {amplitude!r} and {coupling!r}")
     try:
-        n0 = _integer(model["n0"], 1)
-        if n0 is None:
-            raise ValueError(f"n0 = {model['n0']!r} is not an integer >= 1")
         # a coupling given as an amplitude (u or v) is taken as it stands
-        scaled = _amplitudes(e1, e2, e3, n0, float(model.get("g1", "0")),
-                             float(model.get("g2", "0")))
-        u = float(model["u"]) if "u" in model else scaled[0]
-        v = float(model["v"]) if "v" in model else scaled[1]
-        params = ModelParams(e1, e2, e3, u, v, n0)
+        scaled = _amplitudes(m["e1"], m["e2"], m["e3"], m["n0"], m["g1"] or 0.0,
+                             m["g2"] or 0.0)
+        u = scaled[0] if m["u"] is None else m["u"]
+        v = scaled[1] if m["v"] is None else m["v"]
+        params = ModelParams(m["e1"], m["e2"], m["e3"], u, v, m["n0"])
     except (ValueError, OverflowError) as err:
         # OverflowError: an n0 too large for a float, met by sqrt(n0)
         raise ConfigError(f"[model] rejected: {err}") from err
 
     run = dict(parser["run"]) if "run" in parser else {}
-    output = dict(parser["output"]) if "output" in parser else {}
-    raw = output.get("precision", "15")
-    precision = _integer(raw, 1)
-    if precision is None or precision > 17:
-        raise ConfigError(f"[output] precision = {raw!r} is not an integer in 1..17")
-
+    output = _section("[output]", parser["output"] if "output" in parser else {},
+                      OUTPUT_KEYS)
     echo = [("e1", params.e1), ("e2", params.e2), ("e3", params.e3),
             ("u", params.u), ("v", params.v),
             ("g1", params.g1), ("g2", params.g2), ("n0", params.n0)]
     echo += [(f"run.{k}", v) for k, v in run.items()]
-    return Config(params, run, output, echo, precision)
+    return Config(params, run, output, echo)
 
 
-def _integer(text, lowest):
-    """``text`` as an int when it spells a whole number >= lowest, else None.
+def _couplings(run, axis):
+    return np.linspace(run[f"{axis}_min"], run[f"{axis}_max"], run[f"{axis}_points"])
 
-    Digits are read exactly; a float form such as ``1e8`` only while a float
-    holds the whole number exactly (up to 2**53).
+
+def read_run(cfg, command) -> dict:
+    """``command``'s typed ``[run]`` values, checked against the model.
+
+    Every configuration error of a subcommand is raised here, before any
+    computation.
     """
-    try:
-        value = int(text)
-    except ValueError:
+    run = _section("[run]", cfg.run, RUN_KEYS[command])
+    n0 = cfg.params.n0
+    if command == "resonance-map":
         try:
-            number = float(text)
-        except ValueError:
-            return None
-        if not (number.is_integer() and abs(number) <= 2 ** 53):
-            return None
-        value = int(number)
-    return value if value >= lowest else None
-
-
-def _run_float(cfg, key, default=None):
-    if key not in cfg.run:
-        if default is None:
-            raise ConfigError(f"[run] is missing required key {key!r}")
-        return default
-    try:
-        value = float(cfg.run[key])
-    except ValueError as err:
-        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a number") from err
-    if not np.isfinite(value):
-        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a finite number")
-    return value
-
-
-def _run_positive(cfg, key, default):
-    value = _run_float(cfg, key, default)
-    if not value > 0:
-        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not a positive number")
-    return value
-
-
-def _run_coupling_grid(cfg, axis, low=None, high=None):
-    """The ``{axis}_min`` .. ``{axis}_max`` grid of ``{axis}_points`` couplings >= 0."""
-    bounds = []
-    for key, default in ((f"{axis}_min", low), (f"{axis}_max", high)):
-        value = _run_float(cfg, key, default)
-        if value < 0:
-            raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is a negative coupling")
-        bounds.append(value)
-    return np.linspace(*bounds, _run_int(cfg, f"{axis}_points"))
-
-
-def _run_int(cfg, key, default=None, lowest=1):
-    if key not in cfg.run:
-        return _run_float(cfg, key, default)
-    value = _integer(cfg.run[key], lowest)
-    if value is None:
-        raise ConfigError(f"[run] {key} = {cfg.run[key]!r} is not an integer >= {lowest}")
-    return value
-
-
-def _run_transition(cfg, default="1,2"):
-    raw = cfg.run.get("transition", default)
-    try:
-        j, k = (int(part) for part in raw.split(","))
-    except ValueError as err:
-        raise ConfigError(f"[run] transition = {raw!r}; expected 'j,k'") from err
-    if not 1 <= j < k <= 3:
-        raise ConfigError(f"[run] transition = {raw!r}; expected levels 1 <= j < k <= 3")
-    return j, k
-
-
-def _run_delta_n_list(cfg):
-    raw = cfg.run.get("delta_n_list")
-    if raw is None:
-        raise ConfigError("[run] is missing required key 'delta_n_list'")
-    expected = f"[run] delta_n_list = {raw!r}; expected comma-separated odd positive integers"
-    try:
-        values = [int(part) for part in raw.replace(" ", "").split(",") if part]
-    except ValueError as err:
-        raise ConfigError(expected) from err
-    if any(dn <= 0 or dn % 2 == 0 for dn in values):
-        raise ConfigError(expected)
-    return values
+            _sweep_grids(_couplings(run, "g1"), _couplings(run, "g2"))
+        except ValueError as err:
+            raise ConfigError(f"[run] {err}") from err
+    if command in ("resonance-map", "splittings"):
+        # the Fock window n0 +- half_width; splittings checks each gap at twice that
+        width = run["half_width"]
+        widest = 2 * width if command == "splittings" else width
+        if widest > n0:
+            raise ConfigError(f"[run] half_width = {width}: the window n0 +- {widest} "
+                              f"reaches below the vacuum at n0 = {n0}")
+    if command == "splittings":
+        j, k = run["transition"]
+        for dn in run["delta_n_list"]:
+            if central_quantum(j, n0) - dn < n0 - width:
+                raise ConfigError(f"[run] delta_n {dn}: the partner state of level {k} "
+                                  f"lies outside the window n0 +- half_width = {width}")
+    return run
 
 
 def _format(value, precision):
@@ -194,7 +215,7 @@ def _format(value, precision):
 
 
 def _render(cfg, header, rows):
-    precision = cfg.precision
+    precision = cfg.output["precision"]
     out = []
     for key, value in cfg.echo:
         out.append(f"# {key} = {_format(value, 17)}")
@@ -205,25 +226,23 @@ def _render(cfg, header, rows):
 
 
 def render_levels(cfg) -> str:
-    y = np.linspace(_run_float(cfg, "y_min"), _run_float(cfg, "y_max"),
-                    _run_int(cfg, "y_points"))
+    run = read_run(cfg, "levels")
+    y = np.linspace(run["y_min"], run["y_max"], run["y_points"])
     levels = eigenvalues_at(cfg.params, y)
     rows = [(y[i], levels[i, 0], levels[i, 1], levels[i, 2]) for i in range(y.size)]
     return _render(cfg, ("y", "E1", "E2", "E3"), rows)
 
 
 def render_wkb(cfg) -> str:
-    g1 = _run_coupling_grid(cfg, "g1")
-    g2 = _run_coupling_grid(cfg, "g2")
-    n = _run_int(cfg, "n", cfg.params.n0, lowest=0)
-    nodes = _run_int(cfg, "nodes", 256, lowest=16)
+    run = read_run(cfg, "wkb")
+    n = cfg.params.n0 if run["n"] is None else run["n"]
     rows = []
-    for b in g2:
-        for a in g1:
+    for b in _couplings(run, "g2"):
+        for a in _couplings(run, "g1"):
             # a point whose quadrature does not settle is flagged, named on
             # stderr, and does not cost the rest of the grid
             try:
-                lv, ok = wkb_levels(cfg.params.with_couplings(a, b), n, nodes), True
+                lv, ok = wkb_levels(cfg.params.with_couplings(a, b), n, run["nodes"]), True
             except ConvergenceError as err:
                 print(f"wkb: {err}", file=sys.stderr)
                 lv, ok = np.full(3, np.nan), False
@@ -232,17 +251,12 @@ def render_wkb(cfg) -> str:
 
 
 def render_contours(cfg) -> str:
-    j, k = _run_transition(cfg)
-    dns = _run_delta_n_list(cfg)
-    rays = _run_int(cfg, "rays", 181)
-    radius = _run_positive(cfg, "radius", 1.25)
-    scan = _run_int(cfg, "scan_points", 160)
-    nodes = _run_int(cfg, "nodes", 256, lowest=16)
-    tol = _run_positive(cfg, "residual_tol", 1e-6)
-    angles = np.linspace(0.0, np.pi / 2.0, rays)
+    run = read_run(cfg, "contours")
+    (j, k), dns = run["transition"], run["delta_n_list"]
+    angles = np.linspace(0.0, np.pi / 2.0, run["rays"])
     contours = resonance_contour(cfg.params, (j, k), dns, angles=angles,
-                                 radius=radius, scan_points=scan, nodes=nodes,
-                                 residual_tol=tol)
+                                 radius=run["radius"], scan_points=run["scan_points"],
+                                 nodes=run["nodes"], residual_tol=run["residual_tol"])
     rows = []
     for dn, contour in zip(dns, contours):
         for i in range(len(contour.points)):
@@ -255,38 +269,21 @@ def render_contours(cfg) -> str:
 
 def render_resonance_map(cfg) -> str:
     """Rows are tracked sequentially; seeding vectors chain along the g2 axis."""
-    j, k = _run_transition(cfg)
-    g1 = _run_coupling_grid(cfg, "g1", 0.0, 1.0)
-    g2 = _run_coupling_grid(cfg, "g2", 0.0, 1.25)
-    try:
-        _sweep_grids(g1, g2)
-    except ValueError as err:
-        raise ConfigError(f"[run] {err}") from err
-    width = _run_int(cfg, "half_width", 400, lowest=8)
-    table = resonance_sharpness_map(cfg.params, (j, k), g1, g2,
-                                    cfg.params.n0, width)
+    run = read_run(cfg, "resonance-map")
+    table = resonance_sharpness_map(cfg.params, run["transition"], _couplings(run, "g1"),
+                                    _couplings(run, "g2"), cfg.params.n0,
+                                    run["half_width"])
     rows = [(r["g1"], r["g2"], r["diff"], r["delta_n"], r["sharpness"], r["ok"])
             for r in table]
     return _render(cfg, ("g1", "g2", "diff", "delta_n", "sharpness", "ok"), rows)
 
 
 def render_splittings(cfg) -> str:
-    j, k = _run_transition(cfg)
-    dns = _run_delta_n_list(cfg)
-    ratio = _run_float(cfg, "ratio")
-    if not ratio >= 0:
-        raise ConfigError(f"[run] ratio = {cfg.run['ratio']!r} is not a finite number >= 0")
-    width = _run_int(cfg, "half_width", 400, lowest=8)
-    g1_max = _run_positive(cfg, "g1_max", 1.05)
-    mode = cfg.run.get("mode", "pair")
-    if mode not in ("pair", "nearest"):
-        raise ConfigError(f"[run] mode = {mode!r}; expected 'pair' or 'nearest'")
-    vicinity = _run_positive(cfg, "vicinity", 0.08)
-    # an interior gap minimum needs a grid point on either side of it
-    scan = _run_int(cfg, "scan_points", 101, lowest=3)
-    records = compare_splittings(cfg.params, ratio, dns, (j, k), half_width=width,
-                                 g1_max=g1_max, mode=mode, vicinity=vicinity,
-                                 scan_points=scan)
+    run = read_run(cfg, "splittings")
+    records = compare_splittings(cfg.params, run["ratio"], run["delta_n_list"],
+                                 run["transition"], half_width=run["half_width"],
+                                 g1_max=run["g1_max"], mode=run["mode"],
+                                 vicinity=run["vicinity"], scan_points=run["scan_points"])
     rows = []
     for r in records:
         rows.append((r.transition[0], r.transition[1], r.delta_n, r.line_ratio,
@@ -298,7 +295,7 @@ def render_splittings(cfg) -> str:
 
 
 def _write(cfg, args, name, text):
-    out_dir = Path(args.out or cfg.output.get("directory", "."))
+    out_dir = Path(args.out or cfg.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.csv"
     path.write_text(text)

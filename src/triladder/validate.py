@@ -150,12 +150,15 @@ def check_gauge_shift(fault=None):
     return worst <= 1e-10, f"worst relative gauge violation {worst:.2e}"
 
 
+DETERMINISM_CONFIG = (
+    "[model]\ne1 = 0\ne2 = 11\ne3 = 24\ng1 = 0.45\ng2 = 0.3\nn0 = 100000000\n"
+    "[run]\ny_min = -3\ny_max = 3\ny_points = 101\n")
+
+
 def check_determinism(fault=None):
     """Identical configuration produces byte-identical CSV output."""
     from . import cli
-    cfg = io.StringIO(
-        "[model]\ne1 = 0\ne2 = 11\ne3 = 24\ng1 = 0.45\ng2 = 0.3\nn0 = 100000000\n"
-        "[run]\ny_min = -3\ny_max = 3\ny_points = 101\n")
+    cfg = io.StringIO(DETERMINISM_CONFIG)
     first = cli.render_levels(cli.load_config(cfg))
     cfg.seek(0)
     second = cli.render_levels(cli.load_config(cfg))

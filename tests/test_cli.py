@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import re
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triladder import ModelParams, eigenvalues_at, wkb_levels
-from triladder.cli import ConfigError, load_config, main, render_levels, render_wkb
+from triladder.cli import (REQUIRED, RUN_KEYS, ConfigError, load_config, main, read_run,
+                           render_levels, render_wkb)
+from triladder.validate import DETERMINISM_CONFIG
 
 MODEL = """\
 [model]
@@ -22,6 +25,15 @@ g1 = 0.5
 g2 = 0.5
 n0 = 100000000
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the benchmark's workload configurations, read from perfbench/ without importing its package
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+# the minimal configuration in README's "Command line" section
+README_CONFIG = (ROOT / "README.md").read_text().split("```ini\n")[1].split("```")[0]
 
 
 def write_config(tmp_path, body, name="cfg.ini"):
@@ -221,6 +233,18 @@ class TestOtherCommands:
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 1" + "0" * 400)),
         ("levels", LEVELS.replace("g1 = 0.5\ng2 = 0.5\nn0 = 100000000",
                                   "u = 0.1\nv = 0.1\nn0 = 1" + "0" * 400)),
+        ("resonance-map", GRID.replace("n0 = 100000000", "n0 = 100")),
+        ("splittings", SPLITTINGS.replace("n0 = 100000000", "n0 = 500")),
+        ("splittings", SPLITTINGS + "half_width = 10\n"),
+        ("levels", LEVELS + "half_widht = 5\n"),
+        ("wkb", GRID + "nodez = 300\n"),
+        ("contours", CONTOURS + "scan_point = 2\n"),
+        ("resonance-map", GRID + "half_widht = 60\n"),
+        ("splittings", SPLITTINGS + "scan_point = 2\n"),
+        ("levels", LEVELS.replace("n0 = 100000000", "n0 = 100000000\ne4 = 30")),
+        ("levels", LEVELS + "[output]\nprecison = 12\n"),
+        ("levels", LEVELS + "[outptu]\ndirectory = elsewhere\n"),
+        ("levels", "[DEFAULT]\nnodes = 300\n" + LEVELS),
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
@@ -235,12 +259,30 @@ class TestOtherCommands:
             "residual-tol-negative", "residual-tol-zero", "radius-negative",
             "g1-max-negative", "y-min-nan", "y-min-minus-inf", "wkb-g1-min-negative",
             "wkb-g1-min-nan", "map-grid-not-from-zero", "map-g1-min-negative",
-            "n0-overflow-g", "n0-overflow-u"])
+            "n0-overflow-g", "n0-overflow-u", "map-window-below-vacuum",
+            "splittings-doubled-window-below-vacuum", "splittings-partner-outside-window",
+            "levels-unknown-run-key", "wkb-unknown-run-key", "contours-unknown-run-key",
+            "resonance-map-unknown-run-key", "splittings-unknown-run-key",
+            "unknown-model-key", "unknown-output-key", "unknown-section",
+            "default-section"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, body):
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.LEVELS + "half_widht = 5\n")
+        assert main(["levels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'half_widht'" in err and "y_min, y_max, y_points" in err
+
+    @pytest.mark.parametrize("command,body", [
+        (name, workloads.config_text(name, 0)) for name in workloads.NAMES] + [
+        ("levels", README_CONFIG), ("levels", DETERMINISM_CONFIG)],
+        ids=list(workloads.NAMES) + ["readme", "determinism-check"])
+    def test_committed_configs_pass_validation(self, command, body):
+        read_run(load_config(io.StringIO(body)), command)
 
     @pytest.mark.parametrize("argv", [
         ["levels", "--config", "cfg.ini", "--threads", "2"],
@@ -260,8 +302,28 @@ class TestOtherCommands:
         assert proc.returncode == 0
 
 
-# point counts stay small so that every valid draw renders in milliseconds
-config_value = st.one_of(st.integers(max_value=2000), st.text(max_size=12))
+# point counts stay small so that every valid draw renders in milliseconds;
+# the first branch makes some draws valid for precision as well
+config_value = st.one_of(st.integers(1, 17), st.integers(max_value=2000), st.text(max_size=12))
+
+
+def _exit_code_matches_validation(command, body):
+    """Run ``command`` end to end: a CSV, or exit 2 exactly when validation alone fails."""
+    try:
+        read_run(load_config(io.StringIO(body)), command)
+        valid = True
+    except ConfigError:
+        valid = False
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", tmp])
+        if valid:
+            assert code == 0
+            assert Path(tmp, f"{command}.csv").read_text().startswith("# e1 = 0")
+        else:
+            assert code == 2 and "configuration error" in err.getvalue()
 
 
 @settings(max_examples=30, deadline=None)
@@ -269,12 +331,80 @@ config_value = st.one_of(st.integers(max_value=2000), st.text(max_size=12))
 def test_levels_config_gives_csv_or_config_error(precision, y_points):
     body = (MODEL + f"[run]\ny_min = -1\ny_max = 1\ny_points = {y_points}\n"
             f"[output]\nprecision = {precision}\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(Path(tmp), body)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["levels", "--config", cfg, "--out", tmp])
-        if code == 0:
-            assert Path(tmp, "levels.csv").read_text().startswith("# e1 = 0")
+    _exit_code_matches_validation("levels", body)
+
+
+# a grid of at most 3 x 3 points keeps every valid wkb draw cheap
+grid_value = st.sampled_from(["0", "0.4", "1", "2", "3", "-1", "2.5", "nan", "x"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(g1_max=grid_value, g1_points=grid_value, g2_points=grid_value,
+       extra=st.sampled_from(["", "nodes = 16\n", "nodes = 15\n", "n = 0\n", "n = -1\n",
+                              "nodez = 300\n"]))
+def test_wkb_config_gives_csv_or_config_error(g1_max, g1_points, g2_points, extra):
+    body = MODEL + (f"[run]\ng1_min = 0\ng1_max = {g1_max}\ng1_points = {g1_points}\n"
+                    f"g2_min = 0.1\ng2_max = 0.2\ng2_points = {g2_points}\n{extra}")
+    _exit_code_matches_validation("wkb", body)
+
+
+# valid and invalid spellings of every kind of value in the key tables
+spelling = st.one_of(
+    st.sampled_from(["0", "1", "3", "8", "10", "13", "16", "400", "0.3", "1.25", "1e8",
+                     "-1", "2.5", "nan", "-inf", "1e400", "1,2", "2,3", "1,5", "2,1", "13,15",
+                     "14", "13,-15", "pair", "nearest", "both", ""]),
+    st.integers(-5, 2000).map(str), st.text(max_size=12))
+VALID = {"a finite number": ["-1", "0.5", "2e4"], "a finite number >= 0": ["0", "0.2", "1"],
+         "a finite number > 0": ["1e-6", "0.08", "1.25"],
+         "two levels 'j,k' with 1 <= j < k <= 3": ["1,2", "2,3", "1,3"],
+         "a comma-separated list of odd positive integers": ["1", "13", "13,15,17"],
+         "'pair' or 'nearest'": ["pair", "nearest"]}
+
+
+def valid_spelling(accepts):
+    if accepts.startswith("an integer >= "):
+        low = int(accepts.split()[-1])
+        return st.integers(low, low + 600).map(str)
+    return st.sampled_from(VALID[accepts])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n0=st.sampled_from(["100", "500", "100000000"]))
+def test_run_tables_give_values_or_config_error(data, n0):
+    """Validation alone, with no solver: typed values or ConfigError.
+
+    Each draw spells every required key (and some optional ones) validly from
+    its table entry, then at most one change: a bad value, a dropped key or an
+    unknown key.
+    """
+    command = data.draw(st.sampled_from(sorted(RUN_KEYS)))
+    table = RUN_KEYS[command]
+    run = {key: data.draw(valid_spelling(accepts))
+           for key, ((_, _, accepts), default) in table.items()
+           if default == REQUIRED or data.draw(st.booleans())}
+    change = data.draw(st.sampled_from(["none", "value", "drop", "unknown"]))
+    if change == "unknown":
+        run[data.draw(st.sampled_from(["half_widht", "scan_point", "nodez"]))] = "1"
+    elif change != "none":
+        key = data.draw(st.sampled_from(list(table)))
+        if change == "drop":
+            run.pop(key, None)
         else:
-            assert code == 2 and "configuration error" in err.getvalue()
+            run[key] = data.draw(spelling)
+    body = "[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items())
+    try:
+        cfg = load_config(io.StringIO(MODEL.replace("100000000", n0) + body))
+        values = read_run(cfg, command)
+    except ConfigError:
+        return
+    assert set(cfg.run) <= set(table) and set(values) == set(table)
+    for key, ((_, _, accepts), default) in table.items():
+        value = values[key]
+        if key not in cfg.run:
+            assert value == default
+        elif accepts.startswith("a finite number"):
+            assert isinstance(value, float) and np.isfinite(value)
+        elif accepts.startswith("an integer"):
+            assert isinstance(value, int)
+        else:
+            assert value in ("pair", "nearest") or all(isinstance(x, int) for x in value)

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 
 from .dressed import wkb_levels
 from .errors import ConvergenceError
@@ -192,25 +191,49 @@ def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int,
     return -0.5 * sigma * value
 
 
+#: inverse-iteration steps a rotated-frame state gets to settle
+_INVERSE_STEPS = 30
+
+
 def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     """Eigenvector of the windowed single-level rotated problem near one rung.
 
     The operator is (number operator) + E_level(y) on the window's Fock states
     from ``lo``; its eigenvector with eigenvalue nearest
     ``target_dressed + nq`` is the distorted oscillator state carrying
-    quantum label ``nq``.
+    quantum label ``nq``.  It comes from shift-and-invert inverse iteration:
+    one LU of the operator minus the target, applied to the Fock state at
+    ``nq`` until the residual is below 1e-13 of the operator's infinity norm
+    (at most 30 steps).  ConvergenceError is raised when the nearest level
+    lies more than 0.45 from the target, and when the residual does not
+    settle.
     """
     energies = eigenvalues_at(params, nodes)[:, level - 1]
-    h0 = (q * energies) @ q.T
+    shifted = (q * energies) @ q.T
     idx = np.arange(nodes.size)
-    h0[idx, idx] += (lo + idx) - float(nq)   # oscillator rungs counted from nq
-    vals, vecs = scipy.linalg.eigh(h0, subset_by_value=(target_dressed - 0.45,
-                                                        target_dressed + 0.45))
-    if vals.size == 0:
+    shifted[idx, idx] += (lo + idx) - float(nq)   # oscillator rungs counted from nq
+    tol = 1e-13 * np.max(np.sum(np.abs(shifted), axis=1))
+    shifted[idx, idx] -= target_dressed
+    lu = lu_factor(shifted)
+    vec = np.zeros(idx.size)
+    vec[nq - lo] = 1.0
+    for _ in range(_INVERSE_STEPS):
+        vec = lu_solve(lu, vec)
+        # for unit vec, |vec| <= 1 / (distance of the nearest level to the
+        # target), with equality once vec is an eigenvector
+        distance = 1.0 / np.linalg.norm(vec)
+        vec *= distance
+        applied = shifted @ vec
+        residual = np.linalg.norm(applied - (vec @ applied) * vec)
+        if residual <= tol:
+            break
+    if distance > 0.45:
         raise ConvergenceError(
             f"no rotated-frame level within 0.45 of the predicted rung (level {level}, n={nq})")
-    pick = int(np.argmin(np.abs(vals - target_dressed)))
-    vec = vecs[:, pick]
+    if residual > tol:
+        raise ConvergenceError(
+            f"rotated-frame level {level}, n={nq} did not settle in {_INVERSE_STEPS} "
+            f"inverse-iteration steps; residual {residual:.3e} against {tol:.3e}")
     # deterministic sign so window-size refinement compares like with like
     return vec if vec[np.argmax(np.abs(vec))] >= 0 else -vec
 
@@ -228,16 +251,19 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
     4 |n - m| + 96 states; the padding doubles until the value is stable.
     """
     sigma, pair = _ordered_pair(j, k, n, m)
-    # rung identification only needs the dressed values to a fraction of one
-    # quantum, so a kinked integrand (decoupled-level crossing) is tolerable
-    dressed = wkb_levels(params, max(n, m), tol=1e-6)
+    # each rung is targeted with its own level's orbit average at its own
+    # quantum number; rung identification only needs the dressed values to a
+    # fraction of one quantum, so a kinked integrand (decoupled-level
+    # crossing) is tolerable
+    target_j = wkb_levels(params, n, tol=1e-6)[j - 1]
+    target_k = wkb_levels(params, m, tol=1e-6)[k - 1]
 
     def evaluate(p):
         lo, nodes, q = _window(n, m, p)
-        uj = _window_h0_state(params, j, n, lo, nodes, q, dressed[j - 1])
-        uk = _window_h0_state(params, k, m, lo, nodes, q, dressed[k - 1])
+        uj = _window_h0_state(params, j, n, lo, nodes, q, target_j)
+        uk = _window_h0_state(params, k, m, lo, nodes, q, target_k)
         # built after the two eigensolves so the dense operators and the
-        # eigensolver workspace are never held at once (peak memory)
+        # factorizations are never held at once (peak memory)
         _, op = _window_operators(params, pair, lo, nodes, q)
         return float(uj @ op @ uk), float(np.abs(uj) @ (np.abs(op) @ np.abs(uk)))
 

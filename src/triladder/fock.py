@@ -463,6 +463,13 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
     from zero coupling to (g1, g2) and subtracts each state's ladder rung
     n - n0.  With ``check_window`` the values are re-derived at doubled window
     width and must agree to 1e-8.
+
+    The sweep keeps a fixed step count that grows with the coupling, unlike
+    the one-interval approach of ``anticrossing_gap``: the three states pass
+    many multiphoton anticrossings on the way, and from a single interval
+    the overlap bisection can land on another adiabatic branch (on the 25
+    points of acceptance criterion 3 one interval left the worst level 1.99
+    quanta from the orbit average, against 0.057 with these steps).
     """
     n0 = int(n0)
     nq = [central_quantum(j, n0) for j in (1, 2, 3)]
@@ -538,6 +545,10 @@ _GAP_RULES = {"pair": _pair_rule, "nearest": _nearest_rule}
 #: the gap scan first evaluates every this-many-th point of its grid
 _COARSE_STRIDE = 4
 
+#: points of the approach sweep from zero coupling to the scan vicinity; two
+#: make it one interval, which track_levels bisects only where states change
+_APPROACH_STEPS = 2
+
 
 def _crossing_ahead(vals, slopes, tracked, dt):
     """Whether a candidate's first-order prediction crosses a tracked level within dt.
@@ -559,7 +570,9 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     ``line`` is a pair of (g1, g2) endpoints starting at zero coupling.  The
     resonance location is first estimated from the dressed (orbit-averaged)
     transition energy (reported as ``g_contour``), and the two resonant
-    states are tracked out to the vicinity.  The gap is then scanned on a
+    states are tracked out to the vicinity as one sweep interval, which
+    ``track_levels`` halves only where a state's overlap with its previous
+    vector falls below 0.5.  The gap is then scanned on a
     grid of ``scan_points`` (at least 3) evenly spaced points across the
     vicinity, coarse to fine: every fourth point and the last are evaluated
     first, and the rest only inside coarse intervals that can hold a gap
@@ -608,7 +621,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     t_hi = min(t_star * (1.0 + vicinity), 1.0)
 
     approach = track_levels(template, tuple(start), tuple(g_of(t_lo)),
-                            24, n0, half_width, which)
+                            _APPROACH_STEPS, n0, half_width, which)
     solver = _SweepSolver(template, n0, half_width, "even")
 
     def measure(t, vals, vecs):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from triladder import (ModelParams, coupling_matrix, v_matrix_element,
-                       v_matrix_element_h0)
+from triladder import (ConvergenceError, ModelParams, coupling_matrix, v_matrix_element,
+                       v_matrix_element_h0, wkb_levels)
+from triladder.fock import central_quantum
 from triladder.oscillator import eigenfunction_rows
 import triladder.coupling as coupling
 import triladder.trilevel as trilevel
@@ -212,3 +214,55 @@ class TestRotatedFrameElements:
         bare = abs(v_matrix_element(p, 1, 2, nb, nb - 15, "fock-window"))
         assert distorted > 10 * bare
 
+
+
+def h0_window(params, level, nq, n, m, pad):
+    """Window of an element, the rotated single-level operator on it, and its target.
+
+    The operator is built as ``_window_h0_state`` builds it, and the target
+    is the level's orbit average at ``nq``, as ``v_matrix_element_h0`` sets it.
+    """
+    lo, nodes, q = coupling._window(n, m, pad)
+    h0 = (q * trilevel.eigenvalues_at(params, nodes)[:, level - 1]) @ q.T
+    h0 += np.diag((lo + np.arange(nodes.size)) - float(nq))
+    return (lo, nodes, q), h0, wkb_levels(params, nq, tol=1e-6)[level - 1]
+
+
+class TestRotatedFrameStates:
+    @settings(max_examples=30, deadline=None)
+    @given(n0=st.one_of(st.integers(200, 800), st.just(10**8)),
+           level=st.sampled_from([1, 2]), dn=st.integers(5, 12).map(lambda i: 2 * i + 1),
+           g1=st.floats(0.05, 0.5), ratio=st.floats(0.05, 0.5))
+    def test_matches_dense_nearest_eigenpair(self, n0, level, dn, g1, ratio):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, g1, ratio * g1, n0)
+        n = central_quantum(1, n0)
+        nq = n if level == 1 else n - dn
+        window, h0, target = h0_window(p, level, nq, n, n - dn, 4 * dn + 96)
+        vals, vecs = np.linalg.eigh(h0)
+        near = int(np.argmin(np.abs(vals - target)))
+        vec = coupling._window_h0_state(p, level, nq, *window, target)
+        assert vec @ h0 @ vec == pytest.approx(vals[near], rel=0.0, abs=1e-10)
+        assert abs(vec @ vecs[:, near]) >= 1.0 - 1e-10
+
+    @pytest.fixture
+    def level2_rung(self):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.3513, 0.3 * 0.3513, 600)
+        return p, h0_window(p, 2, 586, 601, 586, 156)
+
+    def test_no_level_near_target_raises(self, level2_rung):
+        p, (window, h0, target) = level2_rung
+        vals = np.linalg.eigvalsh(h0)
+        above = int(np.searchsorted(vals, target))
+        midway = 0.5 * (vals[above - 1] + vals[above])
+        assert np.min(np.abs(vals - midway)) >= 0.45
+        with pytest.raises(ConvergenceError, match="no rotated-frame level within 0.45"):
+            coupling._window_h0_state(p, 2, 586, *window, midway)
+
+    def test_unsettled_iteration_raises(self, level2_rung, monkeypatch):
+        p, (window, _, target) = level2_rung
+        solve = coupling.lu_solve
+        # a solve that keeps mixing in a neighbouring state never settles
+        monkeypatch.setattr(coupling, "lu_solve",
+                            lambda lu, b: solve(lu, b) + 1e-3 * np.roll(b, 1))
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            coupling._window_h0_state(p, 2, 586, *window, target)

@@ -307,6 +307,34 @@ class TestCoarseToFineScan:
         assert np.all(np.diff(scan.ts) > 0)
 
 
+class TestApproach:
+    """The approach to the scan vicinity is one interval, bisected on demand."""
+
+    @pytest.mark.parametrize("name", ["benign-dn13", "interference-dn13"])
+    def test_matches_fixed_step_approach(self, ladder, monkeypatch, name):
+        line, dn, options = SCAN_LINES[name]
+        on_demand = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        monkeypatch.setattr(fock, "_APPROACH_STEPS", 24)
+        fixed = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        assert len(on_demand.minima) == len(fixed.minima)
+        assert_allclose(on_demand.g_star, fixed.g_star, rtol=0.0, atol=1e-9)
+        assert on_demand.gap == pytest.approx(fixed.gap, rel=1e-9)
+
+    def test_benign_scan_solve_count(self, ladder, monkeypatch):
+        # 24 fixed approach steps made 69 solves here, one interval makes 47
+        calls = []
+        solve_near = _SweepSolver.solve_near
+
+        def counted(self, g, *args, **kwargs):
+            calls.append(g)
+            return solve_near(self, g, *args, **kwargs)
+
+        monkeypatch.setattr(_SweepSolver, "solve_near", counted)
+        line, dn, options = SCAN_LINES["benign-dn13"]
+        anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        assert len(calls) <= 50
+
+
 class TestSharpnessMap:
     def test_uncoupled_point_hits_cap(self, ladder):
         table = resonance_sharpness_map(ladder, (1, 2), np.array([0.0]),

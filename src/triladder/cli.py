@@ -10,6 +10,10 @@ its reader, the values it accepts and its default; an unknown section or key,
 a missing required key or a value the table rejects is a ``ConfigError``
 (exit 2) raised before any computation.  Outputs are deterministic CSV
 files: identical configuration bytes produce identical output bytes.
+
+``levels``, ``wkb`` and ``contours`` run on numpy alone: the Fock-window
+and splitting layers, and with them scipy, are imported only inside the
+functions of ``resonance-map`` and ``splittings``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import numpy as np
 from . import __version__
 from .dressed import resonance_contour, wkb_levels
 from .errors import ConvergenceError, TriladderError
-from .fock import _sweep_grids, central_quantum, resonance_sharpness_map
-from .splittings import compare_splittings
 from .trilevel import ModelParams, _amplitudes, eigenvalues_at
 
 
@@ -135,9 +137,9 @@ def load_config(source) -> Config:
         if hasattr(source, "read"):
             parser.read_file(source)
         else:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 parser.read_file(fh)
-    except (OSError, configparser.Error) as err:
+    except (OSError, UnicodeDecodeError, configparser.Error) as err:
         raise ConfigError(f"cannot read configuration: {err}") from err
 
     # configparser would merge [DEFAULT] keys into every section
@@ -184,6 +186,7 @@ def read_run(cfg, command) -> dict:
     run = _section("[run]", cfg.run, RUN_KEYS[command])
     n0 = cfg.params.n0
     if command == "resonance-map":
+        from .fock import _sweep_grids
         try:
             _sweep_grids(_couplings(run, "g1"), _couplings(run, "g2"))
         except ValueError as err:
@@ -196,6 +199,7 @@ def read_run(cfg, command) -> dict:
             raise ConfigError(f"[run] half_width = {width}: the window n0 +- {widest} "
                               f"reaches below the vacuum at n0 = {n0}")
     if command == "splittings":
+        from .fock import central_quantum
         j, k = run["transition"]
         for dn in run["delta_n_list"]:
             if central_quantum(j, n0) - dn < n0 - width:
@@ -269,6 +273,7 @@ def render_contours(cfg) -> str:
 
 def render_resonance_map(cfg) -> str:
     """Rows are tracked sequentially; seeding vectors chain along the g2 axis."""
+    from .fock import resonance_sharpness_map
     run = read_run(cfg, "resonance-map")
     table = resonance_sharpness_map(cfg.params, run["transition"], _couplings(run, "g1"),
                                     _couplings(run, "g2"), cfg.params.n0,
@@ -279,6 +284,7 @@ def render_resonance_map(cfg) -> str:
 
 
 def render_splittings(cfg) -> str:
+    from .splittings import compare_splittings
     run = read_run(cfg, "splittings")
     records = compare_splittings(cfg.params, run["ratio"], run["delta_n_list"],
                                  run["transition"], half_width=run["half_width"],
@@ -292,14 +298,6 @@ def render_splittings(cfg) -> str:
     return _render(cfg, ("j", "k", "delta_n", "line_ratio", "g1_contour",
                          "g2_contour", "g1_star", "g2_star", "de_pt", "de_exact",
                          "pt_over_exact", "n_minima", "ok"), rows)
-
-
-def _write(cfg, args, name, text):
-    out_dir = Path(args.out or cfg.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}.csv"
-    path.write_text(text)
-    print(f"wrote {path}")
 
 
 def cmd_validate() -> int:
@@ -347,7 +345,14 @@ def main(argv=None) -> int:
     except (TriladderError, ValueError) as err:
         print(f"computation failed: {err}", file=sys.stderr)
         return 1
-    _write(cfg, args, args.command, text)
+    path = Path(args.out or cfg.output["directory"]) / f"{args.command}.csv"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        print(f"cannot write {path}: {err}", file=sys.stderr)
+        return 2
+    print(f"wrote {path}")
     return 0
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, TrackingError
 from .trilevel import ModelParams, _amplitudes, _branches, eigenvalues_at
@@ -241,6 +240,8 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
     The solve is repeated on a finer grid and a shift above 1e-6 raises
     ConvergenceError.
     """
+    import scipy.linalg    # only this oracle needs scipy; the rest of the module is numpy
+
     _check_level(j)
     if n < 0 or n > 2000:
         raise ValueError("the brute-force route supports 0 <= n <= 2000")

@@ -1,6 +1,8 @@
 import contextlib
 import importlib.util
 import io
+import json
+import os
 import re
 import subprocess
 import sys
@@ -300,6 +302,62 @@ class TestOtherCommands:
         proc = subprocess.run([sys.executable, "-m", "triladder.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(b"\xff\xfe" + self.LEVELS.encode())
+        assert main(["levels", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read configuration" in err
+        assert not (tmp_path / "levels.csv").exists()
+
+    def test_unwritable_out_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.LEVELS)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        assert main(["levels", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out / 'levels.csv'}: ")
+        assert "Traceback" not in err
+
+
+# run in a fresh interpreter: the modules each stage has loaded, for every
+# (command, config, out) triple on the command line, in order
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import triladder.cli as cli
+HEAVY = ("triladder.fock", "triladder.coupling", "triladder.splittings",
+         "triladder.oscillator")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in HEAVY)
+seen = {"import": loaded()}
+for command, config, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--config", config, "--out", out]) == 0, command
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    map_body = TestOtherCommands.GRID + "half_width = 40\n"
+    argv = []
+    for command, body in [("levels", TestOtherCommands.LEVELS),
+                          ("wkb", TestOtherCommands.GRID),
+                          ("contours", TestOtherCommands.CONTOURS),
+                          ("resonance-map", map_body)]:
+        argv += [command, write_config(tmp_path, body, f"{command}.ini"), str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    for stage in ("import", "levels", "wkb", "contours"):
+        assert seen[stage] == [], stage
+    assert "triladder.fock" in seen["resonance-map"]
+    assert any(m.startswith("scipy") for m in seen["resonance-map"])
+    assert (tmp_path / "resonance-map.csv").read_text().count("\n") > 4
 
 
 # point counts stay small so that every valid draw renders in milliseconds;

@@ -93,7 +93,7 @@ RUN_KEYS = {
             "nodes": (_at_least(16), 256)},
     "contours": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
                  "rays": (_at_least(1), 181), "radius": (POSITIVE, 1.25),
-                 "scan_points": (_at_least(1), 160), "nodes": (_at_least(16), 256),
+                 "scan_points": (_at_least(2), 160), "nodes": (_at_least(16), 256),
                  "residual_tol": (POSITIVE, 1e-6)},
     "resonance-map": {"transition": (TRANSITION, (1, 2)), **_grid("g1", 0.0, 1.0),
                       **_grid("g2", 0.0, 1.25), "half_width": (_at_least(8), 400)},

@@ -6,9 +6,11 @@ average of the adiabatic energy E_j(y) over the orbit of energy 2n+1, which
 the Chebyshev-Gauss rule integrates with the exactly matching weight.  Every
 orbit average goes through one batched route, ``_orbit_levels``, which
 evaluates the cubic of ``trilevel`` for many coupling points at once on half
-the (symmetric) nodes.  A brute-force grid solution of the corresponding
-one-dimensional Schroedinger problem serves as the independent oracle at
-moderate n.
+the (symmetric) nodes.  The three branches of the cubic are linear in
+amp sin(phi) and amp cos(phi) of its trigonometric form, so the route sums
+only those two over the nodes and forms the three levels from the sums.
+A brute-force grid solution of the corresponding one-dimensional
+Schroedinger problem serves as the independent oracle at moderate n.
 
 Resonance contours in the (g1, g2) plane collect the points where a dressed
 transition energy equals an odd number of oscillator quanta.  One table of
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, TrackingError
-from .trilevel import ModelParams, _amplitudes, _branches, eigenvalues_at
+from .trilevel import ModelParams, _amplitudes, _trig_form, eigenvalues_at
 
 WKB_DEFAULT_NODES = 256
 _WKB_TOL = 1e-9
@@ -44,6 +46,8 @@ _LINE_TOL = 1e-8
 #: kernel points (coupling points times evaluated nodes) per block of an
 #: orbit average; bounds the temporaries of a large batch
 _CHUNK_POINTS = 16384
+
+_HALF_ROOT3 = 0.5 * math.sqrt(3.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +134,13 @@ def _orbit_levels(template, u, v, n, nodes):
     classical orbit of energy 2n+1 by the ``nodes``-point Chebyshev-Gauss
     rule.  The levels depend on y**2 only and the nodes are symmetric, so
     only the first half is evaluated, with weight 2 (the middle node of an
-    odd count, weight 1); the cubic branches are summed in their ascending
-    order 2, 0, 1 instead of being sorted.  The points go through the kernel
-    in blocks of about ``_CHUNK_POINTS`` kernel points.
+    odd count, weight 1).  The cubic's branches are
+    mean + amp sin(phi + 2 pi k/3), where phi in [-pi/6, pi/6] is a third of
+    its arcsin angle; they are linear in amp sin(phi) and amp cos(phi), so the
+    average needs only the node sums S and C of those two, and the ascending
+    levels are mean + (-S/2 - sqrt(3) C/2, S, -S/2 + sqrt(3) C/2) / nodes.
+    The points go through the kernel in blocks of about ``_CHUNK_POINTS``
+    kernel points.
     """
     u = np.array(u, dtype=float, ndmin=1)
     v = np.array(v, dtype=float, ndmin=1)
@@ -148,11 +156,21 @@ def _orbit_levels(template, u, v, n, nodes):
     out = np.empty((u.size, 3))
     for start in range(0, u.size, rows):
         block = slice(start, start + rows)
-        roots = _branches(template, y, u[block, None], v[block, None])
-        total = 2.0 * roots[:, :pairs].sum(axis=1)
+        mean, amp, three_phi = _trig_form(template, y, u[block, None], v[block, None])
+        sin = np.sin(three_phi / 3.0)
+        # cos(phi) >= sqrt(3)/2 on [-pi/6, pi/6], so the root loses nothing
+        cos = np.sqrt(1.0 - sin * sin)
+        sin *= amp
+        cos *= amp
+        s = 2.0 * sin[:, :pairs].sum(axis=1)
+        c = 2.0 * cos[:, :pairs].sum(axis=1)
         if nodes % 2:
-            total += roots[:, pairs]
-        out[block] = total[:, [2, 0, 1]] / nodes
+            s += sin[:, pairs]
+            c += cos[:, pairs]
+        c *= _HALF_ROOT3
+        out[block, 0] = mean + (-0.5 * s - c) / nodes
+        out[block, 1] = mean + s / nodes
+        out[block, 2] = mean + (-0.5 * s + c) / nodes
     return out
 
 
@@ -295,9 +313,16 @@ def _transition_gap(template, g1, g2, jk, n, nodes):
 
 
 def _scan_grid(radius, points):
-    """Radii biased toward the origin so contours that terminate there are seen."""
-    dense = np.geomspace(1e-4, radius / 10.0, points // 3)
-    coarse = np.linspace(radius / 10.0, radius, points - points // 3 + 1)[1:]
+    """Radii biased toward the origin so contours that terminate there are seen.
+
+    A third of the points run geometrically from 1e-4 up to radius/10 and the
+    rest evenly on to ``radius``.  From radius 1e-3 down, the geometric part
+    starts a decade below radius/10 instead, so the radii always ascend
+    strictly and no crossing is bracketed twice.
+    """
+    top = radius / 10.0
+    dense = np.geomspace(1e-4 if top > 1e-4 else top / 10.0, top, points // 3)
+    coarse = np.linspace(top, radius, points - points // 3 + 1)[1:]
     return np.concatenate([dense, coarse])
 
 
@@ -328,6 +353,8 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
         raise ValueError("ray angles must lie in [0, pi/2]")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be a finite positive number, got {radius}")
+    if scan_points < 2:
+        raise ValueError(f"scan_points must be at least 2 to bracket a root, got {scan_points}")
     cos = np.array([math.cos(phi) for phi in angles])
     sin = np.array([math.sin(phi) for phi in angles])
     dns = np.array(delta_ns)

@@ -131,8 +131,8 @@ def level_matrix(params: ModelParams, y) -> np.ndarray:
 def _cubic_terms(params: ModelParams, y, u=None, v=None):
     """alpha, beta of the depressed cubic, broadcast over ``y``.
 
-    ``u`` and ``v`` default to the couplings of ``params``; arrays that
-    broadcast against ``y`` evaluate many coupling points at once.
+    ``u`` and ``v`` default to the couplings of ``params``; the orbit average
+    passes columns of coupling points that broadcast against a row of ``y``.
     """
     u = params.u if u is None else u
     v = params.v if v is None else v
@@ -148,12 +148,13 @@ def _cubic_terms(params: ModelParams, y, u=None, v=None):
     return alpha, beta, mean
 
 
-def _branches(params: ModelParams, y, u=None, v=None):
-    """The three roots of the cubic, unsorted: branch k = 0, 1, 2 on the last axis.
+def _trig_form(params: ModelParams, y, u=None, v=None):
+    """(mean, amp, theta) of the roots mean + amp sin((theta + 2 pi k) / 3), k = 0, 1, 2.
 
-    For the arcsin angle theta in [-pi/2, pi/2] the branches are ordered
-    k = 2 <= k = 0 <= k = 1, so ``[..., [2, 0, 1]]`` is ascending without a sort.
-    ``u`` and ``v`` are as in :func:`_cubic_terms`.
+    ``theta`` is the arcsin angle in [-pi/2, pi/2]; ``u`` and ``v`` are as in
+    :func:`_cubic_terms`.  Raises DegenerateLevelsError when the amplitude
+    vanishes and TriladderError when the arcsin argument exceeds 1 by more
+    than roundoff.
     """
     alpha, beta, mean = _cubic_terms(params, y, u, v)
     amp = np.sqrt(4.0 * np.asarray(alpha) / 3.0)
@@ -162,7 +163,16 @@ def _branches(params: ModelParams, y, u=None, v=None):
     s = -4.0 * np.asarray(beta) / amp**3
     if np.any(np.abs(s) > 1.0 + _ARCSIN_SLACK):
         raise TriladderError("arcsin argument exceeds 1 beyond roundoff slack")
-    theta = np.arcsin(np.clip(s, -1.0, 1.0))
+    return mean, amp, np.arcsin(np.clip(s, -1.0, 1.0))
+
+
+def _branches(params: ModelParams, y):
+    """The three roots of the cubic, unsorted: branch k = 0, 1, 2 on the last axis.
+
+    For the arcsin angle theta in [-pi/2, pi/2] the branches are ordered
+    k = 2 <= k = 0 <= k = 1, so ``[..., [2, 0, 1]]`` is ascending without a sort.
+    """
+    mean, amp, theta = _trig_form(params, y)
     return mean + amp[..., None] * np.sin((theta[..., None] + _SHIFTS) / 3.0)
 
 

@@ -199,6 +199,7 @@ class TestOtherCommands:
         ("resonance-map", GRID.replace("g2_points = 2", "g2_points = 1.5")),
         ("contours", CONTOURS.replace("rays = 5", "rays = -1")),
         ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 2.5")),
+        ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 1")),
         ("splittings", SPLITTINGS + "scan_points = 0\n"),
         ("splittings", SPLITTINGS + "scan_points = 2\n"),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = abc")),
@@ -250,8 +251,8 @@ class TestOtherCommands:
     ], ids=["incomplete-model", "precision-text", "precision-99", "precision-0",
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
-            "splittings-scan-points-zero", "splittings-scan-points-two", "n0-text",
-            "n0-fraction",
+            "contours-scan-points-one", "splittings-scan-points-zero",
+            "splittings-scan-points-two", "n0-text", "n0-fraction",
             "half-width-below-8", "half-width-fraction", "nodes-negative",
             "nodes-below-16", "n-negative", "n-fraction", "n0-float-inexact",
             "precision-fraction", "contours-transition-1-5",

@@ -85,6 +85,20 @@ class TestOrbitLevels:
             expect = eigenvalues_at(p, y).mean(axis=0)
             assert np.all(np.abs(got[i] - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
 
+    @pytest.mark.parametrize("nodes", [64, 65])
+    def test_point_bits_independent_of_batch(self, ladder, nodes):
+        # a point's levels come out bit for bit the same alone, inside a batch
+        # and on either side of a block boundary, whatever the batch offset
+        per_block = _CHUNK_POINTS // (nodes - nodes // 2)
+        g = np.random.default_rng(7).uniform(0.0, 1.5, (2, per_block + 9))
+        u, v = _amplitudes(ladder.e1, ladder.e2, ladder.e3, ladder.n0, g[0], g[1])
+        batch = _orbit_levels(ladder, u, v, ladder.n0, nodes)
+        shifted = _orbit_levels(ladder, u[5:], v[5:], ladder.n0, nodes)
+        assert np.array_equal(batch[5:], shifted)
+        for i in (0, 1, per_block - 6, per_block - 1, per_block, per_block + 3, u.size - 1):
+            alone = _orbit_levels(ladder, u[i], v[i], ladder.n0, nodes)
+            assert np.array_equal(alone[0], batch[i])
+
     def test_rejects_negative_or_non_finite_couplings(self, ladder):
         for u, v in (([0.1, -1e-12], [0.0, 0.0]), ([0.1], [np.nan]), ([np.inf], [0.1])):
             with pytest.raises(ValueError, match="coupling amplitudes"):
@@ -146,6 +160,45 @@ class TestResonanceContours:
         for dns in ([12, 13], [13, 15, 16], [13, -1]):
             with pytest.raises(ValueError, match="odd positive"):
                 resonance_contour(ladder, (1, 2), dns)
+
+    def test_one_point_scan_rejected_before_the_scan(self, ladder, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned before checking the scan size")
+
+        monkeypatch.setattr(dressed, "_orbit_levels", no_scan)
+        for points in (1, 0, -3):
+            with pytest.raises(ValueError, match="scan_points"):
+                resonance_contour(ladder, (1, 2), [13], scan_points=points)
+
+    @pytest.mark.parametrize("points", [2, 3, 7, 160])
+    def test_scan_grid_strictly_ascending(self, points):
+        for radius in np.geomspace(1e-8, 10.0, 57).tolist() + [1e-3, 0.0005, 1.25]:
+            ts = dressed._scan_grid(radius, points)
+            assert ts.size == points
+            assert ts[-1] == radius
+            assert ts[0] > 0 and np.all(np.diff(ts) > 0)
+        # the default grid keeps its decades 1e-4 .. radius/10 below the linear part
+        ts = dressed._scan_grid(1.25, 160)
+        assert (ts[0], ts[52], ts[53]) == (1e-4, 0.125, 0.125 + 1.125 / 107)
+
+    def test_small_radius_brackets_each_crossing_once(self):
+        # at radius 5e-4 a geometric part starting at 1e-4 would run down into
+        # the linear part, bracket the diagonal crossing twice and never reach
+        # ray 0's crossing at 3.0e-5
+        template = ModelParams.from_dimensionless(0.0, 10.99999996, 24.0, 0.0, 0.0, 10**8)
+        c, = resonance_contour(template, (1, 2), [11], angles=np.linspace(0, np.pi / 2, 3),
+                               radius=0.0005)
+        assert not np.any(c.multiple)
+        assert np.array_equal(c.angles, [0.0, np.pi / 4])
+        assert np.array_equal(c.missed_angles, [np.pi / 2])
+        assert np.max(np.abs(c.residuals)) <= 1e-6
+        assert math.hypot(*c.points[1]) == pytest.approx(6.472e-5, rel=1e-3)
+        # ray 0 really changes sign there
+        g1 = c.points[0, 0]
+        assert g1 == pytest.approx(3.006e-5, rel=1e-3)
+        below, above = (dressed_transition(template.with_couplings(g, 0.0), 1, 2) - 11
+                        for g in (0.99 * g1, 1.01 * g1))
+        assert below < 0 < above
 
     def test_rays_outside_the_quadrant_and_bad_radius_rejected(self, ladder):
         for angles in ([-0.1, 0.5], [0.2, np.pi / 2 + 0.01], [0.3, np.nan]):

@@ -43,6 +43,10 @@ _MAX_BISECTIONS = 200
 #: a resonance on a line is bisected until its mismatch is this small
 _LINE_TOL = 1e-8
 
+#: quadrature nodes of a resonance position on a line or an arc; the
+#: two-state estimate re-checks the line's resonance at the same count
+RESONANCE_NODES = 512
+
 #: kernel points (coupling points times evaluated nodes) per block of an
 #: orbit average; bounds the temporaries of a large batch
 _CHUNK_POINTS = 16384
@@ -315,20 +319,21 @@ def _transition_gap(template, g1, g2, jk, n, nodes):
 def _scan_grid(radius, points):
     """Radii biased toward the origin so contours that terminate there are seen.
 
-    A third of the points run geometrically from 1e-4 up to radius/10 and the
-    rest evenly on to ``radius``.  From radius 1e-3 down, the geometric part
-    starts a decade below radius/10 instead, so the radii always ascend
-    strictly and no crossing is bracketed twice.
+    A third of the points run geometrically up to radius/10 and the rest
+    evenly on to ``radius``.  The geometric part starts at 1e-4 or a decade
+    below radius/10, whichever is lower, so the radii always ascend strictly,
+    no crossing is bracketed twice, and a small radius is scanned down to
+    radius/100.
     """
     top = radius / 10.0
-    dense = np.geomspace(1e-4 if top > 1e-4 else top / 10.0, top, points // 3)
+    dense = np.geomspace(min(1e-4, top / 10.0), top, points // 3)
     coarse = np.linspace(top, radius, points - points // 3 + 1)[1:]
     return np.concatenate([dense, coarse])
 
 
 def resonance_contour(template: ModelParams, transition, delta_ns, *,
                       angles=None, radius: float = 1.25, scan_points: int = 160,
-                      n: int = None, nodes: int = WKB_DEFAULT_NODES,
+                      nodes: int = WKB_DEFAULT_NODES,
                       residual_tol: float = CONTOUR_RESIDUAL) -> list:
     """Locate the (j, k, delta_n) resonance contours on a fan of rays.
 
@@ -344,8 +349,7 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     delta_ns = list(delta_ns)
     for dn in delta_ns:
         _check_odd(dn)
-    if n is None:
-        n = template.n0
+    n = template.n0
     if angles is None:
         angles = np.linspace(0.0, np.pi / 2.0, 181)
     angles = np.asarray(angles, dtype=float)
@@ -405,7 +409,7 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
 
 
 def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
-                         radius: float, *, n: int = None, nodes: int = 512,
+                         radius: float, *, n: int = None, nodes: int = RESONANCE_NODES,
                          residual_tol: float = CONTOUR_RESIDUAL):
     """Point where a resonance contour crosses the arc of a given radius.
 
@@ -450,7 +454,8 @@ def _line_resonance(template, end, transition, delta_n, n):
 
     def mismatch(t):
         g = t[:, None] * end
-        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n, 512) - delta_n
+        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n,
+                               RESONANCE_NODES) - delta_n
 
     lo, hi = 1e-6, 1.0
     flo, fhi = mismatch(np.array([lo, hi]))

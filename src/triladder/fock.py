@@ -190,11 +190,11 @@ def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
     return FockWindowHamiltonian(params, n0, half_width, parity, sector.labels, bands)
 
 
-def _cluster_targets(targets, width=3.0):
+def _cluster_targets(targets):
     targets = np.sort(np.asarray(targets, dtype=float))
     groups = [[targets[0]]]
     for t in targets[1:]:
-        if t - groups[-1][-1] <= width:
+        if t - groups[-1][-1] <= 3.0:
             groups[-1].append(t)
         else:
             groups.append([t])
@@ -226,23 +226,30 @@ def _lanczos(h, sigma, k, v0, group):
         raise ConvergenceError(f"shift-invert did not converge near {group}: {err}") from err
 
 
-def _shift_invert_near(h, targets, v0=None, k=None):
+def _shift_invert_near(h, targets, seeds=None, k=None):
     """Eigenpairs around each target.
 
     Targets within 3 of each other form a group; each group gets the ``k``
     eigenpairs nearest sigma = mean + 1.1e-4 (4 + 3 per target by default),
-    from shift-invert Lanczos over a banded LU of H - sigma started at
-    ``v0`` (uniform when None).  A diagonal sector (zero coupling) returns
-    its basis states instead: they are exact, and degenerate multiplets must
-    not be left to an iterative solver's whim.
+    from shift-invert Lanczos over a banded LU of H - sigma.  The iteration
+    starts from the sum of ``seeds``, the (dim, L) vectors the caller already
+    holds for the tracked states, plus a uniform part of norm 1e-3 (a uniform
+    start without seeds).  The uniform part keeps every basis state in the
+    start: where one coupling vanishes H splits into blocks, and a start
+    confined to the seeds' block would never see the eigenvalues of the
+    others.  A diagonal sector (zero coupling) returns its basis states
+    instead: they are exact, and degenerate multiplets must not be left to
+    an iterative solver's whim.
 
     Duplicates from overlapping shifts are removed by eigenvalue proximity
     plus vector overlap (a genuinely tight anticrossing pair stays distinct
     because its two vectors are orthogonal).  Deterministic given the seed
     vectors.
     """
-    if v0 is None:
+    if seeds is None:
         v0 = np.full(h.dim, 1.0 / math.sqrt(h.dim))
+    else:
+        v0 = np.sum(seeds, axis=1) + 1e-3 / math.sqrt(h.dim)
     diagonal = not np.any(h.bands[1:])
     vals_out, vecs_out = [], []
     for group in _cluster_targets(targets):
@@ -306,79 +313,49 @@ class TrackedLevels:
     step_vectors: np.ndarray = None   # (steps, dim, L) when recording was requested
 
 
-class _SweepSolver:
-    """Shared machinery: assemble-at-g, solve near previous values, assign."""
+def _assign(prev_vecs, vals, vecs):
+    """Best permutation of candidates onto tracked states.
 
-    def __init__(self, template, n0, half_width, parity):
-        self.template = template
-        self.n0 = int(n0)
-        self.half_width = int(half_width)
-        self.parity = parity
-
-    def hamiltonian(self, g):
-        params = self.template.with_couplings(g[0], g[1])
-        return build_hamiltonian(params, self.n0, self.half_width, self.parity)
-
-    def solve_near(self, g, centers, seeds=None):
-        """Candidate eigenpairs at g near the tracked energies (from n0).
-
-        ``seeds`` are the vectors the caller already holds for those states;
-        their sum starts the Lanczos iteration (uniform start without them).
-        A small uniform part keeps every basis state in the start: where one
-        coupling vanishes H splits into blocks, and a start confined to the
-        seeds' block would never see the eigenvalues of the others.
-        """
-        h = self.hamiltonian(g)
-        v0 = None
-        if seeds is not None:
-            v0 = np.sum(seeds, axis=1) + 1e-3 / math.sqrt(h.dim)
-        vals, vecs = _shift_invert_near(h, centers, v0)
-        return vals, vecs, h
-
-    def assign(self, prev_vecs, vals, vecs):
-        """Best permutation of candidates onto tracked states.
-
-        Returns (values, vectors, quality, runner_up) for the tracked columns.
-        """
-        overlap = np.abs(vecs.T @ prev_vecs)      # (cand, L)
-        nstate = prev_vecs.shape[1]
-        if overlap.shape[0] < nstate:
-            raise TrackingError("fewer candidates than tracked states")
-        rows, cols = linear_sum_assignment(-overlap)
-        pick = np.empty(nstate, dtype=int)
-        pick[cols] = rows
-        quality = overlap[pick, np.arange(nstate)]
-        runner = np.empty(nstate)
-        for j in range(nstate):
-            others = np.delete(overlap[:, j], pick[j])
-            runner[j] = others.max() if others.size else 0.0
-        return vals[pick], vecs[:, pick], quality, runner
+    Returns (values, vectors, quality, runner_up) for the tracked columns;
+    the runner-up is each column's best overlap among the unpicked candidates
+    (0 when there is none).
+    """
+    overlap = np.abs(vecs.T @ prev_vecs)      # (cand, L)
+    nstate = prev_vecs.shape[1]
+    if overlap.shape[0] < nstate:
+        raise TrackingError("fewer candidates than tracked states")
+    rows, cols = linear_sum_assignment(-overlap)
+    pick = np.empty(nstate, dtype=int)
+    pick[cols] = rows
+    quality = overlap[pick, np.arange(nstate)]
+    others = overlap.copy()
+    others[pick, np.arange(nstate)] = 0.0
+    return vals[pick], vecs[:, pick], quality, others.max(axis=0)
 
 
 def track_levels(template: ModelParams, start, end, steps: int, n0: int,
-                 half_width: int, which, *, parity: str = None,
-                 start_vectors=None, keep_vectors: bool = False) -> TrackedLevels:
+                 half_width: int, which, *, start_vectors=None,
+                 keep_vectors: bool = False) -> TrackedLevels:
     """Continue labelled eigenstates along a straight line in (g1, g2).
 
     ``which`` lists (level, quantum-number) labels; all must live in one
-    parity sector.  The sweep must start at zero coupling (where the labels
-    are exact basis states) unless ``start_vectors`` supplies the starting
-    eigenvectors explicitly.  Steps are bisected automatically whenever the
-    consecutive overlap of any tracked state drops below 0.5, at most 14
-    halvings deep; an assignment whose best and runner-up overlaps agree
-    within 1e-3 raises TrackingError.  Energies are measured from n0.
+    parity sector, the one the sweep runs in.  The sweep must start at zero
+    coupling (where the labels are exact basis states) unless
+    ``start_vectors`` supplies the starting eigenvectors explicitly.  Steps
+    are bisected automatically whenever the consecutive overlap of any
+    tracked state drops below 0.5, at most 14 halvings deep; an assignment
+    whose best and runner-up overlaps agree within 1e-3 raises
+    TrackingError.  Energies are measured from n0.
     """
     which = [(int(j), int(nq)) for j, nq in which]
     bits = {(j + nq) % 2 for j, nq in which}
     if len(bits) != 1:
         raise ValueError("tracked states must share one parity sector")
-    if parity is None:
-        parity = "even" if bits.pop() == 0 else "odd"
-    solver = _SweepSolver(template, n0, half_width, parity)
+    parity = "even" if bits.pop() == 0 else "odd"
 
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    h0 = solver.hamiltonian(start)
+    h0 = build_hamiltonian(template.with_couplings(*start), n0, half_width, parity)
     idx = [h0.index_of(j, nq) for j, nq in which]
     guess = h0.bands[0][idx]
     if start_vectors is None:
@@ -396,8 +373,8 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         # lie far from the anchors' levels, and which states they pick up must
         # not hinge on the anchors (where a coupling vanishes, a seeded start
         # never leaves the anchors' invariant subspace)
-        cand_vals, cand_vecs, _ = solver.solve_near(start, guess)
-        vals, vecs, quality, _ = solver.assign(anchors, cand_vals, cand_vecs)
+        cand_vals, cand_vecs = _shift_invert_near(h0, guess)
+        vals, vecs, quality, _ = _assign(anchors, cand_vals, cand_vecs)
         if np.any(quality < OVERLAP_FLOOR):
             raise TrackingError("start_vectors do not identify eigenstates at the sweep start")
     ts = np.linspace(0.0, 1.0, steps)
@@ -407,9 +384,10 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
 
     def advance(t_from, t_to, vals, vecs, depth):
         g = start + t_to * (end - start)
-        cand_vals, cand_vecs, _ = solver.solve_near(g, vals, vecs)
+        h = build_hamiltonian(template.with_couplings(*g), n0, half_width, parity)
+        cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
         try:
-            new_vals, new_vecs, quality, runner = solver.assign(vecs, cand_vals, cand_vecs)
+            new_vals, new_vecs, quality, runner = _assign(vecs, cand_vals, cand_vecs)
         except TrackingError:
             quality = np.zeros(len(which))
             new_vals = new_vecs = runner = None
@@ -622,11 +600,12 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
     approach = track_levels(template, tuple(start), tuple(g_of(t_lo)),
                             _APPROACH_STEPS, n0, half_width, which)
-    solver = _SweepSolver(template, n0, half_width, "even")
 
     def measure(t, vals, vecs):
         """Tracked values, next anchors, gap, and every candidate's value and slope."""
-        cand_vals, cand_vecs, h = solver.solve_near(g_of(t), vals, vecs)
+        # central_quantum puts both resonant states in the even sector
+        h = build_hamiltonian(template.with_couplings(*g_of(t)), n0, half_width, "even")
+        cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
         tracked, anchors, gap = rule(cand_vals, cand_vecs, vecs)
         # from zero coupling H(t) = D + t C, and the diagonal h.bands[0] is D
         # at every t; by Hellmann-Feynman dE/dt = v^T C v = (E - v^T D v) / t
@@ -708,10 +687,9 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     g1s, g2s, best = minima[0]
 
     ref = nearest(np.linalg.norm(np.array([g1s, g2s]) - start) / span_g)
-    wide = _SweepSolver(template, n0, 2 * half_width, solver.parity)
-    wide_h = wide.hamiltonian((g1s, g2s))
-    anchors = _embed_vectors(scan_vecs[ref], solver, wide_h)
-    vals, vecs, _ = wide.solve_near((g1s, g2s), scan_vals[ref], anchors)
+    wide_h = build_hamiltonian(template.with_couplings(g1s, g2s), n0, 2 * half_width, "even")
+    anchors = _embed_vectors(scan_vecs[ref], sector_labels(n0, half_width, "even"), wide_h)
+    vals, vecs = _shift_invert_near(wide_h, scan_vals[ref], anchors)
     wide_gap = rule(vals, vecs, anchors)[2]
     # gaps below 1e-9 are zero to solver tolerance; no relative check there
     if abs(wide_gap - best) > 0.01 * max(best, 1e-9):
@@ -723,13 +701,13 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
                    minima, ts, gaps)
 
 
-def _embed_vectors(vecs, solver, wide_h):
+def _embed_vectors(vecs, narrow, wide_h):
     """Zero-pad sector vectors from a narrow window into a wider one.
 
-    The narrow sector is a contiguous block of the wide one (checked), so the
-    vectors land at the wide index of the first narrow label.
+    ``narrow`` holds the narrow sector's labels.  That sector is a contiguous
+    block of the wide one (checked), so the vectors land at the wide index of
+    the first narrow label.
     """
-    narrow = sector_labels(solver.n0, solver.half_width, solver.parity)
     first = wide_h.index_of(*narrow[0])
     rows = slice(first, first + narrow.shape[0])
     if not np.array_equal(wide_h.labels[rows], narrow):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import v_matrix_element_h0
-from .dressed import _check_odd, _line_resonance, dressed_transition
+from .dressed import RESONANCE_NODES, _check_odd, _line_resonance, dressed_transition
 from .errors import OffResonanceError, TriladderError
 from .fock import anticrossing_gap, central_quantum
 from .trilevel import ModelParams
@@ -56,7 +56,7 @@ def pt_splitting(params: ModelParams, transition, delta_n: int, *,
     j, k = transition
     _check_odd(delta_n)
     n = params.n0
-    resid = dressed_transition(params, j, k, n, nodes=512) - delta_n
+    resid = dressed_transition(params, j, k, n, nodes=RESONANCE_NODES) - delta_n
     if abs(resid) > resonance_tol:
         raise OffResonanceError(
             f"point (g1={params.g1:.6f}, g2={params.g2:.6f}) misses the "

@@ -108,10 +108,15 @@ def check_even_symmetry(fault=None):
 
 
 def check_parity_blocks(fault=None):
-    """The full product-basis Hamiltonian decouples into two parity blocks."""
-    p = ModelParams(0.0, 11.0, 24.0, 0.31, 0.17, 20)
-    nmax = 40
-    size = nmax + 1
+    """The two assembled parity sectors hold the full product-basis spectrum.
+
+    With n0 = W = 20 the window is the whole basis 0..40, so the even and odd
+    sectors from ``fock.build_hamiltonian`` (energies from n0) must together
+    reproduce the eigenvalues of an independent Kronecker-product assembly.
+    """
+    n0 = 20
+    p = ModelParams(0.0, 11.0, 24.0, 0.31, 0.17, n0)
+    size = 2 * n0 + 1
     ladder = np.diag(np.sqrt(np.arange(1.0, size)), 1)
     x = ladder + ladder.T
     pair12 = np.zeros((3, 3))
@@ -122,13 +127,13 @@ def check_parity_blocks(fault=None):
          + np.kron(np.eye(3), np.diag(np.arange(size, dtype=float)))
          + p.u * np.kron(pair12, x) + p.v * np.kron(pair23, x))
     if fault == "blocks":
-        h[0, 1] += 1e-3
-    level = np.repeat(np.arange(1, 4), size)
-    quanta = np.tile(np.arange(size), 3)
-    even = (level + quanta) % 2 == 0
-    cross = max(np.abs(h[np.ix_(even, ~even)]).max(),
-                np.abs(h[np.ix_(~even, even)]).max())
-    return cross == 0.0, f"largest cross-parity entry {cross:.2e}"
+        # a cross-parity entry between (1, 0) and (1, 1)
+        h[0, 1] = h[1, 0] = 1e-3
+    sectors = np.concatenate([
+        np.linalg.eigvalsh(fock.build_hamiltonian(p, n0, n0, parity).dense())
+        for parity in ("even", "odd")])
+    worst = np.max(np.abs(np.sort(sectors) + n0 - np.linalg.eigvalsh(h)))
+    return worst <= 1e-10, f"worst sector/full-basis eigenvalue difference {worst:.2e}"
 
 
 def check_gauge_shift(fault=None):

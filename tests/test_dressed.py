@@ -184,21 +184,28 @@ class TestResonanceContours:
     def test_small_radius_brackets_each_crossing_once(self):
         # at radius 5e-4 a geometric part starting at 1e-4 would run down into
         # the linear part, bracket the diagonal crossing twice and never reach
-        # ray 0's crossing at 3.0e-5
+        # ray 0's crossing at 3.0e-5; at 1.1e-3 and 2e-3 one starting at 1e-4
+        # would crowd below radius/10 and miss both crossings.  Where the
+        # transition is this flat the grid sets the point (residual_tol 1e-6;
+        # ray 0's root is at 3.015e-5), hence pinned points per radius and a
+        # relative bracket around ray 0's point that holds the sign change.
         template = ModelParams.from_dimensionless(0.0, 10.99999996, 24.0, 0.0, 0.0, 10**8)
-        c, = resonance_contour(template, (1, 2), [11], angles=np.linspace(0, np.pi / 2, 3),
-                               radius=0.0005)
-        assert not np.any(c.multiple)
-        assert np.array_equal(c.angles, [0.0, np.pi / 4])
-        assert np.array_equal(c.missed_angles, [np.pi / 2])
-        assert np.max(np.abs(c.residuals)) <= 1e-6
-        assert math.hypot(*c.points[1]) == pytest.approx(6.472e-5, rel=1e-3)
-        # ray 0 really changes sign there
-        g1 = c.points[0, 0]
-        assert g1 == pytest.approx(3.006e-5, rel=1e-3)
-        below, above = (dressed_transition(template.with_couplings(g, 0.0), 1, 2) - 11
-                        for g in (0.99 * g1, 1.01 * g1))
-        assert below < 0 < above
+        for radius, ray0_g1, diagonal, spread in ((0.0005, 3.006e-5, 6.472e-5, 0.01),
+                                                  (1.1e-3, 2.980e-5, 6.612e-5, 0.02),
+                                                  (2e-3, 3.047e-5, 6.761e-5, 0.02)):
+            c, = resonance_contour(template, (1, 2), [11],
+                                   angles=np.linspace(0, np.pi / 2, 3), radius=radius)
+            assert not np.any(c.multiple)
+            assert np.array_equal(c.angles, [0.0, np.pi / 4])
+            assert np.array_equal(c.missed_angles, [np.pi / 2])
+            assert np.max(np.abs(c.residuals)) <= 1e-6
+            assert math.hypot(*c.points[1]) == pytest.approx(diagonal, rel=1e-3)
+            # ray 0 really changes sign there
+            g1 = c.points[0, 0]
+            assert g1 == pytest.approx(ray0_g1, rel=1e-3)
+            below, above = (dressed_transition(template.with_couplings(g, 0.0), 1, 2) - 11
+                            for g in ((1 - spread) * g1, (1 + spread) * g1))
+            assert below < 0 < above
 
     def test_rays_outside_the_quadrant_and_bad_radius_rejected(self, ladder):
         for angles in ([-0.1, 0.5], [0.2, np.pi / 2 + 0.01], [0.3, np.nan]):

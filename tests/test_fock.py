@@ -10,7 +10,7 @@ from triladder import (ConvergenceError, ModelParams, anticrossing_gap,
                        build_hamiltonian, eigen_near, exact_dressed_levels,
                        resonance_sharpness_map, track_levels, wkb_levels)
 from triladder import fock
-from triladder.fock import _SweepSolver, sector_labels
+from triladder.fock import _shift_invert_near, sector_labels
 
 
 def dense_full_basis(params, nmax):
@@ -162,9 +162,8 @@ some_zero = st.one_of(coupling,
        tracked=st.integers(1, 2), offset=st.floats(-20.0, 40.0))
 def test_seeded_solve_near_matches_dense_nearest(n0, half_width, parity, g, tracked,
                                                  offset):
-    solver = _SweepSolver(ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, n0), n0, half_width,
-                          parity)
-    h = solver.hamiltonian(g)
+    p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, n0).with_couplings(*g)
+    h = build_hamiltonian(p, n0, half_width, parity)
     reference, states = np.linalg.eigh(h.dense())
     # seed with the eigenvectors nearest the offset, as a sweep holds them
     held = np.sort(np.argsort(np.abs(reference - offset), kind="stable")[:tracked])
@@ -173,7 +172,7 @@ def test_seeded_solve_near_matches_dense_nearest(n0, half_width, parity, g, trac
     order = np.argsort(distance)
     k = 4 + 3 * tracked
     assume(distance[order[k]] - distance[order[k - 1]] > 1e-6)
-    vals, _, _ = solver.solve_near(g, reference[held], states[:, held])
+    vals, _ = _shift_invert_near(h, reference[held], states[:, held])
     assert_allclose(np.sort(vals), np.sort(reference[order[:k]]), rtol=0, atol=1e-9)
 
 
@@ -323,13 +322,12 @@ class TestApproach:
     def test_benign_scan_solve_count(self, ladder, monkeypatch):
         # 24 fixed approach steps made 69 solves here, one interval makes 47
         calls = []
-        solve_near = _SweepSolver.solve_near
 
-        def counted(self, g, *args, **kwargs):
-            calls.append(g)
-            return solve_near(self, g, *args, **kwargs)
+        def counted(h, *args, **kwargs):
+            calls.append(h)
+            return _shift_invert_near(h, *args, **kwargs)
 
-        monkeypatch.setattr(_SweepSolver, "solve_near", counted)
+        monkeypatch.setattr(fock, "_shift_invert_near", counted)
         line, dn, options = SCAN_LINES["benign-dn13"]
         anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
         assert len(calls) <= 50

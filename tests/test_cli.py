@@ -237,7 +237,7 @@ class TestOtherCommands:
         ("levels", LEVELS.replace("g1 = 0.5\ng2 = 0.5\nn0 = 100000000",
                                   "u = 0.1\nv = 0.1\nn0 = 1" + "0" * 400)),
         ("resonance-map", GRID.replace("n0 = 100000000", "n0 = 100")),
-        ("splittings", SPLITTINGS.replace("n0 = 100000000", "n0 = 500")),
+        ("splittings", SPLITTINGS.replace("n0 = 100000000", "n0 = 300")),
         ("splittings", SPLITTINGS + "half_width = 10\n"),
         ("levels", LEVELS + "half_widht = 5\n"),
         ("wkb", GRID + "nodez = 300\n"),
@@ -263,7 +263,7 @@ class TestOtherCommands:
             "g1-max-negative", "y-min-nan", "y-min-minus-inf", "wkb-g1-min-negative",
             "wkb-g1-min-nan", "map-grid-not-from-zero", "map-g1-min-negative",
             "n0-overflow-g", "n0-overflow-u", "map-window-below-vacuum",
-            "splittings-doubled-window-below-vacuum", "splittings-partner-outside-window",
+            "splittings-window-below-vacuum", "splittings-partner-outside-window",
             "levels-unknown-run-key", "wkb-unknown-run-key", "contours-unknown-run-key",
             "resonance-map-unknown-run-key", "splittings-unknown-run-key",
             "unknown-model-key", "unknown-output-key", "unknown-section",

@@ -104,6 +104,15 @@ class TestOrbitLevels:
             with pytest.raises(ValueError, match="coupling amplitudes"):
                 _orbit_levels(ladder, np.array(u), np.array(v), ladder.n0, 64)
 
+    @pytest.mark.parametrize("average", [
+        lambda p: resonance_contour(p, (1, 2), [13], nodes=1),
+        lambda p: contour_arc_crossing(p, (1, 2), 11, 1e-3, nodes=4),
+        lambda p: dressed_transition(p.with_couplings(0.1, 0.1), 1, 2, nodes=8),
+    ], ids=["contour", "arc", "transition"])
+    def test_every_average_needs_16_nodes(self, ladder, average):
+        with pytest.raises(ValueError, match="16 quadrature nodes"):
+            average(ladder)
+
 
 class TestGridOracle:
     def test_zero_coupling_recovers_oscillator(self):

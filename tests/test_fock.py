@@ -10,7 +10,7 @@ from triladder import (ConvergenceError, ModelParams, anticrossing_gap,
                        build_hamiltonian, eigen_near, exact_dressed_levels,
                        resonance_sharpness_map, track_levels, wkb_levels)
 from triladder import fock
-from triladder.fock import _shift_invert_near, sector_labels
+from triladder.fock import _shift_invert_near
 
 
 def dense_full_basis(params, nmax):
@@ -42,11 +42,13 @@ class TestBuild:
         assert np.all(np.abs(h.bands[1:]) == 0.0)
 
     def test_labels_respect_parity(self):
+        p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 60)
+        sizes = 0
         for parity, bit in (("even", 0), ("odd", 1)):
-            labels = sector_labels(60, 20, parity)
+            labels = build_hamiltonian(p, 60, 20, parity).labels
             assert np.all((labels[:, 0] + labels[:, 1]) % 2 == bit)
-        assert sector_labels(60, 20, "even").shape[0] + \
-            sector_labels(60, 20, "odd").shape[0] == 3 * 41
+            sizes += labels.shape[0]
+        assert sizes == 3 * 41
 
     def test_coupling_matrix_elements(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.37, 0.21, 50)
@@ -71,7 +73,7 @@ class TestBuild:
         with pytest.raises(ValueError):
             h.labels[0, 0] = 2
         with pytest.raises(ValueError):
-            sector_labels(60, 20, "odd")[0, 1] = 0
+            build_hamiltonian(p.with_couplings(0.2, 0.0), 60, 20, "odd").labels[0, 1] = 0
 
     def test_window_bounds_checked(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.1, 0.1, 10)
@@ -184,6 +186,19 @@ class TestTracking:
         assert tr.relabelings == []
         assert_allclose(tr.overlaps, 1.0)
 
+    @pytest.mark.parametrize("steps,end", [(0, (0.0, 0.0)), (-1, (0.1, 0.0)),
+                                           (1, (0.1, 0.05))])
+    def test_too_few_steps_rejected(self, ladder, steps, end):
+        with pytest.raises(ValueError, match="cannot record"):
+            track_levels(ladder, (0.0, 0.0), end, steps, 10**8, 50,
+                         [(1, 10**8 + 1), (2, 10**8)])
+
+    def test_one_step_records_the_start(self, ladder):
+        # the one-point grids of a sharpness map sweep from a point to itself
+        tr = track_levels(ladder, (0.0, 0.0), (0.0, 0.0), 1, 10**8, 50, [(1, 10**8 + 1)])
+        assert tr.gs.shape == (1, 2) and tr.energies.shape == (1, 1)
+        assert tr.energies[0, 0] == pytest.approx(1.0, abs=1e-12)
+
     def test_mixed_parity_labels_rejected(self, ladder):
         with pytest.raises(ValueError):
             track_levels(ladder, (0.0, 0.0), (0.1, 0.1), 3, 10**8, 50,
@@ -209,7 +224,7 @@ class TestTracking:
         assert_allclose(tr.energies[-1], reference[nearest], rtol=0, atol=1e-12)
 
     def test_exact_dressed_levels_near_orbit_average(self, ladder):
-        exact = exact_dressed_levels(ladder, 0.5, 0.5, 10**8, 400, check_window=True)
+        exact = exact_dressed_levels(ladder, 0.5, 0.5, 10**8, 400)
         approx = wkb_levels(ladder.with_couplings(0.5, 0.5))
         assert np.max(np.abs(exact - approx)) < 0.1
 
@@ -224,6 +239,26 @@ class TestTracking:
         upper = vals[(vals >= 12.0) & (vals < 14.0)]
         assert lower.size == 3 and upper.size == 3
         assert_allclose(upper - lower, 2.0, atol=1e-6)
+
+
+class TestTruncationBound:
+    def test_bounds_distance_to_wide_window_spectrum(self):
+        p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 60).with_couplings(0.3, 0.2)
+        h = build_hamiltonian(p, 60, 10, "even")
+        vals, vecs = eigen_near(h, 11.0, 6)
+        bound = h.truncation_bound(vals, vecs)
+        wide = np.linalg.eigvalsh(build_hamiltonian(p, 60, 60, "even").dense())
+        distance = np.min(np.abs(wide[:, None] - vals), axis=0)
+        assert np.all(bound > 1e-6)
+        assert np.all(distance <= bound)
+
+    def test_narrow_window_levels_raise(self, ladder):
+        with pytest.raises(ConvergenceError, match="uncertain"):
+            exact_dressed_levels(ladder, 0.88, 1.08, 10**8, 30)
+
+    def test_narrow_window_gap_raises(self, ladder):
+        with pytest.raises(ConvergenceError, match="uncertain"):
+            anticrossing_gap(ladder, ((0.0, 0.0), (1.1, 0.33)), 13, (1, 2), 10**8, 16)
 
 
 class TestAnticrossing:

@@ -71,6 +71,11 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_splittings(ladder, 0.3, [14])
 
+    def test_partner_outside_window_named(self, ladder):
+        with pytest.raises(ValueError, match=r"\(2, 99999988\) is not in the even sector "
+                                             r"of the window n0 \+- W = 100000000 \+- 10"):
+            compare_splittings(ladder, 0.3, [13], half_width=10)
+
     def test_one_benign_record(self, ladder):
         records = compare_splittings(ladder, 0.3, [15], half_width=400)
         assert len(records) == 1

@@ -290,6 +290,9 @@ def render_splittings(cfg) -> str:
                                  vicinity=run["vicinity"], scan_points=run["scan_points"])
     rows = []
     for r in records:
+        # the reason for an ok = 0 row, or a warning on an ok one, goes to stderr
+        if r.note:
+            print(f"splittings: delta_n {r.delta_n}: {r.note}", file=sys.stderr)
         rows.append((r.transition[0], r.transition[1], r.delta_n, r.line_ratio,
                      r.g_contour[0], r.g_contour[1], r.g_star[0], r.g_star[1],
                      r.de_pt, r.de_exact, r.ratio, len(r.minima), r.ok))

@@ -15,9 +15,12 @@ Schroedinger problem serves as the independent oracle at moderate n.
 Resonance contours in the (g1, g2) plane collect the points where a dressed
 transition energy equals an odd number of oscillator quanta.  One table of
 the transition over a fan of rays serves every quantum exchange asked for,
-and all brackets on it are bisected together.  On a straight line from zero
-coupling, one bisection (``_line_resonance``) serves both the contour point
-and the gap scan of the splitting comparison.
+and all brackets on it are closed together.  Every resonance search, on the
+rays, on an arc (``contour_arc_crossing``) or on a straight line from zero
+coupling (``_line_resonance``, which serves both the contour point and the
+gap scan of the splitting comparison), closes its brackets with one root
+helper, ``_bisect_root``, to roundoff; each caller then checks the mismatch
+at the root against one bound.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, TrackingError
-from .trilevel import ModelParams, _amplitudes, _trig_form, eigenvalues_at
+from .trilevel import ModelParams, _amplitudes, _ascending, _trig_form, eigenvalues_at
 
 WKB_DEFAULT_NODES = 256
 _WKB_TOL = 1e-9
@@ -37,11 +40,8 @@ _WKB_MAX_DOUBLINGS = 8
 #: contour points must satisfy the resonance condition to this residual
 CONTOUR_RESIDUAL = 1e-6
 
-#: halvings a bracketed root search may take before it gives up
-_MAX_BISECTIONS = 200
-
-#: a resonance on a line is bisected until its mismatch is this small
-_LINE_TOL = 1e-8
+#: steps a bracketed root search may take before it gives up
+_MAX_ROOT_STEPS = 200
 
 #: quadrature nodes of a resonance position on a line or an arc; the
 #: two-state estimate re-checks the line's resonance at the same count
@@ -50,8 +50,6 @@ RESONANCE_NODES = 512
 #: kernel points (coupling points times evaluated nodes) per block of an
 #: orbit average; bounds the temporaries of a large batch
 _CHUNK_POINTS = 16384
-
-_HALF_ROOT3 = 0.5 * math.sqrt(3.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,41 +92,66 @@ def _check_odd(delta_n):
         raise ValueError(f"only odd positive quantum exchange is resonant, got {delta_n}")
 
 
-def _bisect_root(f, lo, hi, tol, what, flo=None, args=()):
-    """Bisect the sign changes of ``f`` on the brackets [lo, hi] until |f(mid)| <= tol.
+def _bisect_root(f, lo, hi, what, flo=None, fhi=None, args=()):
+    """Close the sign-changing brackets [lo, hi] of ``f`` onto their roots.
 
-    ``lo`` and ``hi`` are arrays of brackets; ``f(x, *args)`` maps an array of
-    points, and the matching entries of each array in ``args``, to an array of
-    values.  Every bracket halves on its own and stops at its first midpoint
-    with |f(mid)| <= tol.  Returns the arrays ``(mid, f(mid))``; ``flo`` is
-    f(lo) when the caller already has it.  Raises ConvergenceError naming
-    ``what`` (a string, or a function of the bracket index) when a bracket
-    runs out of halvings.
+    ``f(x, *args)`` maps an array of points, with the matching entries of the
+    arrays in ``args``, to an array of values; ``flo`` and ``fhi`` are f at
+    the ends when the caller has them.  Each step is Illinois false position:
+    the secant point, or the midpoint when that is not strictly inside, and an
+    end kept twice in a row has its value halved.  A bracket stops where f is
+    exactly 0 (an end included) or once it is within 4 ulps of its ends, so
+    no tolerance is involved.  Returns the arrays ``(x, f(x))`` of the last
+    points evaluated.  Raises ConvergenceError naming ``what`` (a string, or a
+    function of the bracket index) and the bracket when one is still open
+    after ``_MAX_ROOT_STEPS`` steps.
     """
     lo = np.array(lo, dtype=float, ndmin=1)
     hi = np.array(hi, dtype=float, ndmin=1)
     args = tuple(np.asarray(a) for a in args)
     flo = np.array(f(lo, *args) if flo is None else flo, dtype=float, ndmin=1)
-    mid, fmid = np.empty_like(lo), np.empty_like(lo)
-    live = np.arange(lo.size)
-    for _ in range(_MAX_BISECTIONS):
+    fhi = np.array(f(hi, *args) if fhi is None else fhi, dtype=float, ndmin=1)
+    x, fx = np.where(flo == 0.0, lo, hi), np.where(flo == 0.0, flo, fhi)
+    kept = np.zeros(lo.size)        # the end kept at the last step: -1 lo, 1 hi
+    live = np.nonzero(fx != 0.0)[0]
+    for _ in range(_MAX_ROOT_STEPS):
         if live.size == 0:
             break
-        m = 0.5 * (lo[live] + hi[live])
-        fm = f(m, *(a[live] for a in args))
-        mid[live], fmid[live] = m, fm
-        open_ = np.abs(fm) > tol
-        up = open_ & ((fm > 0) == (flo[live] > 0))
-        down = open_ & ~up
+        a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
+        m = a + (b - a) * (fa / (fa - fb))
+        m = np.where((a < m) & (m < b), m, 0.5 * (a + b))
+        fm = f(m, *(arg[live] for arg in args))
+        x[live], fx[live] = m, fm
+        up = (fm > 0) == (fa > 0)
+        fhi[live[up & (kept[live] == 1)]] *= 0.5
+        flo[live[~up & (kept[live] == -1)]] *= 0.5
         lo[live[up]], flo[live[up]] = m[up], fm[up]
-        hi[live[down]] = m[down]
-        live = live[open_]
+        hi[live[~up]], fhi[live[~up]] = m[~up], fm[~up]
+        kept[live] = np.where(up, 1.0, -1.0)
+        ulps = np.spacing(np.maximum(np.abs(lo[live]), np.abs(hi[live])))
+        live = live[(fm != 0.0) & (hi[live] - lo[live] > 4.0 * ulps)]
     if live.size:
         i = live[0]
         raise ConvergenceError(
-            f"{what(i) if callable(what) else what} not within {tol:.1e} after "
-            f"{_MAX_BISECTIONS} bisections; last residual {fmid[i]:.3e} at {float(mid[i])!r}")
-    return mid, fmid
+            f"{what(i) if callable(what) else what} not closed after {_MAX_ROOT_STEPS} "
+            f"steps; bracket [{float(lo[i])!r}, {float(hi[i])!r}]")
+    return x, fx
+
+
+def _crossing(mismatch, lo, hi, what, where):
+    """(x, mismatch(x)) at the sign change of the scalar ``mismatch`` in [lo, hi].
+
+    Raises ConvergenceError when the ends do not change sign, or when the
+    mismatch at the root exceeds ``CONTOUR_RESIDUAL``, as at a jump.
+    """
+    flo, fhi = mismatch(np.array([lo, hi]))
+    if flo * fhi > 0:
+        raise ConvergenceError(f"{what} does not cross {where}")
+    (x,), (fx,) = _bisect_root(mismatch, lo, hi, f"{what} on {where}", flo, fhi)
+    if abs(fx) > CONTOUR_RESIDUAL:
+        raise ConvergenceError(f"{what} on {where} leaves a mismatch of {fx:.3e} at its "
+                               f"sign change {float(x)!r}, above {CONTOUR_RESIDUAL:g}")
+    return float(x), float(fx)
 
 
 def _orbit_levels(template, u, v, n, nodes):
@@ -138,13 +161,11 @@ def _orbit_levels(template, u, v, n, nodes):
     classical orbit of energy 2n+1 by the ``nodes``-point Chebyshev-Gauss
     rule.  The levels depend on y**2 only and the nodes are symmetric, so
     only the first half is evaluated, with weight 2 (the middle node of an
-    odd count, weight 1).  The cubic's branches are
-    mean + amp sin(phi + 2 pi k/3), where phi in [-pi/6, pi/6] is a third of
-    its arcsin angle; they are linear in amp sin(phi) and amp cos(phi), so the
-    average needs only the node sums S and C of those two, and the ascending
-    levels are mean + (-S/2 - sqrt(3) C/2, S, -S/2 + sqrt(3) C/2) / nodes.
-    The points go through the kernel in blocks of about ``_CHUNK_POINTS``
-    kernel points.  Fewer than 16 nodes raise ValueError.
+    odd count, weight 1).  The sorted levels are linear in amp sin(phi) and
+    amp cos(phi) of the cubic's trigonometric form (``trilevel._ascending``),
+    so the average needs only the node sums of those two.  The points go
+    through the kernel in blocks of about ``_CHUNK_POINTS`` kernel points.
+    Fewer than 16 nodes raise ValueError.
     """
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
@@ -162,21 +183,13 @@ def _orbit_levels(template, u, v, n, nodes):
     out = np.empty((u.size, 3))
     for start in range(0, u.size, rows):
         block = slice(start, start + rows)
-        mean, amp, three_phi = _trig_form(template, y, u[block, None], v[block, None])
-        sin = np.sin(three_phi / 3.0)
-        # cos(phi) >= sqrt(3)/2 on [-pi/6, pi/6], so the root loses nothing
-        cos = np.sqrt(1.0 - sin * sin)
-        sin *= amp
-        cos *= amp
+        mean, sin, cos = _trig_form(template, y, u[block, None], v[block, None])
         s = 2.0 * sin[:, :pairs].sum(axis=1)
         c = 2.0 * cos[:, :pairs].sum(axis=1)
         if nodes % 2:
             s += sin[:, pairs]
             c += cos[:, pairs]
-        c *= _HALF_ROOT3
-        out[block, 0] = mean + (-0.5 * s - c) / nodes
-        out[block, 1] = mean + s / nodes
-        out[block, 2] = mean + (-0.5 * s + c) / nodes
+        out[block] = _ascending(mean, s, c, nodes)
     return out
 
 
@@ -340,10 +353,11 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     Returns one ResonanceContour per entry of ``delta_ns``, in that order.
     The dressed transition is tabulated once on a radius grid along every
     ray, and the sign changes of (transition) - delta_n are bracketed on that
-    table for every delta_n and polished by bisection, all brackets at once.
-    Every accepted point is re-verified with the quadrature node count
-    doubled; a point that fails the check is bisected again at the doubled
-    count.  Rays without a bracket are reported, not fatal.
+    table for every delta_n and closed onto their roots to roundoff, all
+    brackets at once, from the table's values at their ends.  Every point is
+    verified with the quadrature node count doubled: its mismatch there must
+    be within ``residual_tol``, or it is found again at the doubled count.
+    Rays without a bracket are reported, not fatal.
     """
     j, k = _check_transition(transition)
     delta_ns = list(delta_ns)
@@ -374,18 +388,19 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     br_d, br_r, br_i = np.nonzero(np.sign(vals[..., :-1]) * np.sign(vals[..., 1:]) < 0)
 
     roots = np.empty(br_d.size)
-    pending, quad, flo = np.arange(br_d.size), nodes, vals[br_d, br_r, br_i]
+    pending, quad = np.arange(br_d.size), nodes
+    flo, fhi = vals[br_d, br_r, br_i], vals[br_d, br_r, br_i + 1]
     for _ in range(_WKB_MAX_DOUBLINGS):
         if pending.size == 0:
             break
         args = (br_r[pending], br_d[pending])
         mid, _ = _bisect_root(lambda t, ray, d: mismatch(t, ray, d, quad),
-                              ts[br_i[pending]], ts[br_i[pending] + 1], residual_tol,
+                              ts[br_i[pending]], ts[br_i[pending] + 1],
                               lambda i: f"contour point on ray {angles[args[0][i]]}",
-                              flo, args)
+                              flo, fhi, args)
         ok = np.abs(mismatch(mid, *args, 2 * quad)) <= residual_tol
         roots[pending[ok]] = mid[ok]
-        pending, quad, flo = pending[~ok], 2 * quad, None
+        pending, quad, flo, fhi = pending[~ok], 2 * quad, None, None
     if pending.size:
         raise ConvergenceError(f"contour point on ray {angles[br_r[pending[0]]]} "
                                "fails the doubled-node check")
@@ -409,45 +424,32 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
 
 
 def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
-                         radius: float, *, n: int = None, nodes: int = RESONANCE_NODES,
-                         residual_tol: float = CONTOUR_RESIDUAL):
+                         radius: float, *, nodes: int = RESONANCE_NODES):
     """Point where a resonance contour crosses the arc of a given radius.
 
-    Bisects on the polar angle at fixed radius.  Useful for contours that
-    terminate at the origin, where radial scans of any fixed ray fan stop
-    resolving them.  Returns ``((g1, g2), residual)`` or raises
-    ConvergenceError when the arc is not crossed or the bisection runs out.
+    The root in the polar angle at fixed radius, found to roundoff; useful for
+    contours that terminate at the origin, where radial scans of any fixed ray
+    fan stop resolving them.  Returns ``((g1, g2), residual)``; raises
+    ConvergenceError as ``_crossing`` does.
     """
     j, k = _check_transition(transition)
     _check_odd(delta_n)
-    if n is None:
-        n = template.n0
 
-    def f(phi):
+    def mismatch(phi):
         return _transition_gap(template, radius * np.cos(phi), radius * np.sin(phi),
-                               (j, k), n, nodes) - delta_n
+                               (j, k), template.n0, nodes) - delta_n
 
-    lo, hi = 0.0, math.pi / 2.0
-    flo, fhi = f(np.array([lo, hi]))
-    if flo == 0.0:
-        return (radius, 0.0), 0.0
-    if fhi == 0.0:
-        return (0.0, radius), 0.0
-    if flo * fhi > 0:
-        raise ConvergenceError(
-            f"contour ({j},{k},{delta_n}) does not cross the arc of radius {radius}")
-    mid, fm = _bisect_root(f, lo, hi, residual_tol * 1e-3,
-                           f"contour ({j},{k},{delta_n}) on the arc of radius {radius}", flo)
-    return (float(radius * np.cos(mid[0])), float(radius * np.sin(mid[0]))), float(fm[0])
+    phi, resid = _crossing(mismatch, 0.0, math.pi / 2.0, f"contour ({j},{k},{delta_n})",
+                           f"the arc of radius {radius}")
+    return (radius * math.cos(phi), radius * math.sin(phi)), resid
 
 
 def _line_resonance(template, end, transition, delta_n, n):
     """Where the dressed (j, k) transition matches ``delta_n`` quanta on a line.
 
     The line runs from zero coupling to the (g1, g2) point ``end``; the
-    returned t in [1e-6, 1] puts the resonance at g = t * end, bisected until
-    the mismatch is within ``_LINE_TOL``.  Raises ConvergenceError when the line
-    does not cross the resonance or the bisection runs out.
+    returned t in [1e-6, 1], found to roundoff, puts the resonance at
+    g = t * end.  Raises ConvergenceError as ``_crossing`` does.
     """
     j, k = transition
     end = np.asarray(end, dtype=float)
@@ -457,12 +459,6 @@ def _line_resonance(template, end, transition, delta_n, n):
         return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n,
                                RESONANCE_NODES) - delta_n
 
-    lo, hi = 1e-6, 1.0
-    flo, fhi = mismatch(np.array([lo, hi]))
-    if flo * fhi > 0:
-        raise ConvergenceError(
-            f"the ({j},{k}) resonance with {delta_n} quanta does not cross the line "
-            f"to (g1, g2) = ({end[0]:g}, {end[1]:g})")
-    t, _ = _bisect_root(mismatch, lo, hi, _LINE_TOL,
-                        f"the ({j},{k}) resonance with {delta_n} quanta", flo)
-    return float(t[0])
+    t, _ = _crossing(mismatch, 1e-6, 1.0, f"the ({j},{k}) resonance with {delta_n} quanta",
+                     f"the line to (g1, g2) = ({end[0]:g}, {end[1]:g})")
+    return t

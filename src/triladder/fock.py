@@ -409,11 +409,11 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         if new_vals is not None and np.all(quality >= OVERLAP_FLOOR):
             close = np.abs(quality - runner) < AMBIGUITY
             if np.any(close):
-                raise TrackingError(
-                    f"ambiguous level identity at g={tuple(g)}: overlaps within {AMBIGUITY}")
+                raise TrackingError(f"ambiguous level identity at g={tuple(g.tolist())}: "
+                                    f"overlaps within {AMBIGUITY}")
             return new_vals, new_vecs
         if depth >= _MAX_REFINES:
-            raise TrackingError(f"overlap tracking failed near g={tuple(g)}")
+            raise TrackingError(f"overlap tracking failed near g={tuple(g.tolist())}")
         t_mid = 0.5 * (t_from + t_to)
         vals, vecs = advance(t_from, t_mid, vals, vecs, depth + 1)
         return advance(t_mid, t_to, vals, vecs, depth + 1)
@@ -696,7 +696,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
                               options={"xatol": 1e-10 / span_g})
         if not res.success:
             raise ConvergenceError(
-                f"gap minimum near g={tuple(g_of(res.x))} not refined: {res.message}")
+                f"gap minimum near g={tuple(g_of(res.x).tolist())} not refined: {res.message}")
         g_min = tuple(g_of(res.x))
         minima.append((g_min[0], g_min[1], math.sqrt(res.fun)))
 

@@ -34,9 +34,6 @@ _DEGENERATE_CUBIC = 1e-12
 #: chained sign fixing refuses when consecutive bases overlap less than this
 _CHAIN_OVERLAP_FLOOR = 0.3
 
-#: phase shifts 2 pi k of the three cubic branches
-_SHIFTS = np.array([0.0, 2.0 * np.pi, 4.0 * np.pi])
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -149,12 +146,12 @@ def _cubic_terms(params: ModelParams, y, u=None, v=None):
 
 
 def _trig_form(params: ModelParams, y, u=None, v=None):
-    """(mean, amp, theta) of the roots mean + amp sin((theta + 2 pi k) / 3), k = 0, 1, 2.
+    """(mean, amp sin(phi), amp cos(phi)) of the roots mean + amp sin(phi + 2 pi k/3).
 
-    ``theta`` is the arcsin angle in [-pi/2, pi/2]; ``u`` and ``v`` are as in
-    :func:`_cubic_terms`.  Raises DegenerateLevelsError when the amplitude
-    vanishes and TriladderError when the arcsin argument exceeds 1 by more
-    than roundoff.
+    phi, a third of the arcsin angle, lies in [-pi/6, pi/6]; ``u`` and ``v``
+    are as in :func:`_cubic_terms`.  Raises DegenerateLevelsError when the
+    amplitude vanishes and TriladderError when the arcsin argument exceeds 1
+    by more than roundoff.
     """
     alpha, beta, mean = _cubic_terms(params, y, u, v)
     amp = np.sqrt(4.0 * np.asarray(alpha) / 3.0)
@@ -163,29 +160,32 @@ def _trig_form(params: ModelParams, y, u=None, v=None):
     s = -4.0 * np.asarray(beta) / amp**3
     if np.any(np.abs(s) > 1.0 + _ARCSIN_SLACK):
         raise TriladderError("arcsin argument exceeds 1 beyond roundoff slack")
-    return mean, amp, np.arcsin(np.clip(s, -1.0, 1.0))
+    sin = np.sin(np.arcsin(np.clip(s, -1.0, 1.0)) / 3.0)
+    # cos(phi) >= sqrt(3)/2 on [-pi/6, pi/6], so the root loses nothing
+    cos = np.sqrt(1.0 - sin * sin)
+    return mean, amp * sin, amp * cos
 
 
-def _branches(params: ModelParams, y):
-    """The three roots of the cubic, unsorted: branch k = 0, 1, 2 on the last axis.
+def _ascending(mean, s, c, count=1):
+    """The roots mean + (-s/2 - sqrt(3) c/2, s, -s/2 + sqrt(3) c/2) on a new last axis.
 
-    For the arcsin angle theta in [-pi/2, pi/2] the branches are ordered
-    k = 2 <= k = 0 <= k = 1, so ``[..., [2, 0, 1]]`` is ascending without a sort.
+    With (s, c) from :func:`_trig_form` these are the three roots, ascending
+    since sqrt(3) c/2 >= 3 |s|/2 for |phi| <= pi/6.  When ``s`` and ``c`` are
+    sums over ``count`` points, the means of the roots come back.
     """
-    mean, amp, theta = _trig_form(params, y)
-    return mean + amp[..., None] * np.sin((theta[..., None] + _SHIFTS) / 3.0)
+    c = 0.5 * math.sqrt(3.0) * c
+    return np.stack([mean + (-0.5 * s - c) / count, mean + s / count,
+                     mean + (-0.5 * s + c) / count], axis=-1)
 
 
 def eigenvalues_at(params: ModelParams, y) -> np.ndarray:
     """Sorted adiabatic energies E1(y) <= E2(y) <= E3(y).
 
     Accepts scalar or array ``y``; array input returns shape ``y.shape + (3,)``.
-    The roots come from the triple-angle sine form of the cubic, so the call is
-    cheap and fully vectorized.
+    The closed triple-angle form of the cubic gives the roots in order, so the
+    call is cheap and fully vectorized.
     """
-    scalar = np.isscalar(y) or np.ndim(y) == 0
-    roots = np.sort(_branches(params, y), axis=-1)
-    return roots[0] if (scalar and roots.ndim == 2) else roots
+    return _ascending(*_trig_form(params, y))
 
 
 def _det3(b):

@@ -146,6 +146,20 @@ class TestOtherCommands:
             got = np.array([float(v) for v in row[2:5]])
             np.testing.assert_allclose(got, expect, rtol=1e-12)
 
+    def test_splittings_failure_reason_on_stderr(self, tmp_path, capsys):
+        # at half-width 16 the truncation bound leaves the 13-quantum gap
+        # uncertain: the row is written with ok = 0 and the reason on stderr
+        body = MODEL + "[run]\nratio = 0.3\ndelta_n_list = 13\nhalf_width = 16\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["splittings", "--config", cfg, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"splittings: delta_n 13: the window n0 \+- 16 leaves the gap "
+                         r"\S+ uncertain by \S+", err)
+        lines = (tmp_path / "splittings.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert len(rows) == 2
+        assert rows[1][:3] == ["1", "2", "13"] and rows[1][4:] == ["nan"] * 7 + ["0", "0"]
+
     def test_contours_rejects_even_exchange(self, tmp_path, capsys):
         body = MODEL + "[run]\ntransition = 1,2\ndelta_n_list = 12\nrays = 5\n"
         cfg = write_config(tmp_path, body)

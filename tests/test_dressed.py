@@ -194,27 +194,28 @@ class TestResonanceContours:
         # at radius 5e-4 a geometric part starting at 1e-4 would run down into
         # the linear part, bracket the diagonal crossing twice and never reach
         # ray 0's crossing at 3.0e-5; at 1.1e-3 and 2e-3 one starting at 1e-4
-        # would crowd below radius/10 and miss both crossings.  Where the
-        # transition is this flat the grid sets the point (residual_tol 1e-6;
-        # ray 0's root is at 3.015e-5), hence pinned points per radius and a
-        # relative bracket around ray 0's point that holds the sign change.
+        # would crowd below radius/10 and miss both crossings.  The transition
+        # is flat here (mismatch -4e-8 at zero coupling), so a search that
+        # stopped on a residual would return a point set by the scan grid;
+        # closed to roundoff, both points are the same at every radius.
         template = ModelParams.from_dimensionless(0.0, 10.99999996, 24.0, 0.0, 0.0, 10**8)
-        for radius, ray0_g1, diagonal, spread in ((0.0005, 3.006e-5, 6.472e-5, 0.01),
-                                                  (1.1e-3, 2.980e-5, 6.612e-5, 0.02),
-                                                  (2e-3, 3.047e-5, 6.761e-5, 0.02)):
+        ray0, diagonal = [], []
+        for radius in (0.0005, 1e-3, 1.1e-3, 2e-3):
             c, = resonance_contour(template, (1, 2), [11],
                                    angles=np.linspace(0, np.pi / 2, 3), radius=radius)
             assert not np.any(c.multiple)
             assert np.array_equal(c.angles, [0.0, np.pi / 4])
             assert np.array_equal(c.missed_angles, [np.pi / 2])
-            assert np.max(np.abs(c.residuals)) <= 1e-6
-            assert math.hypot(*c.points[1]) == pytest.approx(diagonal, rel=1e-3)
-            # ray 0 really changes sign there
-            g1 = c.points[0, 0]
-            assert g1 == pytest.approx(ray0_g1, rel=1e-3)
-            below, above = (dressed_transition(template.with_couplings(g, 0.0), 1, 2) - 11
-                            for g in ((1 - spread) * g1, (1 + spread) * g1))
-            assert below < 0 < above
+            assert np.max(np.abs(c.residuals)) <= 1e-12
+            ray0.append(c.points[0, 0])
+            diagonal.append(math.hypot(*c.points[1]))
+        for points in (ray0, diagonal):
+            assert max(points) - min(points) <= 1e-6 * min(points)
+        assert ray0[0] == pytest.approx(3.015113e-5, rel=1e-6)
+        # ray 0 really changes sign there
+        below, above = (dressed_transition(template.with_couplings(g, 0.0), 1, 2) - 11
+                        for g in ((1 - 1e-4) * ray0[0], (1 + 1e-4) * ray0[0]))
+        assert below < 0 < above
 
     def test_rays_outside_the_quadrant_and_bad_radius_rejected(self, ladder):
         for angles in ([-0.1, 0.5], [0.2, np.pi / 2 + 0.01], [0.3, np.nan]):
@@ -260,16 +261,15 @@ class TestResonanceContours:
         assert abs(resid) <= 1e-6
 
     def test_unreachable_tolerance_raises(self, ladder, monkeypatch):
-        # a mismatch that changes sign at g1 = 0.3 but never comes within the
-        # tolerance: both searches exhaust their halvings, whatever the roundoff
-        # of the kernel
+        # a mismatch that jumps from -0.5 to 0.5 at g1 = 0.3: both searches
+        # close onto the jump, and the mismatch there fails the verification
         monkeypatch.setattr(dressed, "_transition_gap",
                             lambda template, g1, g2, jk, n, nodes:
                             np.where(np.asarray(g1) < 0.3, 12.5, 13.5))
-        with pytest.raises(ConvergenceError, match="200 bisections"):
+        with pytest.raises(ConvergenceError, match="fails the doubled-node check"):
             resonance_contour(ladder, (1, 2), [13], angles=np.array([0.1]),
                               scan_points=30)
-        with pytest.raises(ConvergenceError, match="200 bisections"):
+        with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             contour_arc_crossing(ladder, (1, 2), 13, 0.5)
 
     def test_missing_bracket_reported_not_fatal(self, ladder):
@@ -281,56 +281,65 @@ class TestResonanceContours:
 
 
 class TestBisectRoot:
-    def test_returns_midpoint_within_tolerance(self):
+    @staticmethod
+    def counted(f):
         calls = []
 
-        def f(x):
-            calls.append(x)
-            return x * x - 2.0
+        def g(x, *args):
+            calls.append(np.array(x))
+            return f(x, *args)
+        return g, calls
 
-        root, value = _bisect_root(f, np.array([1.0]), np.array([2.0]), 1e-12, "sqrt(2)")
-        assert root == calls[-1]
-        assert value == f(root)
-        assert abs(value[0]) <= 1e-12
-        assert root[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        # an exact root at the first midpoint comes back at once
-        assert _bisect_root(lambda x: x - 0.5, np.array([0.0]), np.array([1.0]), 0.0,
-                            "x = 1/2") == (0.5, 0.0)
-        # a known f(lo) is not evaluated again
+    def test_closes_to_roundoff(self):
+        f, calls = self.counted(lambda x: x * x - 2.0)
+        root, value = _bisect_root(f, [1.0], [2.0], "sqrt(2)")
+        assert abs(root[0] - math.sqrt(2.0)) <= 2 * np.spacing(math.sqrt(2.0))
+        assert len(calls) <= 12
+        # the returned value is f at the returned point, the last one evaluated
+        assert root[0] == calls[-1][0] and value[0] == root[0] * root[0] - 2.0
+
+    def test_exact_zero_returns_at_once(self):
+        f, calls = self.counted(lambda x: x - 0.5)
+        # at an end: only the two ends are evaluated
+        assert _bisect_root(f, [0.5], [1.0], "x = 1/2") == (0.5, 0.0)
+        assert _bisect_root(f, [0.0], [0.5], "x = 1/2") == (0.5, 0.0)
+        assert len(calls) == 4
+        # at the first step: the secant of a line hits its root
         calls.clear()
-        _bisect_root(f, np.array([1.0]), np.array([2.0]), 1e-12, "sqrt(2)",
-                     flo=np.array([-1.0]))
-        assert 1.0 not in calls
+        assert _bisect_root(f, [0.0], [1.0], "x = 1/2") == (0.5, 0.0)
+        assert len(calls) == 3
 
-    def test_unreachable_tolerance_raises(self):
-        # x * x never rounds to exactly 2, so tol = 0 can never be met
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x * x - 2.0
-
-        with pytest.raises(ConvergenceError, match="sqrt\\(2\\) .* 200 bisections"):
-            _bisect_root(f, np.array([1.0]), np.array([2.0]), 0.0, "sqrt(2)")
-        assert len(calls) == 1 + 200
+    def test_given_end_values_not_evaluated_again(self):
+        f, calls = self.counted(lambda x: x * x - 2.0)
+        expect = _bisect_root(f, [1.0], [2.0], "sqrt(2)")
+        for given in ({"flo": [-1.0]}, {"fhi": [2.0]}, {"flo": [-1.0], "fhi": [2.0]}):
+            calls.clear()
+            assert _bisect_root(f, [1.0], [2.0], "sqrt(2)", **given) == expect
+            evaluated = np.concatenate(calls)
+            assert ("flo" in given) == (1.0 not in evaluated)
+            assert ("fhi" in given) == (2.0 not in evaluated)
 
     def test_brackets_bisect_as_if_alone(self):
-        # every bracket follows its own midpoint sequence and stops at its own
-        # first hit, so the batch returns what one-element calls return
+        # every bracket follows its own step sequence and stops on its own,
+        # so the batch returns what one-bracket calls return
         targets = np.array([2.0, 3.0, 0.25, 5.0, 7.0])
         signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])    # rising and falling
-        lo = np.array([1.0, 1.0, 0.0, 2.0, 2.0])
+        lo = np.array([1.0, 1.0, 0.5, 2.0, 2.0])
         hi = np.array([2.0, 2.0, 1.0, 3.0, 3.0])
-        roots, values = _bisect_root(lambda x, c, s: s * (x * x - c), lo, hi, 1e-9, "root",
+        roots, values = _bisect_root(lambda x, c, s: s * (x * x - c), lo, hi, "root",
                                      args=(targets, signs))
         for i in range(targets.size):
             alone = _bisect_root(lambda x: signs[i] * (x * x - targets[i]),
-                                 lo[i:i + 1], hi[i:i + 1], 1e-9, "root")
+                                 lo[i:i + 1], hi[i:i + 1], "root")
             assert (roots[i], values[i]) == (alone[0][0], alone[1][0])
-        assert roots[2] == 0.5    # met exactly at the first midpoint
+            assert abs(roots[i] - math.sqrt(targets[i])) <= 4 * np.spacing(roots[i])
+        assert (roots[2], values[2]) == (0.5, 0.0)    # a zero at an end
 
-    def test_failing_bracket_is_named(self):
-        # the first bracket meets tol = 0 at once, the second never does
-        with pytest.raises(ConvergenceError, match="bracket 1 not within .* 200 bisections"):
-            _bisect_root(lambda x, c: x * x - c, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
-                         0.0, lambda i: f"bracket {i}", args=(np.array([0.25, 2.0]),))
+    def test_failing_bracket_is_named(self, monkeypatch):
+        # the first bracket has its root at an end, the second needs more
+        # than 3 steps
+        monkeypatch.setattr(dressed, "_MAX_ROOT_STEPS", 3)
+        with pytest.raises(ConvergenceError,
+                           match=r"bracket 1 not closed after 3 steps; bracket \[1\.\d+, "):
+            _bisect_root(lambda x, c: x * x - c, np.array([0.5, 1.0]), np.array([1.0, 2.0]),
+                         lambda i: f"bracket {i}", args=(np.array([0.25, 2.0]),))

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from triladder import (ConvergenceError, ModelParams, anticrossing_gap,
                        build_hamiltonian, eigen_near, exact_dressed_levels,
-                       resonance_sharpness_map, track_levels, wkb_levels)
+                       TrackingError, resonance_sharpness_map, track_levels, wkb_levels)
 from triladder import fock
-from triladder.fock import _shift_invert_near
+from triladder.fock import _shift_invert_near, central_quantum
 
 
 def dense_full_basis(params, nmax):
@@ -198,6 +198,16 @@ class TestTracking:
         tr = track_levels(ladder, (0.0, 0.0), (0.0, 0.0), 1, 10**8, 50, [(1, 10**8 + 1)])
         assert tr.gs.shape == (1, 2) and tr.energies.shape == (1, 1)
         assert tr.energies[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_failure_names_the_point_in_plain_floats(self, ladder, monkeypatch):
+        # without step refinement the sweep cannot follow the pair to (0.9,
+        # 0.9); the message names the point as floats, not numpy reprs
+        monkeypatch.setattr(fock, "_MAX_REFINES", 0)
+        nb = central_quantum(1, 10**8)
+        with pytest.raises(TrackingError, match=r"near g=\(0\.\d+, 0\.\d+\)$") as info:
+            track_levels(ladder, (0.0, 0.0), (0.9, 0.9), 3, 10**8, 40,
+                         [(1, nb), (2, nb - 13)])
+        assert "np." not in str(info.value)
 
     def test_mixed_parity_labels_rejected(self, ladder):
         with pytest.raises(ValueError):

@@ -51,15 +51,15 @@ class TestPtSplitting:
 
 class TestContourPoint:
     def test_unreachable_tolerance_raises(self, ladder, monkeypatch):
-        # a mismatch that changes sign at g1 = 0.3 but never comes within the
-        # tolerance: the line search that both callers share exhausts its
-        # halvings, whatever the roundoff of the kernel
+        # a mismatch that jumps from -0.5 to 0.5 at g1 = 0.3: the line search
+        # that both callers share closes onto the jump, and the mismatch there
+        # fails the verification
         monkeypatch.setattr(dressed, "_transition_gap",
                             lambda template, g1, g2, jk, n, nodes:
                             np.where(np.asarray(g1) < 0.3, 16.5, 17.5))
-        with pytest.raises(ConvergenceError, match="200 bisections"):
+        with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             contour_point_on_line(ladder, (1, 2), 17, ratio=0.5)
-        with pytest.raises(ConvergenceError, match="200 bisections"):
+        with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             anticrossing_gap(ladder, ((0.0, 0.0), (1.05, 0.525)), 17, (1, 2), 10**8, 400)
 
 

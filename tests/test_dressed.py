@@ -319,6 +319,17 @@ class TestBisectRoot:
             assert ("flo" in given) == (1.0 not in evaluated)
             assert ("fhi" in given) == (2.0 not in evaluated)
 
+    def test_unreachable_tolerance_raises(self):
+        # infinite end values give the secant no slope, so every step is a
+        # midpoint; closing [0, 1e60] onto x = 1 takes about 250 halvings,
+        # more than the step cap allows
+        f, calls = self.counted(lambda x: np.where(x < 1.0, -np.inf, np.inf))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConvergenceError,
+                              match=r"x = 1 not closed after 200 steps; bracket \[0\.\d+, 1\.\d+\]"):
+            _bisect_root(f, [0.0], [1e60], "x = 1")
+        assert len(calls) == 2 + 200
+
     def test_brackets_bisect_as_if_alone(self):
         # every bracket follows its own step sequence and stops on its own,
         # so the batch returns what one-bracket calls return

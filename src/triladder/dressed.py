@@ -58,7 +58,7 @@ class ResonanceContour:
 
     ``points`` is ordered by ray angle (and by radius within a ray when a ray
     crosses the contour more than once).  ``angles`` are the corresponding ray
-    angles, ``residuals`` the verified values of the resonance mismatch, and
+    angles, ``residuals`` the resonance mismatch at twice the node count, and
     ``multiple`` flags points that share a ray with another root.
     ``missed_angles`` lists rays that never bracketed the contour.
     """
@@ -165,10 +165,12 @@ def _orbit_levels(template, u, v, n, nodes):
     amp cos(phi) of the cubic's trigonometric form (``trilevel._ascending``),
     so the average needs only the node sums of those two.  The points go
     through the kernel in blocks of about ``_CHUNK_POINTS`` kernel points.
-    Fewer than 16 nodes raise ValueError.
+    Fewer than 16 nodes or a negative ``n`` raise ValueError.
     """
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
+    if n < 0:
+        raise ValueError(f"the quantum number n must be >= 0, got {n}")
     u = np.array(u, dtype=float, ndmin=1)
     v = np.array(v, dtype=float, ndmin=1)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -388,6 +390,7 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     br_d, br_r, br_i = np.nonzero(np.sign(vals[..., :-1]) * np.sign(vals[..., 1:]) < 0)
 
     roots = np.empty(br_d.size)
+    resid = np.full(br_d.size, np.nan)      # doubled-node mismatch of the first round
     pending, quad = np.arange(br_d.size), nodes
     flo, fhi = vals[br_d, br_r, br_i], vals[br_d, br_r, br_i + 1]
     for _ in range(_WKB_MAX_DOUBLINGS):
@@ -398,8 +401,11 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
                               ts[br_i[pending]], ts[br_i[pending] + 1],
                               lambda i: f"contour point on ray {angles[args[0][i]]}",
                               flo, fhi, args)
-        ok = np.abs(mismatch(mid, *args, 2 * quad)) <= residual_tol
+        check = mismatch(mid, *args, 2 * quad)
+        ok = np.abs(check) <= residual_tol
         roots[pending[ok]] = mid[ok]
+        if quad == nodes:
+            resid[pending[ok]] = check[ok]
         pending, quad, flo, fhi = pending[~ok], 2 * quad, None, None
     if pending.size:
         raise ConvergenceError(f"contour point on ray {angles[br_r[pending[0]]]} "
@@ -408,9 +414,13 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     d_all = np.concatenate([zero_d, br_d])
     r_all = np.concatenate([zero_r, br_r])
     t_all = np.concatenate([ts[zero_i], roots])
+    resid = np.concatenate([np.full(zero_d.size, np.nan), resid])
     order = np.lexsort((t_all, r_all, d_all))
-    d_all, r_all, t_all = d_all[order], r_all[order], t_all[order]
-    resid = mismatch(t_all, r_all, d_all, 2 * nodes)
+    d_all, r_all, t_all, resid = d_all[order], r_all[order], t_all[order], resid[order]
+    # table zeros and points found at a raised node count have no such value yet
+    again = np.isnan(resid)
+    if np.any(again):
+        resid[again] = mismatch(t_all[again], r_all[again], d_all[again], 2 * nodes)
     count = np.zeros((dns.size, angles.size), dtype=int)
     np.add.at(count, (d_all, r_all), 1)
     contours = []

@@ -349,8 +349,8 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
                  keep_vectors: bool = False) -> TrackedLevels:
     """Continue labelled eigenstates along a straight line in (g1, g2).
 
-    ``which`` lists (level, quantum-number) labels; all must live in one
-    parity sector, the one the sweep runs in.  The sweep must start at zero
+    ``which`` lists distinct (level, quantum-number) labels; all must live in
+    one parity sector, the one the sweep runs in.  The sweep must start at zero
     coupling (where the labels are exact basis states) unless
     ``start_vectors`` supplies the starting eigenvectors explicitly.
     ``steps`` counts the recorded points, ends included (1 only if end equals
@@ -360,6 +360,9 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
     TrackingError.  Energies are measured from n0.
     """
     which = [(int(j), int(nq)) for j, nq in which]
+    for i, label in enumerate(which):
+        if label in which[:i]:
+            raise ValueError(f"label {label} appears twice in which")
     bits = {(j + nq) % 2 for j, nq in which}
     if len(bits) != 1:
         raise ValueError("tracked states must share one parity sector")

@@ -4,10 +4,11 @@ The three bare levels couple in a ladder scheme: 1<->2 with per-quantum
 amplitude ``u`` and 2<->3 with amplitude ``v``.  Treating the oscillator
 coordinate ``y`` as a parameter gives a real symmetric tridiagonal 3x3 matrix
 whose eigenvalues are obtained in closed form from the depressed-cubic
-characteristic equation via the triple-angle sine identity.  Eigenvectors are
-computed from row cross products of the shifted matrix; their column signs
-are fixed by the dominant component, by a reference basis, or by continuity
-along an ascending scan, which is the basis the derivative couplings use.
+characteristic equation via the triple-angle sine identity.  Eigenvectors
+come from LAPACK through numpy's batched ``eigh``, whose own eigenvalues are
+discarded; their column signs are fixed by the dominant component, by a
+reference basis, or by continuity along an ascending scan, which is the basis
+the derivative couplings use.
 """
 
 from __future__ import annotations
@@ -188,55 +189,6 @@ def eigenvalues_at(params: ModelParams, y) -> np.ndarray:
     return _ascending(*_trig_form(params, y))
 
 
-def _det3(b):
-    """Determinants of a stack of 3x3 matrices."""
-    return (b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
-            - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
-            + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0]))
-
-
-def _null_candidates(params, y, energies):
-    """Cross products of row pairs of (M - E*I) for each eigenvalue.
-
-    ``y`` has shape (N,), ``energies`` (N, 3).  Returns (N, 3, 3cand, 3comp).
-    """
-    wu = math.sqrt(2.0) * params.u * y
-    wv = math.sqrt(2.0) * params.v * y
-    a = params.e1 - energies
-    b = params.e2 - energies
-    c = params.e3 - energies
-    wu = wu[:, None]
-    wv = wv[:, None]
-    zero = np.zeros_like(a)
-    # rows of the shifted matrix: (a, wu, 0), (wu, b, wv), (0, wv, c)
-    c12 = np.stack([wu * wv + zero, -a * wv, a * b - wu * wu], axis=-1)
-    c23 = np.stack([b * c - wv * wv, -wu * c, wu * wv + zero], axis=-1)
-    c13 = np.stack([wu * c, -a * c, a * wv], axis=-1)
-    return np.stack([c12, c23, c13], axis=-2)
-
-
-def _raw_bases(params, y, energies):
-    """Unit eigenvector columns (N, 3, 3) before any sign convention."""
-    cand = _null_candidates(params, y, energies)
-    norms = np.linalg.norm(cand, axis=-1)
-    best = np.argmax(norms, axis=-1)
-    vecs = np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-        # one modified Gram-Schmidt pass keeps orthonormality at roundoff level
-        v1, v2, v3 = vecs[:, 0], vecs[:, 1], vecs[:, 2]
-        v2 = v2 - np.sum(v2 * v1, axis=-1, keepdims=True) * v1
-        v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
-        v3 = v3 - np.sum(v3 * v1, axis=-1, keepdims=True) * v1
-        v3 = v3 - np.sum(v3 * v2, axis=-1, keepdims=True) * v2
-        v3 = v3 / np.linalg.norm(v3, axis=-1, keepdims=True)
-    out = np.stack([v1, v2, v3], axis=-1)
-    if not np.all(np.isfinite(out)):
-        raise DegenerateLevelsError(None, None,
-                                    "eigenvector basis collapsed (levels too close)")
-    return out
-
-
 def _orient(bases, score):
     """Each column signed to make its ``score`` (N, 3) positive; det forced to +1.
 
@@ -245,7 +197,7 @@ def _orient(bases, score):
     """
     signs = np.where(score < 0, -1.0, 1.0)
     bases = bases * signs[:, None, :]
-    bad = _det3(bases) < 0
+    bad = np.linalg.det(bases) < 0
     if np.any(bad):
         weakest = np.argmin(np.abs(score), axis=-1)
         flip = np.ones_like(signs)
@@ -262,7 +214,8 @@ def _check_separation(y, energies, guard=DEGENERACY_GUARD):
     # scale with the spread; the absolute floor still applies
     spread = energies[..., 2] - energies[..., 0]
     limit = np.maximum(guard, 5e-8 * spread)
-    if np.any(tight < limit):
+    # written so that NaN levels, from a non-finite y, are refused as well
+    if not np.all(tight >= limit):
         i = int(np.argmin(tight - limit))
         raise DegenerateLevelsError(float(np.asarray(y).reshape(-1)[i]),
                                     np.asarray(energies).reshape(-1, 3)[i])
@@ -271,14 +224,17 @@ def _check_separation(y, energies, guard=DEGENERACY_GUARD):
 def _eigensystem(params, y, reference=None):
     """Vectorized levels and sign-fixed bases at coordinates ``y`` (1-D array).
 
-    ``reference`` may be a single (3, 3) matrix or a per-point (N, 3, 3)
-    stack, and each column takes the sign of positive overlap with it;
-    without it, each column's largest component is made positive.
+    The levels are the closed-form roots of :func:`eigenvalues_at`, checked
+    for separation before any vector is taken; the columns are LAPACK's
+    orthonormal eigenvectors of :func:`level_matrix`, in the same ascending
+    order.  ``reference`` may be a single (3, 3) matrix or a per-point
+    (N, 3, 3) stack, and each column takes the sign of positive overlap with
+    it; without it, each column's largest component is made positive.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     energies = eigenvalues_at(params, y)
     _check_separation(y, energies)
-    bases = _raw_bases(params, y, energies)
+    bases = np.linalg.eigh(level_matrix(params, y))[1]
     if reference is None:
         idx = np.argmax(np.abs(bases), axis=1)
         score = np.take_along_axis(bases, idx[:, None, :], axis=1)[:, 0, :]

@@ -113,6 +113,14 @@ class TestOrbitLevels:
         with pytest.raises(ValueError, match="16 quadrature nodes"):
             average(ladder)
 
+    @pytest.mark.parametrize("average", [
+        lambda p: wkb_levels(p, -1),
+        lambda p: dressed_transition(p.with_couplings(0.1, 0.1), 1, 2, n=-1),
+    ], ids=["levels", "transition"])
+    def test_every_average_needs_a_non_negative_n(self, ladder, average):
+        with pytest.raises(ValueError, match="quantum number n must be >= 0, got -1"):
+            average(ladder)
+
 
 class TestGridOracle:
     def test_zero_coupling_recovers_oscillator(self):
@@ -271,6 +279,44 @@ class TestResonanceContours:
                               scan_points=30)
         with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             contour_arc_crossing(ladder, (1, 2), 13, 0.5)
+
+    def test_doubled_nodes_evaluated_once_a_round(self, ladder, monkeypatch):
+        # points accepted in the first round report the verification values
+        calls = []
+        gap = dressed._transition_gap
+
+        def spy(template, g1, g2, jk, n, nodes):
+            calls.append(nodes)
+            return gap(template, g1, g2, jk, n, nodes)
+
+        monkeypatch.setattr(dressed, "_transition_gap", spy)
+        c, = resonance_contour(ladder, (1, 2), [13], angles=np.linspace(0.0, np.pi / 2, 7),
+                               scan_points=60, nodes=64)
+        assert len(c.points) > 0
+        assert calls.count(128) == 1
+        again = gap(ladder, c.points[:, 0], c.points[:, 1], (1, 2), ladder.n0, 128) - 13
+        assert np.array_equal(c.residuals, again)
+
+    def test_later_rounds_and_table_zeros_report_doubled_nodes(self, ladder, monkeypatch):
+        # a mismatch off by 1e-3 at the base count only: the first round's
+        # point fails its check, the second round's passes, and its residual
+        # is the mismatch at twice the base count, not the failed check
+        monkeypatch.setattr(dressed, "_transition_gap",
+                            lambda template, g1, g2, jk, n, nodes:
+                            13.0 + (np.asarray(g1) - 0.3) + (1e-3 if nodes == 64 else 0.0))
+        c, = resonance_contour(ladder, (1, 2), [13], angles=np.array([0.0]),
+                               scan_points=30, nodes=64)
+        assert c.points[0, 0] == pytest.approx(0.3, abs=1e-12)
+        assert abs(c.residuals[0]) <= 1e-12
+        # a scan radius where the table is exactly zero
+        hit = dressed._scan_grid(1.25, 30)[12]
+        monkeypatch.setattr(dressed, "_transition_gap",
+                            lambda template, g1, g2, jk, n, nodes:
+                            13.0 + (np.asarray(g1) - hit) + (0.0 if nodes == 64 else 2e-7))
+        c, = resonance_contour(ladder, (1, 2), [13], angles=np.array([0.0]),
+                               scan_points=30, nodes=64)
+        assert c.points[0, 0] == hit
+        assert c.residuals[0] == pytest.approx(2e-7, rel=1e-6)
 
     def test_missing_bracket_reported_not_fatal(self, ladder):
         c, = resonance_contour(ladder, (1, 2), [25],

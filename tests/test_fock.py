@@ -214,6 +214,12 @@ class TestTracking:
             track_levels(ladder, (0.0, 0.0), (0.1, 0.1), 3, 10**8, 50,
                          [(1, 10**8 + 1), (2, 10**8 + 1)])
 
+    def test_repeated_label_rejected(self, ladder, monkeypatch):
+        monkeypatch.setattr(fock, "_shift_invert_near", None)   # before any solve
+        label = (1, 10**8 + 1)
+        with pytest.raises(ValueError, match=r"\(1, 100000001\) appears twice"):
+            track_levels(ladder, (0.0, 0.0), (0.1, 0.1), 3, 10**8, 50, [label, label])
+
     def test_energy_order_swap_is_logged(self, ladder):
         # the two states cross (diabatically) at the 13-quantum resonance
         n0 = 10**8

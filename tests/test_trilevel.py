@@ -167,9 +167,14 @@ class TestEigenbasis:
         assert_allclose(basis[:2, :2], expected, atol=1e-10)
 
     def test_diagonalizes_the_level_matrix(self, rng):
+        # small-n0 points near the origin, then n0 = 1e8 couplings at |y| up
+        # to 1.5e4, the range of the DVR nodes in an element window
+        cases = [(random_params(rng), rng.uniform(-4, 4)) for _ in range(50)]
         for _ in range(50):
-            p = random_params(rng)
-            y = rng.uniform(-4, 4)
+            p = random_params(rng, n0=10**8, max_coupling=0.0)
+            cases.append((p.with_couplings(*rng.uniform(0.0, 1.1, 2)),
+                          rng.uniform(-1.5e4, 1.5e4)))
+        for p, y in cases:
             try:
                 levels, basis = eigensystem_at(p, y)
             except DegenerateLevelsError:
@@ -185,6 +190,12 @@ class TestEigenbasis:
         _, b = eigensystem_at(p, 1.0 + 1e-5, reference=a)
         overlaps = np.einsum("ij,ij->j", a, b)
         assert np.all(overlaps > 0.999)
+
+    def test_non_finite_coordinate_is_refused(self):
+        p = ModelParams(0.0, 11.0, 24.0, 0.9, 0.4, 100)
+        for y in (np.nan, np.inf):
+            with pytest.raises(DegenerateLevelsError), np.errstate(invalid="ignore"):
+                _eigensystem(p, [1.0, y])
 
     def test_exact_degeneracy_is_refused(self):
         # a decoupled level crossing the lower block: gap vanishes at y = 2 sqrt(2)

@@ -93,8 +93,7 @@ RUN_KEYS = {
             "nodes": (_at_least(16), 256)},
     "contours": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
                  "rays": (_at_least(1), 181), "radius": (POSITIVE, 1.25),
-                 "scan_points": (_at_least(2), 160), "nodes": (_at_least(16), 256),
-                 "residual_tol": (POSITIVE, 1e-6)},
+                 "scan_points": (_at_least(2), 160), "nodes": (_at_least(16), 256)},
     "resonance-map": {"transition": (TRANSITION, (1, 2)), **_grid("g1", 0.0, 1.0),
                       **_grid("g2", 0.0, 1.25), "half_width": (_at_least(8), 400)},
     "splittings": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
@@ -256,9 +255,8 @@ def render_contours(cfg) -> str:
     run = read_run(cfg, "contours")
     (j, k), dns = run["transition"], run["delta_n_list"]
     angles = np.linspace(0.0, np.pi / 2.0, run["rays"])
-    contours = resonance_contour(cfg.params, (j, k), dns, angles=angles,
-                                 radius=run["radius"], scan_points=run["scan_points"],
-                                 nodes=run["nodes"], residual_tol=run["residual_tol"])
+    contours = resonance_contour(cfg.params, (j, k), dns, angles=angles, radius=run["radius"],
+                                 scan_points=run["scan_points"], nodes=run["nodes"])
     rows = []
     for dn, contour in zip(dns, contours):
         for i in range(len(contour.points)):

@@ -18,9 +18,9 @@ the transition over a fan of rays serves every quantum exchange asked for,
 and all brackets on it are closed together.  Every resonance search, on the
 rays, on an arc (``contour_arc_crossing``) or on a straight line from zero
 coupling (``_line_resonance``, which serves both the contour point and the
-gap scan of the splitting comparison), closes its brackets with one root
-helper, ``_bisect_root``, to roundoff; each caller then checks the mismatch
-at the root against one bound.
+gap scan of the splitting comparison), goes through ``_resonance_roots``: it
+closes the brackets to roundoff and holds each root to one bound,
+``CONTOUR_RESIDUAL``, at its node count and at twice that count.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class ResonanceContour:
 
     ``points`` is ordered by ray angle (and by radius within a ray when a ray
     crosses the contour more than once).  ``angles`` are the corresponding ray
-    angles, ``residuals`` the resonance mismatch at twice the node count, and
-    ``multiple`` flags points that share a ray with another root.
+    angles, ``residuals`` the resonance mismatch at twice the scan's node count
+    (the check each point passed, unless it was found again at a higher count),
+    and ``multiple`` flags points that share a ray with another root.
     ``missed_angles`` lists rays that never bracketed the contour.
     """
 
@@ -98,10 +99,11 @@ def _bisect_root(f, lo, hi, what, flo=None, fhi=None, args=()):
     ``f(x, *args)`` maps an array of points, with the matching entries of the
     arrays in ``args``, to an array of values; ``flo`` and ``fhi`` are f at
     the ends when the caller has them.  Each step is Illinois false position:
-    the secant point, or the midpoint when that is not strictly inside, and an
-    end kept twice in a row has its value halved.  A bracket stops where f is
-    exactly 0 (an end included) or once it is within 4 ulps of its ends, so
-    no tolerance is involved.  Returns the arrays ``(x, f(x))`` of the last
+    the secant point, or the midpoint when that is not strictly inside or the
+    same end has been kept three steps running, and an end kept twice in a row
+    has its value halved.  A bracket stops where f is exactly 0 (an end
+    included) or once it is within 4 ulps of its ends, so no tolerance is
+    involved.  Returns the arrays ``(x, f(x))`` of the last
     points evaluated.  Raises ConvergenceError naming ``what`` (a string, or a
     function of the bracket index) and the bracket when one is still open
     after ``_MAX_ROOT_STEPS`` steps.
@@ -112,22 +114,22 @@ def _bisect_root(f, lo, hi, what, flo=None, fhi=None, args=()):
     flo = np.array(f(lo, *args) if flo is None else flo, dtype=float, ndmin=1)
     fhi = np.array(f(hi, *args) if fhi is None else fhi, dtype=float, ndmin=1)
     x, fx = np.where(flo == 0.0, lo, hi), np.where(flo == 0.0, flo, fhi)
-    kept = np.zeros(lo.size)        # the end kept at the last step: -1 lo, 1 hi
+    kept = np.zeros(lo.size)        # steps running the same end was kept: < 0 lo, > 0 hi
     live = np.nonzero(fx != 0.0)[0]
     for _ in range(_MAX_ROOT_STEPS):
         if live.size == 0:
             break
-        a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
+        a, b, fa, fb, run = lo[live], hi[live], flo[live], fhi[live], kept[live]
         m = a + (b - a) * (fa / (fa - fb))
-        m = np.where((a < m) & (m < b), m, 0.5 * (a + b))
+        m = np.where((a < m) & (m < b) & (np.abs(run) < 3), m, 0.5 * (a + b))
         fm = f(m, *(arg[live] for arg in args))
         x[live], fx[live] = m, fm
         up = (fm > 0) == (fa > 0)
-        fhi[live[up & (kept[live] == 1)]] *= 0.5
-        flo[live[~up & (kept[live] == -1)]] *= 0.5
+        fhi[live[up & (run > 0)]] *= 0.5
+        flo[live[~up & (run < 0)]] *= 0.5
         lo[live[up]], flo[live[up]] = m[up], fm[up]
         hi[live[~up]], fhi[live[~up]] = m[~up], fm[~up]
-        kept[live] = np.where(up, 1.0, -1.0)
+        kept[live] = np.where(up, np.maximum(run, 0.0) + 1.0, np.minimum(run, 0.0) - 1.0)
         ulps = np.spacing(np.maximum(np.abs(lo[live]), np.abs(hi[live])))
         live = live[(fm != 0.0) & (hi[live] - lo[live] > 4.0 * ulps)]
     if live.size:
@@ -138,20 +140,44 @@ def _bisect_root(f, lo, hi, what, flo=None, fhi=None, args=()):
     return x, fx
 
 
-def _crossing(mismatch, lo, hi, what, where):
-    """(x, mismatch(x)) at the sign change of the scalar ``mismatch`` in [lo, hi].
+def _resonance_roots(mismatch, lo, hi, nodes, what, flo=None, fhi=None, args=()):
+    """Verified roots of ``mismatch(x, quad, *args)``, quad the orbit-average nodes.
 
-    Raises ConvergenceError when the ends do not change sign, or when the
-    mismatch at the root exceeds ``CONTOUR_RESIDUAL``, as at a jump.
+    ``_bisect_root`` closes the sign-changing brackets [lo, hi] at ``nodes``
+    (``flo``, ``fhi``: the mismatch at their ends there, if known); a closed
+    bracket left above ``CONTOUR_RESIDUAL`` holds a jump and raises
+    ConvergenceError.  Each root must meet that bound at twice the node count,
+    or it is found again at that count, at most ``_WKB_MAX_DOUBLINGS`` times.
+    ``what`` names a bracket (a string, or a function of its index).  Returns
+    the roots and their mismatch at twice ``nodes``.
     """
-    flo, fhi = mismatch(np.array([lo, hi]))
-    if flo * fhi > 0:
-        raise ConvergenceError(f"{what} does not cross {where}")
-    (x,), (fx,) = _bisect_root(mismatch, lo, hi, f"{what} on {where}", flo, fhi)
-    if abs(fx) > CONTOUR_RESIDUAL:
-        raise ConvergenceError(f"{what} on {where} leaves a mismatch of {fx:.3e} at its "
-                               f"sign change {float(x)!r}, above {CONTOUR_RESIDUAL:g}")
-    return float(x), float(fx)
+    lo, hi = np.atleast_1d(lo, hi)
+    name = what if callable(what) else (lambda i: what)
+    roots, resid = np.empty(lo.size), np.full(lo.size, np.nan)    # resid: first round checks
+    pending, quad = np.arange(lo.size), nodes
+    for _ in range(_WKB_MAX_DOUBLINGS):
+        if pending.size == 0:
+            break
+        sub = tuple(a[pending] for a in args)
+        x, fx = _bisect_root(lambda t, *a: mismatch(t, quad, *a), lo[pending], hi[pending],
+                             lambda i: name(pending[i]), flo, fhi, sub)
+        jump = np.abs(fx) > CONTOUR_RESIDUAL
+        if np.any(jump):
+            i = int(np.argmax(jump))
+            raise ConvergenceError(f"{name(pending[i])} leaves a mismatch of {fx[i]:.3e} at "
+                                   f"its sign change {float(x[i])!r}, above {CONTOUR_RESIDUAL:g}")
+        check = mismatch(x, 2 * quad, *sub)
+        ok = np.abs(check) <= CONTOUR_RESIDUAL
+        roots[pending[ok]] = x[ok]
+        if quad == nodes:
+            resid[pending[ok]] = check[ok]
+        pending, quad, flo, fhi = pending[~ok], 2 * quad, None, None
+    if pending.size:
+        raise ConvergenceError(f"{name(pending[0])} fails the doubled-node check")
+    late = np.isnan(resid)
+    if np.any(late):
+        resid[late] = mismatch(roots[late], 2 * nodes, *(a[late] for a in args))
+    return roots, resid
 
 
 def _orbit_levels(template, u, v, n, nodes):
@@ -348,18 +374,16 @@ def _scan_grid(radius, points):
 
 def resonance_contour(template: ModelParams, transition, delta_ns, *,
                       angles=None, radius: float = 1.25, scan_points: int = 160,
-                      nodes: int = WKB_DEFAULT_NODES,
-                      residual_tol: float = CONTOUR_RESIDUAL) -> list:
+                      nodes: int = WKB_DEFAULT_NODES) -> list:
     """Locate the (j, k, delta_n) resonance contours on a fan of rays.
 
     Returns one ResonanceContour per entry of ``delta_ns``, in that order.
     The dressed transition is tabulated once on a radius grid along every
     ray, and the sign changes of (transition) - delta_n are bracketed on that
-    table for every delta_n and closed onto their roots to roundoff, all
-    brackets at once, from the table's values at their ends.  Every point is
-    verified with the quadrature node count doubled: its mismatch there must
-    be within ``residual_tol``, or it is found again at the doubled count.
-    Rays without a bracket are reported, not fatal.
+    table for every delta_n (a table value of exactly 0 is a bracket of zero
+    width) and closed onto their roots by ``_resonance_roots``, all brackets
+    at once, from the table's values at their ends.  Rays without a bracket
+    are reported, not fatal.
     """
     j, k = _check_transition(transition)
     delta_ns = list(delta_ns)
@@ -379,7 +403,7 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     sin = np.array([math.sin(phi) for phi in angles])
     dns = np.array(delta_ns)
 
-    def mismatch(t, ray, d, quad=nodes):
+    def mismatch(t, quad, ray, d):
         return _transition_gap(template, t * cos[ray], t * sin[ray], (j, k), n, quad) - dns[d]
 
     # one table of the transition over rays x radii serves every delta_n
@@ -388,39 +412,15 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     vals = table[None, :, :] - dns[:, None, None]
     zero_d, zero_r, zero_i = np.nonzero(vals == 0.0)
     br_d, br_r, br_i = np.nonzero(np.sign(vals[..., :-1]) * np.sign(vals[..., 1:]) < 0)
+    d_all, r_all = np.concatenate([zero_d, br_d]), np.concatenate([zero_r, br_r])
+    lo, hi = np.concatenate([zero_i, br_i]), np.concatenate([zero_i, br_i + 1])
+    t_all, resid = _resonance_roots(mismatch, ts[lo], ts[hi], nodes,
+                                    lambda i: f"contour point on ray {angles[r_all[i]]}",
+                                    vals[d_all, r_all, lo], vals[d_all, r_all, hi],
+                                    (r_all, d_all))
 
-    roots = np.empty(br_d.size)
-    resid = np.full(br_d.size, np.nan)      # doubled-node mismatch of the first round
-    pending, quad = np.arange(br_d.size), nodes
-    flo, fhi = vals[br_d, br_r, br_i], vals[br_d, br_r, br_i + 1]
-    for _ in range(_WKB_MAX_DOUBLINGS):
-        if pending.size == 0:
-            break
-        args = (br_r[pending], br_d[pending])
-        mid, _ = _bisect_root(lambda t, ray, d: mismatch(t, ray, d, quad),
-                              ts[br_i[pending]], ts[br_i[pending] + 1],
-                              lambda i: f"contour point on ray {angles[args[0][i]]}",
-                              flo, fhi, args)
-        check = mismatch(mid, *args, 2 * quad)
-        ok = np.abs(check) <= residual_tol
-        roots[pending[ok]] = mid[ok]
-        if quad == nodes:
-            resid[pending[ok]] = check[ok]
-        pending, quad, flo, fhi = pending[~ok], 2 * quad, None, None
-    if pending.size:
-        raise ConvergenceError(f"contour point on ray {angles[br_r[pending[0]]]} "
-                               "fails the doubled-node check")
-
-    d_all = np.concatenate([zero_d, br_d])
-    r_all = np.concatenate([zero_r, br_r])
-    t_all = np.concatenate([ts[zero_i], roots])
-    resid = np.concatenate([np.full(zero_d.size, np.nan), resid])
     order = np.lexsort((t_all, r_all, d_all))
     d_all, r_all, t_all, resid = d_all[order], r_all[order], t_all[order], resid[order]
-    # table zeros and points found at a raised node count have no such value yet
-    again = np.isnan(resid)
-    if np.any(again):
-        resid[again] = mismatch(t_all[again], r_all[again], d_all[again], 2 * nodes)
     count = np.zeros((dns.size, angles.size), dtype=int)
     np.add.at(count, (d_all, r_all), 1)
     contours = []
@@ -437,38 +437,47 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
                          radius: float, *, nodes: int = RESONANCE_NODES):
     """Point where a resonance contour crosses the arc of a given radius.
 
-    The root in the polar angle at fixed radius, found to roundoff; useful for
-    contours that terminate at the origin, where radial scans of any fixed ray
-    fan stop resolving them.  Returns ``((g1, g2), residual)``; raises
-    ConvergenceError as ``_crossing`` does.
+    The root in the polar angle at fixed radius, from ``_resonance_roots``;
+    useful for contours that terminate at the origin, where radial scans of
+    any fixed ray fan stop resolving them.  Returns ``((g1, g2), residual)``
+    with the mismatch at twice ``nodes``.  Raises ConvergenceError when the
+    contour does not cross the arc, and as ``_resonance_roots`` does.
     """
     j, k = _check_transition(transition)
     _check_odd(delta_n)
 
-    def mismatch(phi):
+    def mismatch(phi, quad):
         return _transition_gap(template, radius * np.cos(phi), radius * np.sin(phi),
-                               (j, k), template.n0, nodes) - delta_n
+                               (j, k), template.n0, quad) - delta_n
 
-    phi, resid = _crossing(mismatch, 0.0, math.pi / 2.0, f"contour ({j},{k},{delta_n})",
-                           f"the arc of radius {radius}")
-    return (radius * math.cos(phi), radius * math.sin(phi)), resid
+    what, where = f"contour ({j},{k},{delta_n})", f"the arc of radius {radius}"
+    flo, fhi = mismatch(np.array([0.0, math.pi / 2.0]), nodes)
+    if flo * fhi > 0:
+        raise ConvergenceError(f"{what} does not cross {where}")
+    (phi,), (resid,) = _resonance_roots(mismatch, 0.0, math.pi / 2.0, nodes,
+                                        f"{what} on {where}", flo, fhi)
+    return (radius * math.cos(phi), radius * math.sin(phi)), float(resid)
 
 
 def _line_resonance(template, end, transition, delta_n, n):
     """Where the dressed (j, k) transition matches ``delta_n`` quanta on a line.
 
-    The line runs from zero coupling to the (g1, g2) point ``end``; the
-    returned t in [1e-6, 1], found to roundoff, puts the resonance at
-    g = t * end.  Raises ConvergenceError as ``_crossing`` does.
+    The line runs from zero coupling to the (g1, g2) array ``end``; the
+    returned t in [1e-6, 1], from ``_resonance_roots`` at ``RESONANCE_NODES``,
+    puts the resonance at g = t * end.  Raises ConvergenceError when the
+    resonance does not cross the line, and as ``_resonance_roots`` does.
     """
     j, k = transition
-    end = np.asarray(end, dtype=float)
 
-    def mismatch(t):
+    def mismatch(t, quad):
         g = t[:, None] * end
-        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n,
-                               RESONANCE_NODES) - delta_n
+        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n, quad) - delta_n
 
-    t, _ = _crossing(mismatch, 1e-6, 1.0, f"the ({j},{k}) resonance with {delta_n} quanta",
-                     f"the line to (g1, g2) = ({end[0]:g}, {end[1]:g})")
-    return t
+    what = f"the ({j},{k}) resonance with {delta_n} quanta"
+    where = f"the line to (g1, g2) = ({end[0]:g}, {end[1]:g})"
+    flo, fhi = mismatch(np.array([1e-6, 1.0]), RESONANCE_NODES)
+    if flo * fhi > 0:
+        raise ConvergenceError(f"{what} does not cross {where}")
+    (t,), _ = _resonance_roots(mismatch, 1e-6, 1.0, RESONANCE_NODES, f"{what} on {where}",
+                               flo, fhi)
+    return float(t)

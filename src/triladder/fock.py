@@ -689,12 +689,15 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
 
     def gap_at(t):
         near = nearest(t)
-        return measure(t, scan_vals[near], scan_vecs[near])[2]
+        polished[t] = solve(t, scan_vals[near], scan_vecs[near])
+        _, vals, _, (_, _, pair) = polished[t]
+        return abs(vals[pair[1]] - vals[pair[0]])
 
-    minima = []
+    minima, at_minima = [], []
     span_g = np.linalg.norm(end - start)
     for i in keep:
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+        polished = {}       # gap_at's solve() at every t the minimizer tries
         res = minimize_scalar(lambda t: gap_at(t) ** 2, bounds=(a, b), method="bounded",
                               options={"xatol": 1e-10 / span_g})
         if not res.success:
@@ -702,13 +705,11 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
                 f"gap minimum near g={tuple(g_of(res.x).tolist())} not refined: {res.message}")
         g_min = tuple(g_of(res.x))
         minima.append((g_min[0], g_min[1], math.sqrt(res.fun)))
+        at_minima.append(polished[res.x])      # res.x is one of those t
 
-    minima.sort(key=lambda m: m[2])
-    g1s, g2s, best = minima[0]
-
-    t_best = np.linalg.norm(np.array([g1s, g2s]) - start) / span_g
-    ref = nearest(t_best)
-    h, vals, vecs, (_, _, pair) = solve(t_best, scan_vals[ref], scan_vecs[ref])
+    lowest = min(range(len(minima)), key=lambda m: minima[m][2])
+    g1s, g2s, best = minima[lowest]
+    h, vals, vecs, (_, _, pair) = at_minima[lowest]
     bound = float(np.sum(h.truncation_bound(vals[pair], vecs[:, pair])))
     # gaps below 1e-9 are zero to solver tolerance; no relative check there
     if bound > 0.01 * max(best, 1e-9):

@@ -221,26 +221,20 @@ def _check_separation(y, energies, guard=DEGENERACY_GUARD):
                                     np.asarray(energies).reshape(-1, 3)[i])
 
 
-def _eigensystem(params, y, reference=None):
+def _eigensystem(params, y):
     """Vectorized levels and sign-fixed bases at coordinates ``y`` (1-D array).
 
     The levels are the closed-form roots of :func:`eigenvalues_at`, checked
     for separation before any vector is taken; the columns are LAPACK's
     orthonormal eigenvectors of :func:`level_matrix`, in the same ascending
-    order.  ``reference`` may be a single (3, 3) matrix or a per-point
-    (N, 3, 3) stack, and each column takes the sign of positive overlap with
-    it; without it, each column's largest component is made positive.
+    order, each with its largest component made positive.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     energies = eigenvalues_at(params, y)
     _check_separation(y, energies)
     bases = np.linalg.eigh(level_matrix(params, y))[1]
-    if reference is None:
-        idx = np.argmax(np.abs(bases), axis=1)
-        score = np.take_along_axis(bases, idx[:, None, :], axis=1)[:, 0, :]
-    else:
-        reference = np.broadcast_to(np.asarray(reference, dtype=float), bases.shape)
-        score = np.einsum("nij,nij->nj", bases, reference)
+    idx = np.argmax(np.abs(bases), axis=1)
+    score = np.take_along_axis(bases, idx[:, None, :], axis=1)[:, 0, :]
     return energies, _orient(bases, score)
 
 

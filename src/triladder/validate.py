@@ -45,15 +45,13 @@ def check_coupling_derivative(fault=None):
         y = rng.uniform(-3.0, 3.0)
         h = 1e-5 * max(1.0, abs(y))
         try:
-            g = coupling.coupling_matrix(p, y)
-            _, base = trilevel._eigensystem(p, [y])
-            _, plus = trilevel._eigensystem(p, [y + h], reference=base)
-            _, minus = trilevel._eigensystem(p, [y - h], reference=base)
+            g = coupling._coupling_batch(p, [y - h, y, y + h])[1]
+            _, (minus, base, plus) = trilevel._chained_bases(p, [y - h, y, y + h])
         except trilevel.DegenerateLevelsError:
             continue
         if fault == "derivative":
             g = g + 1e-3
-        diff = base[0].T @ (plus[0] - minus[0]) / (2.0 * h)
+        diff = base.T @ (plus - minus) / (2.0 * h)
         size = np.max(np.abs(g))
         if size == 0.0:
             continue

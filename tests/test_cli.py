@@ -236,8 +236,7 @@ class TestOtherCommands:
         ("splittings", SPLITTINGS.replace("ratio = 0.3", "ratio = -0.3")),
         ("splittings", SPLITTINGS + "vicinity = 0\n"),
         ("splittings", SPLITTINGS + "vicinity = -1\n"),
-        ("contours", CONTOURS + "residual_tol = -1\n"),
-        ("contours", CONTOURS + "residual_tol = 0\n"),
+        ("contours", CONTOURS + "residual_tol = 1e-6\n"),
         ("contours", CONTOURS + "radius = -1\n"),
         ("splittings", SPLITTINGS + "g1_max = -1\n"),
         ("levels", LEVELS.replace("y_min = -1", "y_min = nan")),
@@ -273,7 +272,7 @@ class TestOtherCommands:
             "resonance-map-transition-1-5", "splittings-transition-unordered",
             "contours-transition-0-2", "delta-n-negative", "delta-n-even",
             "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative",
-            "residual-tol-negative", "residual-tol-zero", "radius-negative",
+            "residual-tol-removed", "radius-negative",
             "g1-max-negative", "y-min-nan", "y-min-minus-inf", "wkb-g1-min-negative",
             "wkb-g1-min-nan", "map-grid-not-from-zero", "map-g1-min-negative",
             "n0-overflow-g", "n0-overflow-u", "map-window-below-vacuum",

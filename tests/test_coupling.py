@@ -62,12 +62,10 @@ class TestCouplingFunctions:
     def test_central_difference_order_two(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.7, 0.4, 100)
         y = 1.3
-        _, base = trilevel._eigensystem(p, [y])
 
         def raw(h):
-            _, plus = trilevel._eigensystem(p, [y + h], reference=base)
-            _, minus = trilevel._eigensystem(p, [y - h], reference=base)
-            return (np.einsum("nij,nik->njk", base, plus - minus) / (2 * h))[0]
+            _, (minus, base, plus) = trilevel._chained_bases(p, [y - h, y, y + h])
+            return base.T @ (plus - minus) / (2 * h)
 
         h = 1e-3
         g1, g2, g4 = raw(h), raw(h / 2), raw(h / 4)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triladder import (ConvergenceError, ModelParams, contour_arc_crossing,
-                       dressed_transition, eigenvalues_at, h0_level_fd,
-                       resonance_contour, wkb_levels)
+                       contour_point_on_line, dressed_transition, eigenvalues_at,
+                       h0_level_fd, resonance_contour, wkb_levels)
 from triladder import dressed
 from triladder.dressed import (_CHUNK_POINTS, _bisect_root, _count_nodes, _orbit_levels,
                                _sinc_kinetic)
@@ -270,15 +270,27 @@ class TestResonanceContours:
 
     def test_unreachable_tolerance_raises(self, ladder, monkeypatch):
         # a mismatch that jumps from -0.5 to 0.5 at g1 = 0.3: both searches
-        # close onto the jump, and the mismatch there fails the verification
+        # close onto the jump, and the mismatch there is refused at once
         monkeypatch.setattr(dressed, "_transition_gap",
                             lambda template, g1, g2, jk, n, nodes:
                             np.where(np.asarray(g1) < 0.3, 12.5, 13.5))
-        with pytest.raises(ConvergenceError, match="fails the doubled-node check"):
+        with pytest.raises(ConvergenceError, match="ray 0.1 leaves a mismatch of"):
             resonance_contour(ladder, (1, 2), [13], angles=np.array([0.1]),
                               scan_points=30)
         with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             contour_arc_crossing(ladder, (1, 2), 13, 0.5)
+
+    def test_line_and_arc_roots_verified_at_doubled_nodes(self, ladder, monkeypatch):
+        # a mismatch off by 1e-3 at the 512 nodes of a line or an arc only:
+        # the root found there fails its check at 1024 nodes and is found
+        # again at 1024, where it is g1 = 0.3
+        monkeypatch.setattr(dressed, "_transition_gap",
+                            lambda template, g1, g2, jk, n, nodes:
+                            13.0 + (np.asarray(g1) - 0.3) + (1e-3 if nodes == 512 else 0.0))
+        (g1, g2), resid = contour_arc_crossing(ladder, (1, 2), 13, 0.5)
+        assert abs(g1 - 0.3) <= 1e-12 and abs(resid) <= 1e-12
+        g1, g2 = contour_point_on_line(ladder, (1, 2), 13, ratio=0.5)
+        assert abs(g1 - 0.3) <= 1e-12
 
     def test_doubled_nodes_evaluated_once_a_round(self, ladder, monkeypatch):
         # points accepted in the first round report the verification values
@@ -375,6 +387,17 @@ class TestBisectRoot:
                               match=r"x = 1 not closed after 200 steps; bracket \[0\.\d+, 1\.\d+\]"):
             _bisect_root(f, [0.0], [1e60], "x = 1")
         assert len(calls) == 2 + 200
+
+    @pytest.mark.parametrize("below,above", [(-0.5, 1e6), (1e6, -0.5)])
+    def test_lopsided_jump_closes(self, below, above):
+        # across a jump whose sides differ by orders of magnitude, Illinois
+        # steps alone keep one end and crawl (200 steps did not close this);
+        # a midpoint after an end has been kept three steps running closes it
+        f, calls = self.counted(lambda x: np.where(x < 0.3, below, above))
+        root, value = _bisect_root(f, [0.0], [1.0], "x = 0.3")
+        assert abs(root[0] - 0.3) <= 4 * np.spacing(0.3)
+        assert value[0] in (below, above)
+        assert len(calls) <= 111        # 99 rising, 111 falling
 
     def test_brackets_bisect_as_if_alone(self):
         # every bracket follows its own step sequence and stops on its own,

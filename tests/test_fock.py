@@ -318,6 +318,31 @@ class TestAnticrossing:
             anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
                              scan_points=31)
 
+    def test_no_point_solved_twice_after_the_scan(self, ladder, monkeypatch):
+        # every solve after the scan is one evaluation of a minimization; the
+        # truncation bound reuses the solve at the minimum it returned
+        built, polish_start, evaluations = [], [], []
+        build, minimize = fock.build_hamiltonian, fock.minimize_scalar
+
+        def spy_build(params, *args):
+            built.append((params.u, params.v))
+            return build(params, *args)
+
+        def spy_minimize(fun, **kwargs):
+            polish_start.append(len(built))
+            res = minimize(fun, **kwargs)
+            evaluations.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        monkeypatch.setattr(fock, "minimize_scalar", spy_minimize)
+        res = anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 400,
+                               scan_points=31)
+        assert len(res.minima) == len(evaluations) >= 1
+        after = built[polish_start[0]:]
+        assert len(after) == sum(evaluations)
+        assert len(set(after)) == len(after)
+
     def test_benign_line_gap_matches_two_state_estimate(self, ladder):
         from triladder import pt_splitting
         res = anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 15, (1, 2),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from triladder import DegenerateLevelsError, ModelParams, eigenvalues_at, level_matrix
-from triladder.trilevel import _cubic_terms, _eigensystem
+from triladder.trilevel import _chained_bases, _cubic_terms, _eigensystem
 
 from conftest import random_params
 
@@ -25,9 +25,9 @@ def characteristic_residual(params, y, energy):
             - (params.e1 - e) * vy2 - (params.e3 - e) * uy2)
 
 
-def eigensystem_at(params, y, reference=None):
+def eigensystem_at(params, y):
     """Levels and sign-fixed basis at one coordinate."""
-    levels, bases = _eigensystem(params, [y], reference=reference)
+    levels, bases = _eigensystem(params, [y])
     return levels[0], bases[0]
 
 
@@ -185,9 +185,9 @@ class TestEigenbasis:
             assert_allclose(np.diag(m), levels, rtol=1e-9, atol=1e-9)
 
     def test_reference_fixes_column_signs(self):
+        # each point of a chain takes its column signs from its predecessor
         p = ModelParams(0.0, 11.0, 24.0, 0.8, 0.5, 100)
-        _, a = eigensystem_at(p, 1.0)
-        _, b = eigensystem_at(p, 1.0 + 1e-5, reference=a)
+        _, (a, b) = _chained_bases(p, [1.0, 1.0 + 1e-5])
         overlaps = np.einsum("ij,ij->j", a, b)
         assert np.all(overlaps > 0.999)
 

@@ -272,8 +272,7 @@ def render_resonance_map(cfg) -> str:
     from .fock import resonance_sharpness_map
     run = read_run(cfg, "resonance-map")
     table = resonance_sharpness_map(cfg.params, run["transition"], _couplings(run, "g1"),
-                                    _couplings(run, "g2"), cfg.params.n0,
-                                    run["half_width"])
+                                    _couplings(run, "g2"), run["half_width"])
     rows = [(r["g1"], r["g2"], r["diff"], r["delta_n"], r["sharpness"], r["ok"])
             for r in table]
     return _render(cfg, ("g1", "g2", "diff", "delta_n", "sharpness", "ok"), rows)

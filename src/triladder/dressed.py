@@ -44,7 +44,8 @@ CONTOUR_RESIDUAL = 1e-6
 _MAX_ROOT_STEPS = 200
 
 #: quadrature nodes of a resonance position on a line or an arc; the
-#: two-state estimate re-checks the line's resonance at the same count
+#: two-state estimate holds its point to CONTOUR_RESIDUAL at twice this
+#: count, the check the line's root passed
 RESONANCE_NODES = 512
 
 #: kernel points (coupling points times evaluated nodes) per block of an
@@ -434,14 +435,15 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
 
 
 def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
-                         radius: float, *, nodes: int = RESONANCE_NODES):
+                         radius: float):
     """Point where a resonance contour crosses the arc of a given radius.
 
-    The root in the polar angle at fixed radius, from ``_resonance_roots``;
-    useful for contours that terminate at the origin, where radial scans of
-    any fixed ray fan stop resolving them.  Returns ``((g1, g2), residual)``
-    with the mismatch at twice ``nodes``.  Raises ConvergenceError when the
-    contour does not cross the arc, and as ``_resonance_roots`` does.
+    The root in the polar angle at fixed radius, from ``_resonance_roots`` at
+    ``RESONANCE_NODES``; useful for contours that terminate at the origin,
+    where radial scans of any fixed ray fan stop resolving them.  Returns
+    ``((g1, g2), residual)`` with the mismatch at twice ``RESONANCE_NODES``.
+    Raises ConvergenceError when the contour does not cross the arc, and as
+    ``_resonance_roots`` does.
     """
     j, k = _check_transition(transition)
     _check_odd(delta_n)
@@ -451,27 +453,28 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
                                (j, k), template.n0, quad) - delta_n
 
     what, where = f"contour ({j},{k},{delta_n})", f"the arc of radius {radius}"
-    flo, fhi = mismatch(np.array([0.0, math.pi / 2.0]), nodes)
+    flo, fhi = mismatch(np.array([0.0, math.pi / 2.0]), RESONANCE_NODES)
     if flo * fhi > 0:
         raise ConvergenceError(f"{what} does not cross {where}")
-    (phi,), (resid,) = _resonance_roots(mismatch, 0.0, math.pi / 2.0, nodes,
+    (phi,), (resid,) = _resonance_roots(mismatch, 0.0, math.pi / 2.0, RESONANCE_NODES,
                                         f"{what} on {where}", flo, fhi)
     return (radius * math.cos(phi), radius * math.sin(phi)), float(resid)
 
 
-def _line_resonance(template, end, transition, delta_n, n):
+def _line_resonance(template, end, transition, delta_n):
     """Where the dressed (j, k) transition matches ``delta_n`` quanta on a line.
 
-    The line runs from zero coupling to the (g1, g2) array ``end``; the
-    returned t in [1e-6, 1], from ``_resonance_roots`` at ``RESONANCE_NODES``,
-    puts the resonance at g = t * end.  Raises ConvergenceError when the
-    resonance does not cross the line, and as ``_resonance_roots`` does.
+    The transition is averaged at n = ``template.n0`` on the line from zero
+    coupling to the (g1, g2) array ``end``; the returned t in [1e-6, 1], from
+    ``_resonance_roots`` at ``RESONANCE_NODES``, puts the resonance at t * end.
+    Raises ConvergenceError when the resonance does not cross the line, and as
+    ``_resonance_roots`` does.
     """
     j, k = transition
 
     def mismatch(t, quad):
         g = t[:, None] * end
-        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), n, quad) - delta_n
+        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), template.n0, quad) - delta_n
 
     what = f"the ({j},{k}) resonance with {delta_n} quanta"
     where = f"the line to (g1, g2) = ({end[0]:g}, {end[1]:g})"

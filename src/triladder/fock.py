@@ -52,6 +52,14 @@ def _parity_bit(parity):
     return 0 if parity == "even" else 1
 
 
+def _sector_of(which):
+    """The parity sector of the (level, n) labels ``which``: level + n even or odd."""
+    bits = {(j + nq) % 2 for j, nq in which}
+    if len(bits) != 1:
+        raise ValueError("tracked states must share one parity sector")
+    return "even" if bits.pop() == 0 else "odd"
+
+
 @dataclass(frozen=True, eq=False)
 class FockWindowHamiltonian:
     """One parity sector of the windowed Hamiltonian in banded storage.
@@ -313,7 +321,10 @@ def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
 
 @dataclass(eq=False)
 class TrackedLevels:
-    """Eigenvalue curves continued along a coupling sweep by vector overlap."""
+    """Eigenvalue curves continued along a coupling sweep by vector overlap.
+
+    Every recorded point keeps its eigenvectors (``step_vectors``).
+    """
 
     which: list
     gs: np.ndarray              # (steps, 2) sweep points in (g1, g2)
@@ -321,7 +332,7 @@ class TrackedLevels:
     overlaps: np.ndarray        # (steps, L); first row is 1
     relabelings: list           # (step index, note) where the energy order changed
     vectors: np.ndarray         # (dim, L) eigenvectors at the final point
-    step_vectors: np.ndarray = None   # (steps, dim, L) when recording was requested
+    step_vectors: np.ndarray    # (steps, dim, L) eigenvectors at every point; [-1] is vectors
 
 
 def _assign(prev_vecs, vals, vecs):
@@ -345,13 +356,12 @@ def _assign(prev_vecs, vals, vecs):
 
 
 def track_levels(template: ModelParams, start, end, steps: int, n0: int,
-                 half_width: int, which, *, start_vectors=None,
-                 keep_vectors: bool = False) -> TrackedLevels:
+                 half_width: int, which, *, start_vectors=None) -> TrackedLevels:
     """Continue labelled eigenstates along a straight line in (g1, g2).
 
     ``which`` lists distinct (level, quantum-number) labels; all must live in
-    one parity sector, the one the sweep runs in.  The sweep must start at zero
-    coupling (where the labels are exact basis states) unless
+    one parity sector (``_sector_of``), the one the sweep runs in.  The sweep
+    must start at zero coupling (where the labels are exact basis states) unless
     ``start_vectors`` supplies the starting eigenvectors explicitly.
     ``steps`` counts the recorded points, ends included (1 only if end equals
     start).  Steps are bisected automatically whenever the consecutive overlap
@@ -363,10 +373,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
     for i, label in enumerate(which):
         if label in which[:i]:
             raise ValueError(f"label {label} appears twice in which")
-    bits = {(j + nq) % 2 for j, nq in which}
-    if len(bits) != 1:
-        raise ValueError("tracked states must share one parity sector")
-    parity = "even" if bits.pop() == 0 else "odd"
+    parity = _sector_of(which)
 
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
@@ -387,10 +394,10 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         anchors = np.asarray(start_vectors, dtype=float)
         if anchors.shape != (h0.dim, len(which)):
             raise ValueError("start_vectors must be (dim, len(which))")
-        # uniform start: the targets here are zero-coupling energies, which can
-        # lie far from the anchors' levels, and which states they pick up must
-        # not hinge on the anchors (where a coupling vanishes, a seeded start
-        # never leaves the anchors' invariant subspace)
+        # a uniform start targeted at the zero-coupling energies ``guess``; the
+        # anchors pick their states among those found, which misses a level the
+        # coupling has moved far from ``guess`` (126 rows of the seed-0 map
+        # fail so: the FOUND on track_levels in CHANGES.md, ROADMAP item 1)
         cand_vals, cand_vecs = _shift_invert_near(h0, guess)
         vals, vecs, quality, _ = _assign(anchors, cand_vals, cand_vecs)
         if np.any(quality < OVERLAP_FLOOR):
@@ -421,7 +428,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         vals, vecs = advance(t_from, t_mid, vals, vecs, depth + 1)
         return advance(t_mid, t_to, vals, vecs, depth + 1)
 
-    kept = [vecs.copy()] if keep_vectors else None
+    kept = [vecs]
     for s in range(1, steps):
         new_vals, new_vecs = advance(ts[s - 1], ts[s], vals, vecs, 0)
         prev_order = np.argsort(vals, kind="stable")
@@ -432,13 +439,11 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         vals, vecs = new_vals, new_vecs
         energies.append(vals)
         overlaps.append(quality)
-        if keep_vectors:
-            kept.append(vecs.copy())
+        kept.append(vecs)
 
     gs = start + ts[:, None] * (end - start)
-    return TrackedLevels(which, gs, np.array(energies), np.array(overlaps),
-                         relabel, vecs,
-                         np.array(kept) if keep_vectors else None)
+    return TrackedLevels(which, gs, np.array(energies), np.array(overlaps), relabel, vecs,
+                         np.array(kept))
 
 
 def central_quantum(level, n0):
@@ -451,12 +456,13 @@ def central_quantum(level, n0):
     return n0 if (level + n0) % 2 == 0 else n0 + 1
 
 
-def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
+def exact_dressed_levels(template: ModelParams, g1: float, g2: float,
                          half_width: int) -> np.ndarray:
     """Dressed energies of the three levels from the exact windowed spectrum.
 
-    Tracks the states labelled (1, .), (2, .), (3, .) near the window centre
-    from zero coupling to (g1, g2) and subtracts each state's ladder rung
+    Tracks the states labelled (1, .), (2, .), (3, .) next to the window
+    centre n0 = ``template.n0`` (``central_quantum``) from zero coupling to
+    (g1, g2) in their parity sector and subtracts each state's ladder rung
     n - n0.  The truncation bound of every tracked eigenpair must be within
     1e-8, so each value lies within 1e-8 of an eigenvalue of the untruncated
     Hamiltonian; ConvergenceError otherwise.
@@ -468,13 +474,12 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float, n0: int,
     points of acceptance criterion 3 one interval left the worst level 1.99
     quanta from the orbit average, against 0.057 with these steps).
     """
-    n0 = int(n0)
+    n0 = template.n0
     nq = [central_quantum(j, n0) for j in (1, 2, 3)]
     which = list(zip((1, 2, 3), nq))
     steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
     tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, n0, half_width, which)
-    # central_quantum puts the three states in the even sector
-    h = build_hamiltonian(template.with_couplings(g1, g2), n0, half_width, "even")
+    h = build_hamiltonian(template.with_couplings(g1, g2), n0, half_width, _sector_of(which))
     bound = np.max(h.truncation_bound(tr.energies[-1], tr.vectors))
     if bound > 1e-8:
         raise ConvergenceError(
@@ -554,31 +559,33 @@ def _crossing_ahead(vals, slopes, tracked, dt):
     return bool(np.any(now * later < 0.0))
 
 
-def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
-                     n0: int, half_width: int, *, scan_points: int = 101,
+def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
+                     half_width: int, *, scan_points: int = 101,
                      vicinity: float = 0.08, mode: str = "pair") -> GapScan:
     """Locate and refine the avoided-crossing gap of one resonance.
 
-    ``line`` is a pair of (g1, g2) endpoints starting at zero coupling.  The
-    resonance location is first estimated from the dressed (orbit-averaged)
-    transition energy (reported as ``g_contour``), and the two resonant
-    states are tracked out to the vicinity as one sweep interval, which
-    ``track_levels`` halves only where a state's overlap with its previous
-    vector falls below 0.5.  The gap is then scanned on a
-    grid of ``scan_points`` (at least 3) evenly spaced points across the
+    The scan runs on the line from zero coupling to the (g1, g2) point
+    ``end``, in the window n0 +- ``half_width`` around n0 = ``template.n0``.
+    The resonance location is first estimated from the dressed
+    (orbit-averaged) transition energy (reported as ``g_contour``), and the
+    two resonant states, (j, n) with n = ``central_quantum(j, n0)`` and
+    (k, n - delta_n), are tracked out to the vicinity in their parity sector
+    as one sweep interval, which ``track_levels`` halves only where a state's
+    overlap with its previous vector falls below 0.5.  The gap is then scanned
+    on a grid of ``scan_points`` (at least 3) evenly spaced points across the
     vicinity, coarse to fine: every fourth point and the last are evaluated
     first, and the rest only inside coarse intervals that can hold a gap
     minimum (they touch a coarse local minimum, ends included, or the
     first-order prediction of a candidate level crosses a tracked one there,
     from either end), widened by one coarse interval on each side.  Every
     local minimum over the evaluated points is polished by a bounded scalar
-    minimization of gap^2 down to a resolution of 1e-10 in (g1, g2).  gap^2
-    is quadratic at the bottom of an anticrossing (the two-state hyperbola)
-    and of an exact crossing alike, so its parabolic steps converge on
-    either.  At the reported minimum the truncation bounds of the two
-    eigenpairs whose distance is the gap must sum to at most 1 percent of
-    max(gap, 1e-9), or ConvergenceError is raised.  ``ts`` and ``gaps`` of
-    the result hold the evaluated points only.
+    minimization of gap^2 down to a resolution of 1e-10 in (g1, g2).  gap^2 is
+    quadratic at the bottom of an anticrossing (the two-state hyperbola) and
+    of an exact crossing alike, so its parabolic steps converge on either.  At
+    the reported minimum the truncation bounds of the two eigenpairs whose
+    distance is the gap must sum to at most 1 percent of max(gap, 1e-9), or
+    ConvergenceError is raised.  ``ts`` and ``gaps`` of the result hold the
+    evaluated points only.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -596,30 +603,22 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
     if scan_points < 3:
         raise ValueError(f"scan_points must be at least 3 to hold an interior minimum, "
                          f"got {scan_points}")
-    start = np.asarray(line[0], dtype=float)
-    end = np.asarray(line[1], dtype=float)
-    if np.any(start != 0.0):
-        raise ValueError("gap scans start from zero coupling")
-
-    n0 = int(n0)
-
-    def g_of(t):
-        return start + t * (end - start)
-
-    t_star = _line_resonance(template, end, (j, k), delta_n, n0)
+    end = np.asarray(end, dtype=float)
+    n0 = template.n0
+    t_star = _line_resonance(template, end, (j, k), delta_n)
 
     nb = central_quantum(j, n0)
     which = [(j, nb), (k, nb - delta_n)]
+    parity = _sector_of(which)
     t_lo = max(t_star * (1.0 - vicinity), 1e-9)
     t_hi = min(t_star * (1.0 + vicinity), 1.0)
 
-    approach = track_levels(template, tuple(start), tuple(g_of(t_lo)),
+    approach = track_levels(template, (0.0, 0.0), tuple(t_lo * end),
                             _APPROACH_STEPS, n0, half_width, which)
 
     def solve(t, vals, vecs):
         """Hamiltonian, candidates and the rule's (tracked, anchors, gap pair) at t."""
-        # central_quantum puts both resonant states in the even sector
-        h = build_hamiltonian(template.with_couplings(*g_of(t)), n0, half_width, "even")
+        h = build_hamiltonian(template.with_couplings(*(t * end)), n0, half_width, parity)
         cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
         return h, cand_vals, cand_vecs, rule(cand_vals, cand_vecs, vecs)
 
@@ -694,7 +693,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
         return abs(vals[pair[1]] - vals[pair[0]])
 
     minima, at_minima = [], []
-    span_g = np.linalg.norm(end - start)
+    span_g = np.linalg.norm(end)
     for i in keep:
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
         polished = {}       # gap_at's solve() at every t the minimizer tries
@@ -702,8 +701,8 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
                               options={"xatol": 1e-10 / span_g})
         if not res.success:
             raise ConvergenceError(
-                f"gap minimum near g={tuple(g_of(res.x).tolist())} not refined: {res.message}")
-        g_min = tuple(g_of(res.x))
+                f"gap minimum near g={tuple((res.x * end).tolist())} not refined: {res.message}")
+        g_min = tuple(res.x * end)
         minima.append((g_min[0], g_min[1], math.sqrt(res.fun)))
         at_minima.append(polished[res.x])      # res.x is one of those t
 
@@ -717,7 +716,7 @@ def anticrossing_gap(template: ModelParams, line, delta_n: int, transition,
             f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
 
     minima.sort(key=lambda m: (m[0], m[1]))
-    return GapScan((j, k), int(delta_n), tuple(g_of(t_star)), (g1s, g2s), float(best),
+    return GapScan((j, k), int(delta_n), tuple(t_star * end), (g1s, g2s), float(best),
                    minima, ts, gaps)
 
 
@@ -749,26 +748,27 @@ def _sweep_grids(g1_grid, g2_grid):
 
 
 def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
-                            n0: int, half_width: int):
+                            half_width: int):
     """Inverse distance of the exact dressed transition to the nearest odd rung.
 
     Returns a record array with fields g1, g2, diff (dressed transition
     energy), delta_n (nearest odd quantum count), sharpness (capped inverse
     mismatch) and ok (False where tracking failed; such points carry NaN).
 
-    The exact dressed energies come from overlap-tracked windowed eigenvalues:
-    one sweep up the g2 axis seeds the start vectors of every constant-g2 row.
+    The exact dressed energies come from overlap-tracked windowed eigenvalues
+    of the states next to n0 = ``template.n0`` (``central_quantum``): one
+    sweep up the g2 axis seeds the start vectors of every constant-g2 row.
     """
     j, k = _check_transition(transition)
     g2_grid = np.asarray(g2_grid, dtype=float)
     drop_first = np.asarray(g1_grid, dtype=float)[0] != 0.0
     seed_start = g2_grid[0] == 0.0
     g1_grid, col_g2 = _sweep_grids(g1_grid, g2_grid)
-    n0 = int(n0)
+    n0 = template.n0
     nq = {lvl: central_quantum(lvl, n0) for lvl in (j, k)}
     which = [(j, nq[j]), (k, nq[k])]
     column = track_levels(template, (0.0, 0.0), (0.0, col_g2[-1]),
-                          len(col_g2), n0, half_width, which, keep_vectors=True)
+                          len(col_g2), n0, half_width, which)
 
     rows = []
     for row_idx, g2 in enumerate(g2_grid):
@@ -778,10 +778,8 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
                               n0, half_width, which,
                               start_vectors=column.step_vectors[col_idx])
             diffs = (tr.energies[:, 1] - (nq[k] - n0)) - (tr.energies[:, 0] - (nq[j] - n0))
-            ok = np.ones(len(g1_grid), dtype=bool)
         except TrackingError:
             diffs = np.full(len(g1_grid), np.nan)
-            ok = np.zeros(len(g1_grid), dtype=bool)
         for col, g1 in enumerate(g1_grid):
             if drop_first and col == 0:
                 continue
@@ -792,6 +790,6 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
             best = max(1, 2 * int(round((d - 1.0) / 2.0)) + 1)
             mismatch = abs(d - best)
             sharp = SHARPNESS_CAP if mismatch <= 1.0 / SHARPNESS_CAP else 1.0 / mismatch
-            rows.append((g1, g2, d, best, sharp, bool(ok[col])))
+            rows.append((g1, g2, d, best, sharp, True))
     return np.array(rows, dtype=[("g1", float), ("g2", float), ("diff", float),
                                  ("delta_n", int), ("sharpness", float), ("ok", bool)])

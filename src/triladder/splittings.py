@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import v_matrix_element_h0
-from .dressed import RESONANCE_NODES, _check_odd, _line_resonance, dressed_transition
+from .dressed import (CONTOUR_RESIDUAL, RESONANCE_NODES, _check_odd, _check_transition,
+                      _line_resonance, _transition_gap)
 from .errors import OffResonanceError, TriladderError
 from .fock import anticrossing_gap, central_quantum
 from .trilevel import ModelParams
@@ -39,8 +40,7 @@ class SplittingRecord:
     note: str = ""
 
 
-def pt_splitting(params: ModelParams, transition, delta_n: int, *,
-                 resonance_tol: float = 1e-4) -> float:
+def pt_splitting(params: ModelParams, transition, delta_n: int) -> float:
     """Splitting estimate 2 |<j,n| V |k,n-delta_n>| at a resonance point.
 
     The oscillator factors are the eigenfunctions of the rotated single-level
@@ -50,18 +50,20 @@ def pt_splitting(params: ModelParams, transition, delta_n: int, *,
     distortion of the states.
 
     The coupling point must satisfy the dressed resonance condition to within
-    ``resonance_tol``; anything else raises OffResonanceError since the
-    two-state estimate is meaningless off resonance.
+    ``CONTOUR_RESIDUAL`` at twice ``RESONANCE_NODES``, the bound and node
+    count every resonance search holds its roots to, so a ``g_contour`` of
+    ``anticrossing_gap`` passes; anything else raises OffResonanceError since
+    the two-state estimate is meaningless off resonance.
     """
-    j, k = transition
+    j, k = _check_transition(transition)
     _check_odd(delta_n)
-    n = params.n0
-    resid = dressed_transition(params, j, k, n, nodes=RESONANCE_NODES) - delta_n
-    if abs(resid) > resonance_tol:
+    resid = _transition_gap(params, params.g1, params.g2, (j, k), params.n0,
+                            2 * RESONANCE_NODES) - delta_n
+    if abs(resid) > CONTOUR_RESIDUAL:
         raise OffResonanceError(
             f"point (g1={params.g1:.6f}, g2={params.g2:.6f}) misses the "
             f"({j},{k}) resonance with {delta_n} quanta by {resid:.2e}")
-    nb = central_quantum(j, n)
+    nb = central_quantum(j, params.n0)
     return 2.0 * abs(v_matrix_element_h0(params, j, k, nb, nb - delta_n))
 
 
@@ -74,7 +76,7 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
     """
     _check_odd(delta_n)
     end = np.array([g1_max, ratio * g1_max])
-    g = _line_resonance(template, end, transition, delta_n, template.n0) * end
+    g = _line_resonance(template, end, transition, delta_n) * end
     return float(g[0]), float(g[1])
 
 
@@ -93,14 +95,13 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     j, k = transition
     for dn in delta_ns:
         _check_odd(dn)
-    line = ((0.0, 0.0), (g1_max, ratio * g1_max))
+    end = (g1_max, ratio * g1_max)
     records = []
     for dn in sorted(int(d) for d in delta_ns):
         note = ""
         try:
-            scan = anticrossing_gap(template, line, dn, (j, k), template.n0, half_width,
-                                    mode=mode, vicinity=vicinity,
-                                    scan_points=scan_points)
+            scan = anticrossing_gap(template, end, dn, (j, k), half_width, mode=mode,
+                                    vicinity=vicinity, scan_points=scan_points)
             pt = pt_splitting(template.with_couplings(*scan.g_contour), (j, k), dn)
         except TriladderError as err:
             records.append(SplittingRecord((j, k), dn, ratio, (np.nan, np.nan),

@@ -206,14 +206,14 @@ def _orient(bases, score):
     return bases
 
 
-def _check_separation(y, energies, guard=DEGENERACY_GUARD):
+def _check_separation(y, energies):
     gaps = np.diff(energies, axis=-1)
     tight = np.min(gaps, axis=-1)
     # near a double root the trigonometric formula resolves the gap only to
     # about sqrt(eps) of the spectral spread, so the refusal threshold must
     # scale with the spread; the absolute floor still applies
     spread = energies[..., 2] - energies[..., 0]
-    limit = np.maximum(guard, 5e-8 * spread)
+    limit = np.maximum(DEGENERACY_GUARD, 5e-8 * spread)
     # written so that NaN levels, from a non-finite y, are refused as well
     if not np.all(tight >= limit):
         i = int(np.argmin(tight - limit))

@@ -83,7 +83,7 @@ def test_criterion_03_dressed_energy_accuracy():
 
     worst = 0.0
     for g1, g2, approx in sample:
-        exact = exact_dressed_levels(LADDER, g1, g2, 10**8, 400)
+        exact = exact_dressed_levels(LADDER, g1, g2, 400)
         worst = max(worst, float(np.max(np.abs(exact - approx))))
     elapsed = time.time() - t0
     ok = worst <= 0.1 and elapsed < 300.0
@@ -95,7 +95,7 @@ def test_criterion_04_zero_coupling_resonance_orders():
     t0 = time.time()
     worst_radius, worst_resid = 0.0, 0.0
     for transition, dn in (((1, 2), 11), ((2, 3), 13)):
-        point, resid = contour_arc_crossing(LADDER, transition, dn, 1e-3, nodes=512)
+        point, resid = contour_arc_crossing(LADDER, transition, dn, 1e-3)
         again = _transition_gap(LADDER, point[0], point[1], transition,
                                 LADDER.n0, 1024) - dn
         worst_radius = max(worst_radius, math.hypot(*point))
@@ -173,9 +173,8 @@ def test_criterion_07_exact_gap_trend_as_specified(benign_line_records):
 
 def test_criterion_08_interference_doubling():
     t0 = time.time()
-    scan = anticrossing_gap(LADDER, ((0.0, 0.0), (1.0, 0.1)), 23, (1, 2),
-                            10**8, 400, mode="nearest", vicinity=0.09,
-                            scan_points=401)
+    scan = anticrossing_gap(LADDER, (1.0, 0.1), 23, (1, 2), 400, mode="nearest",
+                            vicinity=0.09, scan_points=401)
     deep = [m for m in scan.minima if m[2] < 0.1]
     g1c, g2c = None, None
     from triladder import contour_point_on_line

@@ -106,9 +106,8 @@ class TestOrbitLevels:
 
     @pytest.mark.parametrize("average", [
         lambda p: resonance_contour(p, (1, 2), [13], nodes=1),
-        lambda p: contour_arc_crossing(p, (1, 2), 11, 1e-3, nodes=4),
         lambda p: dressed_transition(p.with_couplings(0.1, 0.1), 1, 2, nodes=8),
-    ], ids=["contour", "arc", "transition"])
+    ], ids=["contour", "transition"])
     def test_every_average_needs_16_nodes(self, ladder, average):
         with pytest.raises(ValueError, match="16 quadrature nodes"):
             average(ladder)

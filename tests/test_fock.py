@@ -209,10 +209,24 @@ class TestTracking:
                          [(1, nb), (2, nb - 13)])
         assert "np." not in str(info.value)
 
-    def test_mixed_parity_labels_rejected(self, ladder):
-        with pytest.raises(ValueError):
+    def test_mixed_parity_labels_rejected(self, ladder, monkeypatch):
+        # the sector is level + n even or odd, one for every tracked label
+        assert fock._sector_of([(1, 10**8 + 1), (2, 10**8)]) == "even"
+        assert fock._sector_of([(1, 10**8), (2, 10**8 + 1)]) == "odd"
+        monkeypatch.setattr(fock, "_shift_invert_near", None)   # before any solve
+        with pytest.raises(ValueError, match="share one parity sector"):
             track_levels(ladder, (0.0, 0.0), (0.1, 0.1), 3, 10**8, 50,
                          [(1, 10**8 + 1), (2, 10**8 + 1)])
+
+    def test_every_point_keeps_its_vectors(self, ladder):
+        which = [(1, 10**8 + 1), (2, 10**8)]
+        tr = track_levels(ladder, (0.0, 0.0), (0.3, 0.1), 4, 10**8, 40, which)
+        dim = build_hamiltonian(ladder, 10**8, 40, "even").dim
+        assert tr.step_vectors.shape == (4, dim, 2)
+        assert np.array_equal(tr.step_vectors[-1], tr.vectors)
+        for g, vals, vecs in zip(tr.gs, tr.energies, tr.step_vectors):
+            h = build_hamiltonian(ladder.with_couplings(*g), 10**8, 40, "even")
+            assert np.max(np.abs(h.matvec(vecs) - vals * vecs)) < 1e-9
 
     def test_repeated_label_rejected(self, ladder, monkeypatch):
         monkeypatch.setattr(fock, "_shift_invert_near", None)   # before any solve
@@ -240,7 +254,7 @@ class TestTracking:
         assert_allclose(tr.energies[-1], reference[nearest], rtol=0, atol=1e-12)
 
     def test_exact_dressed_levels_near_orbit_average(self, ladder):
-        exact = exact_dressed_levels(ladder, 0.5, 0.5, 10**8, 400)
+        exact = exact_dressed_levels(ladder, 0.5, 0.5, 400)
         approx = wkb_levels(ladder.with_couplings(0.5, 0.5))
         assert np.max(np.abs(exact - approx)) < 0.1
 
@@ -270,41 +284,41 @@ class TestTruncationBound:
 
     def test_narrow_window_levels_raise(self, ladder):
         with pytest.raises(ConvergenceError, match="uncertain"):
-            exact_dressed_levels(ladder, 0.88, 1.08, 10**8, 30)
+            exact_dressed_levels(ladder, 0.88, 1.08, 30)
 
     def test_narrow_window_gap_raises(self, ladder):
         with pytest.raises(ConvergenceError, match="uncertain"):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.1, 0.33)), 13, (1, 2), 10**8, 16)
+            anticrossing_gap(ladder, (1.1, 0.33), 13, (1, 2), 16)
 
 
 class TestAnticrossing:
     def test_even_exchange_rejected(self, ladder):
         with pytest.raises(ValueError):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 12, (1, 2), 10**8, 100)
+            anticrossing_gap(ladder, (1.0, 0.3), 12, (1, 2), 100)
 
     @pytest.mark.parametrize("vicinity", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_vicinity_rejected(self, ladder, vicinity):
         with pytest.raises(ValueError, match="vicinity"):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
                              vicinity=vicinity)
 
     def test_too_few_scan_points_rejected(self, ladder):
         # two points leave no room for an interior minimum
         with pytest.raises(ValueError, match="scan_points"):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
                              scan_points=2)
 
     def test_unknown_mode_rejected(self, ladder):
         with pytest.raises(ValueError, match="mode"):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
                              mode="both")
 
     def test_decoupled_transition_gap_vanishes(self):
         # with the lower coupling off, level-1 states cross exactly; the
         # third level sits far away so no accidental resonance interferes
         remote = ModelParams(0.0, 11.0, 100.0, 0.0, 0.0, 10**8)
-        res = anticrossing_gap(remote, ((0.0, 0.0), (0.0, 0.2)), 9, (1, 2),
-                               10**8, 120, scan_points=61, vicinity=0.05)
+        res = anticrossing_gap(remote, (0.0, 0.2), 9, (1, 2), 120, scan_points=61,
+                               vicinity=0.05)
         assert res.gap < 1e-7
 
     def test_failed_refinement_raises(self, ladder, monkeypatch):
@@ -315,7 +329,7 @@ class TestAnticrossing:
 
         monkeypatch.setattr(fock, "minimize_scalar", no_convergence)
         with pytest.raises(ConvergenceError, match="not refined"):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 100,
+            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
                              scan_points=31)
 
     def test_no_point_solved_twice_after_the_scan(self, ladder, monkeypatch):
@@ -336,7 +350,7 @@ class TestAnticrossing:
 
         monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
         monkeypatch.setattr(fock, "minimize_scalar", spy_minimize)
-        res = anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 13, (1, 2), 10**8, 400,
+        res = anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 400,
                                scan_points=31)
         assert len(res.minima) == len(evaluations) >= 1
         after = built[polish_start[0]:]
@@ -345,39 +359,38 @@ class TestAnticrossing:
 
     def test_benign_line_gap_matches_two_state_estimate(self, ladder):
         from triladder import pt_splitting
-        res = anticrossing_gap(ladder, ((0.0, 0.0), (1.0, 0.3)), 15, (1, 2),
-                               10**8, 400)
-        params = ladder.with_couplings(*res.g_star)
-        pt = pt_splitting(params, (1, 2), 15, resonance_tol=0.05)
+        res = anticrossing_gap(ladder, (1.0, 0.3), 15, (1, 2), 400)
+        pt = pt_splitting(ladder.with_couplings(*res.g_contour), (1, 2), 15)
         assert pt / res.gap == pytest.approx(1.0, abs=0.25)
 
 
-# criterion 8's interference line, the interference line of
-# tests/test_splittings.py (delta_n 13) and the seed-0 benchmark line
+# the ends of criterion 8's interference line, the interference line of
+# tests/test_splittings.py (delta_n 13) and the seed-0 benchmark line, each
+# from zero coupling
 SCAN_LINES = {
-    "interference-c8": (((0.0, 0.0), (1.0, 0.1)), 23,
+    "interference-c8": ((1.0, 0.1), 23,
                         dict(mode="nearest", vicinity=0.09, scan_points=401)),
-    "interference-dn13": (((0.0, 0.0), (0.7, 0.77)), 13,
+    "interference-dn13": ((0.7, 0.77), 13,
                           dict(mode="nearest", vicinity=0.10, scan_points=301)),
-    "benign-dn13": (((0.0, 0.0), (1.1, 0.33)), 13, {}),
+    "benign-dn13": ((1.1, 0.33), 13, {}),
 }
 
 
 class TestCoarseToFineScan:
     @pytest.mark.parametrize("name", sorted(SCAN_LINES))
     def test_matches_exhaustive_scan(self, ladder, monkeypatch, name):
-        line, dn, options = SCAN_LINES[name]
-        coarse = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        end, dn, options = SCAN_LINES[name]
+        coarse = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
         monkeypatch.setattr(fock, "_COARSE_STRIDE", 1)
-        every = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        every = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
         assert every.ts.size == options.get("scan_points", 101)
         assert len(coarse.minima) == len(every.minima)
         assert_allclose(coarse.g_star, every.g_star, rtol=0.0, atol=1e-6)
         assert coarse.gap == pytest.approx(every.gap, rel=1e-9)
 
     def test_evaluates_at_most_half_the_grid(self, ladder):
-        line, dn, options = SCAN_LINES["benign-dn13"]
-        scan = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        end, dn, options = SCAN_LINES["benign-dn13"]
+        scan = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
         assert scan.ts.size <= 50
         assert np.all(np.diff(scan.ts) > 0)
 
@@ -387,10 +400,10 @@ class TestApproach:
 
     @pytest.mark.parametrize("name", ["benign-dn13", "interference-dn13"])
     def test_matches_fixed_step_approach(self, ladder, monkeypatch, name):
-        line, dn, options = SCAN_LINES[name]
-        on_demand = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        end, dn, options = SCAN_LINES[name]
+        on_demand = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
         monkeypatch.setattr(fock, "_APPROACH_STEPS", 24)
-        fixed = anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        fixed = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
         assert len(on_demand.minima) == len(fixed.minima)
         assert_allclose(on_demand.g_star, fixed.g_star, rtol=0.0, atol=1e-9)
         assert on_demand.gap == pytest.approx(fixed.gap, rel=1e-9)
@@ -404,15 +417,15 @@ class TestApproach:
             return _shift_invert_near(h, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_shift_invert_near", counted)
-        line, dn, options = SCAN_LINES["benign-dn13"]
-        anticrossing_gap(ladder, line, dn, (1, 2), 10**8, 400, **options)
+        end, dn, options = SCAN_LINES["benign-dn13"]
+        anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
         assert len(calls) <= 50
 
 
 class TestSharpnessMap:
     def test_uncoupled_point_hits_cap(self, ladder):
         table = resonance_sharpness_map(ladder, (1, 2), np.array([0.0]),
-                                        np.array([0.0]), 10**8, 60)
+                                        np.array([0.0]), 60)
         assert table.shape[0] == 1
         row = table[0]
         assert row["diff"] == pytest.approx(11.0, abs=1e-9)
@@ -424,7 +437,7 @@ class TestSharpnessMap:
     def test_bad_transition_rejected(self, ladder, transition):
         with pytest.raises(ValueError):
             resonance_sharpness_map(ladder, transition, np.array([0.0, 0.1]),
-                                    np.array([0.0]), 10**8, 60)
+                                    np.array([0.0]), 60)
 
     def test_ridges_align_with_contours(self, ladder):
         # along one row of the map, the sharpness peak of the 13-quantum
@@ -432,8 +445,7 @@ class TestSharpnessMap:
         from triladder import contour_point_on_line
         g2_row = 0.12
         g1 = np.linspace(0.0, 0.42, 29)
-        table = resonance_sharpness_map(ladder, (1, 2), g1, np.array([g2_row]),
-                                        10**8, 150)
+        table = resonance_sharpness_map(ladder, (1, 2), g1, np.array([g2_row]), 150)
         on_ridge = table[table["delta_n"] == 13]
         assert on_ridge.size > 0
         peak_g1 = on_ridge[np.argmax(on_ridge["sharpness"])]["g1"]

@@ -18,6 +18,15 @@ class TestPtSplitting:
         with pytest.raises(OffResonanceError):
             pt_splitting(ladder.with_couplings(0.05, 0.015), (1, 2), 13)
 
+    def test_point_beside_the_resonance_refused(self, ladder):
+        # the seed-0 delta_n 15 point on g2 = 0.3 g1, moved 1e-6 relative along
+        # the line: its mismatch at twice RESONANCE_NODES is 6.5e-6
+        g1, g2 = contour_point_on_line(ladder, (1, 2), 15, ratio=0.3, g1_max=1.1)
+        assert pt_splitting(ladder.with_couplings(g1, g2), (1, 2), 15) > 0.0
+        beside = ladder.with_couplings(g1 * (1.0 + 1e-6), g2 * (1.0 + 1e-6))
+        with pytest.raises(OffResonanceError, match=r"by 6\.\d+e-06"):
+            pt_splitting(beside, (1, 2), 15)
+
     def test_decoupled_transition_gives_zero(self):
         # lower coupling off: bisect along the g2 axis for the (1,2)
         # resonance with 9 quanta, then check the estimate vanishes
@@ -31,7 +40,7 @@ class TestPtSplitting:
             else:
                 hi = mid
         params = remote.with_couplings(0.0, 0.5 * (lo + hi))
-        value = pt_splitting(params, (1, 2), 9, resonance_tol=1e-3)
+        value = pt_splitting(params, (1, 2), 9)
         assert value == 0.0
 
     def test_estimate_sits_near_exact_gap(self, ladder):
@@ -60,7 +69,7 @@ class TestContourPoint:
         with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             contour_point_on_line(ladder, (1, 2), 17, ratio=0.5)
         with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
-            anticrossing_gap(ladder, ((0.0, 0.0), (1.05, 0.525)), 17, (1, 2), 10**8, 400)
+            anticrossing_gap(ladder, (1.05, 0.525), 17, (1, 2), 400)
 
 
 class TestCompare:

@@ -17,9 +17,10 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _PUBLIC = {
-    "coupling": ("coupling_matrix", "v_matrix_element", "v_matrix_element_h0"),
+    "coupling": ("coupling_matrix", "h0_level_fd", "v_matrix_element",
+                 "v_matrix_element_h0"),
     "dressed": ("ResonanceContour", "contour_arc_crossing", "dressed_transition",
-                "h0_level_fd", "resonance_contour", "wkb_levels"),
+                "resonance_contour", "wkb_levels"),
     "errors": ("ConvergenceError", "DegenerateLevelsError", "OffResonanceError",
                "TrackingError", "TriladderError"),
     "fock": ("FockWindowHamiltonian", "GapScan", "TrackedLevels", "anticrossing_gap",

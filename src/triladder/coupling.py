@@ -17,6 +17,11 @@ quadrature usable up to moderate quantum numbers, and a windowed
 Fock-operator construction with no practical limit on n.
 ``v_matrix_element_h0`` takes the eigenfunctions of the rotated single-level
 problem, which the two-state splitting estimate calls for.
+
+That single-level problem, E_j(y) plus the oscillator, is assembled on a
+Fock window in one place, ``_rotated_operator``.  Its spectrum is also the
+independent oracle of the dressed levels: ``h0_level_fd`` picks the rung by
+its index in the window, without the orbit average.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
+from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
 
-from .dressed import wkb_levels
+from .dressed import _check_level, wkb_levels
 from .errors import ConvergenceError
 from .oscillator import (derivative_from_rows, eigenfunction_rows, ladder_rows,
                          position_offdiagonal, roots_hermite)
@@ -195,12 +200,48 @@ def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int,
 _INVERSE_STEPS = 30
 
 
+def _rotated_operator(params, level, nq, lo, nodes, q):
+    """The single-level rotated problem on a Fock window, rungs counted from ``nq``.
+
+    (number operator - nq) + E_level(y) on the window's Fock states from
+    ``lo``, with E_level(y) taken at the window's position nodes and rotated
+    back by their eigenvectors ``q`` (the window's DVR of the adiabatic curve).
+    """
+    energies = eigenvalues_at(params, nodes)[:, level - 1]
+    op = (q * energies) @ q.T
+    idx = np.arange(nodes.size)
+    op[idx, idx] += (lo + idx) - float(nq)
+    return op
+
+
+def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
+    """Dressed energy of level ``j`` from the rotated single-level problem at rung ``n``.
+
+    Solves E_j(y) + (oscillator) on the Fock window of ``n`` padded by 48
+    states on each side and takes the eigenvalue at index ``n - lo`` of the
+    window's ascending spectrum (``lo`` its first state), less the rung ``n``.
+    The padding doubles until the value is stable to 1e-8 relative
+    (``_refine``), else ConvergenceError.  Independent of the orbit average.
+    """
+    _check_level(j)
+    if n < 0 or n > 2000:
+        raise ValueError(f"h0_level_fd supports 0 <= n <= 2000, got {n}")
+
+    def evaluate(pad):
+        lo, nodes, q = _window(n, n, pad)
+        op = _rotated_operator(params, j, n, lo, nodes, q)
+        (value,) = eigvalsh(op, subset_by_index=[n - lo, n - lo])
+        # the operator's norm sets the roundoff floor of its eigenvalues
+        return float(value), float(np.max(np.sum(np.abs(op), axis=1)))
+
+    return _refine(evaluate, 48, f"dressed level {j} at n={n}", "window")
+
+
 def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     """Eigenvector of the windowed single-level rotated problem near one rung.
 
-    The operator is (number operator) + E_level(y) on the window's Fock states
-    from ``lo``; its eigenvector with eigenvalue nearest
-    ``target_dressed + nq`` is the distorted oscillator state carrying
+    The operator is ``_rotated_operator``; its eigenvector with eigenvalue
+    nearest ``target_dressed + nq`` is the distorted oscillator state carrying
     quantum label ``nq``.  It comes from shift-and-invert inverse iteration:
     one LU of the operator minus the target, applied to the Fock state at
     ``nq`` until the residual is below 1e-13 of the operator's infinity norm
@@ -208,10 +249,8 @@ def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     lies more than 0.45 from the target, and when the residual does not
     settle.
     """
-    energies = eigenvalues_at(params, nodes)[:, level - 1]
-    shifted = (q * energies) @ q.T
+    shifted = _rotated_operator(params, level, nq, lo, nodes, q)
     idx = np.arange(nodes.size)
-    shifted[idx, idx] += (lo + idx) - float(nq)   # oscillator rungs counted from nq
     tol = 1e-13 * np.max(np.sum(np.abs(shifted), axis=1))
     shifted[idx, idx] -= target_dressed
     lu = lu_factor(shifted)

@@ -9,8 +9,8 @@ evaluates the cubic of ``trilevel`` for many coupling points at once on half
 the (symmetric) nodes.  The three branches of the cubic are linear in
 amp sin(phi) and amp cos(phi) of its trigonometric form, so the route sums
 only those two over the nodes and forms the three levels from the sums.
-A brute-force grid solution of the corresponding one-dimensional
-Schroedinger problem serves as the independent oracle at moderate n.
+The independent oracle at moderate n, the one-dimensional problem solved on
+a Fock window, is ``coupling.h0_level_fd``.
 
 Resonance contours in the (g1, g2) plane collect the points where a dressed
 transition energy equals an odd number of oscillator quanta.  One table of
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, TrackingError
-from .trilevel import ModelParams, _amplitudes, _ascending, _trig_form, eigenvalues_at
+from .errors import ConvergenceError
+from .trilevel import ModelParams, _amplitudes, _ascending, _trig_form
+from .trilevel import eigenvalues_at  # unused here: perfbench's tracing wraps this binding
 
 WKB_DEFAULT_NODES = 256
 _WKB_TOL = 1e-9
@@ -261,88 +262,6 @@ def dressed_transition(params: ModelParams, j: int, k: int, n: int = None,
         n = params.n0
     levels = wkb_levels(params, n, nodes, tol=tol)
     return float(levels[k - 1] - levels[j - 1])
-
-
-# ---------------------------------------------------------------------------
-# brute-force one-dimensional oracle
-
-
-def _sinc_kinetic(npts, dx):
-    """Infinite-order symmetric central-difference Laplacian (times -1/2).
-
-    Entries of (1/2) * (-d^2/dy^2) discretized on a uniform grid; exact for
-    band-limited functions up to the grid Nyquist wavenumber pi/dx.
-    """
-    i = np.arange(npts)
-    diff = i[:, None] - i[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(diff == 0, np.pi**2 / 3.0, 2.0 * (-1.0) ** diff / diff.astype(float) ** 2)
-    return t / (2.0 * dx * dx)
-
-
-def _count_nodes(vec):
-    """Sign changes of a grid eigenfunction.
-
-    Samples below 1e-6 of the peak are ignored: the sinc basis rings at about
-    1e-8 relative in the classically forbidden region, while genuine lobes
-    keep at least one sample far above this cut.
-    """
-    keep = np.abs(vec) > 1e-6 * np.max(np.abs(vec))
-    s = np.sign(vec[keep])
-    return int(np.sum(s[1:] * s[:-1] < 0))
-
-
-def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
-    """Dressed energy of level ``j`` from a grid solution of the one-dimensional problem.
-
-    Solves (E + 1/2) u = [E_j(y) + (1/2)(-d^2/dy^2 + y^2)] u on a uniform
-    grid, picks the eigenfunction with exactly ``n`` sign changes, and
-    subtracts the ladder offset.  The grid spacing is set from the local
-    momentum at the target energy (1.15 times the Nyquist rate) and the
-    extent from where the potential exceeds the target by a margin of 10.
-
-    The solve is repeated on a finer grid and a shift above 1e-6 raises
-    ConvergenceError.
-    """
-    import scipy.linalg    # only this oracle needs scipy; the rest of the module is numpy
-
-    _check_level(j)
-    if n < 0 or n > 2000:
-        raise ValueError("the brute-force route supports 0 <= n <= 2000")
-
-    ej = [params.e1, params.e2, params.e3][j - 1]
-    padding = 10.0
-
-    def solve(stretch):
-        # probe the potential to size the grid
-        probe = np.linspace(-1.0, 1.0, 801) * (math.sqrt(2.0 * n + 1.0) + 40.0)
-        vprobe = eigenvalues_at(params, probe)[:, j - 1] + 0.5 * probe**2
-        vmin = float(vprobe.min())
-        target = ej + n + 0.5
-        bound = max(target, vmin + n + 1.0) + 6.0
-        turning = np.abs(probe[vprobe <= bound + padding])
-        extent = turning.max() if turning.size else abs(probe[-1])
-        extent = max(extent, math.sqrt(2.0 * n + 1.0) * 0.5 + padding) + padding
-        kmax = math.sqrt(2.0 * max(bound - vmin, 1.0))
-        dx = np.pi / (1.15 * stretch * kmax)
-        npts = int(2 * extent / dx) + 1
-        y = (np.arange(npts) - (npts - 1) / 2.0) * dx
-        pot = eigenvalues_at(params, y)[:, j - 1] + 0.5 * y * y
-        h = _sinc_kinetic(npts, dx)
-        h[np.diag_indices(npts)] += pot
-        lo = max(n - 2, 0)
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=[lo, n + 2])
-        for idx in range(vals.size):
-            if _count_nodes(vecs[:, idx]) == n:
-                return float(vals[idx])
-        raise TrackingError(f"no grid eigenfunction with {n} nodes near index {n}")
-
-    lam = solve(1.0)
-    lam_fine = solve(1.35)
-    if abs(lam_fine - lam) > 1e-6:
-        raise ConvergenceError(
-            f"grid eigenvalue moved by {abs(lam_fine - lam):.2e} on refinement")
-    return lam_fine - 0.5 - n
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,8 @@ def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
 class TrackedLevels:
     """Eigenvalue curves continued along a coupling sweep by vector overlap.
 
-    Every recorded point keeps its eigenvectors (``step_vectors``).
+    Every recorded point keeps its eigenvectors (``step_vectors``); the
+    sector solved at the final point is kept too, for its truncation bound.
     """
 
     which: list
@@ -333,6 +334,7 @@ class TrackedLevels:
     relabelings: list           # (step index, note) where the energy order changed
     vectors: np.ndarray         # (dim, L) eigenvectors at the final point
     step_vectors: np.ndarray    # (steps, dim, L) eigenvectors at every point; [-1] is vectors
+    hamiltonian: FockWindowHamiltonian   # the sector assembled at the final point
 
 
 def _assign(prev_vecs, vals, vecs):
@@ -421,16 +423,16 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
             if np.any(close):
                 raise TrackingError(f"ambiguous level identity at g={tuple(g.tolist())}: "
                                     f"overlaps within {AMBIGUITY}")
-            return new_vals, new_vecs
+            return new_vals, new_vecs, h
         if depth >= _MAX_REFINES:
             raise TrackingError(f"overlap tracking failed near g={tuple(g.tolist())}")
         t_mid = 0.5 * (t_from + t_to)
-        vals, vecs = advance(t_from, t_mid, vals, vecs, depth + 1)
+        vals, vecs, _ = advance(t_from, t_mid, vals, vecs, depth + 1)
         return advance(t_mid, t_to, vals, vecs, depth + 1)
 
-    kept = [vecs]
+    kept, h = [vecs], h0
     for s in range(1, steps):
-        new_vals, new_vecs = advance(ts[s - 1], ts[s], vals, vecs, 0)
+        new_vals, new_vecs, h = advance(ts[s - 1], ts[s], vals, vecs, 0)
         prev_order = np.argsort(vals, kind="stable")
         new_order = np.argsort(new_vals, kind="stable")
         if not np.array_equal(prev_order, new_order):
@@ -443,7 +445,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
 
     gs = start + ts[:, None] * (end - start)
     return TrackedLevels(which, gs, np.array(energies), np.array(overlaps), relabel, vecs,
-                         np.array(kept))
+                         np.array(kept), h)
 
 
 def central_quantum(level, n0):
@@ -479,8 +481,7 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float,
     which = list(zip((1, 2, 3), nq))
     steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
     tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, n0, half_width, which)
-    h = build_hamiltonian(template.with_couplings(g1, g2), n0, half_width, _sector_of(which))
-    bound = np.max(h.truncation_bound(tr.energies[-1], tr.vectors))
+    bound = np.max(tr.hamiltonian.truncation_bound(tr.energies[-1], tr.vectors))
     if bound > 1e-8:
         raise ConvergenceError(
             f"the window n0 +- {half_width} leaves the dressed levels at "

@@ -5,15 +5,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from triladder import (ConvergenceError, ModelParams, coupling_matrix, v_matrix_element,
-                       v_matrix_element_h0, wkb_levels)
+from triladder import (ConvergenceError, ModelParams, coupling_matrix, h0_level_fd,
+                       v_matrix_element, v_matrix_element_h0, wkb_levels)
 from triladder.fock import central_quantum
 from triladder.oscillator import eigenfunction_rows
 import triladder.coupling as coupling
 import triladder.trilevel as trilevel
-from triladder.dressed import _sinc_kinetic
 
-from conftest import random_params
+from conftest import _count_nodes, _sinc_kinetic, random_params
 
 
 def two_level_f12(u, gap, y):
@@ -184,7 +183,6 @@ class TestRotatedFrameElements:
         def well_state(level, count):
             h = kin + np.diag(curves[:, level - 1] + 0.5 * y * y)
             vals, vecs = scipy.linalg.eigh(h, subset_by_index=[count - 1, count + 1])
-            from triladder.dressed import _count_nodes
             for i in range(vals.size):
                 if _count_nodes(vecs[:, i]) == count:
                     return vecs[:, i]
@@ -264,3 +262,46 @@ class TestRotatedFrameStates:
                             lambda lu, b: solve(lu, b) + 1e-3 * np.roll(b, 1))
         with pytest.raises(ConvergenceError, match="did not settle"):
             coupling._window_h0_state(p, 2, 586, *window, target)
+
+
+def vacuum_window_level(params, j, n):
+    """Rung ``n`` of level ``j`` on the window anchored at the vacuum.
+
+    Its Fock states start at 0, so the n-th eigenvalue of the rotated
+    single-level problem is rung n without any choice of index.
+    """
+    lo, nodes, q = coupling._window(0, n, n + 400)
+    op = coupling._rotated_operator(params, j, n, lo, nodes, q)
+    return scipy.linalg.eigvalsh(op, subset_by_index=[n, n])[0]
+
+
+class TestWindowLevelOracle:
+    @pytest.mark.parametrize("g1, g2, n, j", [
+        (1.0, 1.25, 50, 3), (1.25, 1.0, 50, 2), (1.5, 1.5, 20, 3)])
+    def test_matches_vacuum_window_at_strong_coupling(self, g1, g2, n, j):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, g1, g2, n)
+        assert h0_level_fd(p, j, n) == pytest.approx(vacuum_window_level(p, j, n),
+                                                      rel=0.0, abs=1e-9)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200), j=st.sampled_from([1, 2, 3]))
+    def test_matches_vacuum_window_or_raises(self, seed, n, j):
+        p = random_params(np.random.default_rng(seed))
+        try:
+            value = h0_level_fd(p, j, n)
+        except ConvergenceError:
+            return
+        assert value == pytest.approx(vacuum_window_level(p, j, n), rel=0.0, abs=1e-9)
+
+    def test_unsettled_window_raises(self, monkeypatch):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.5, 100)
+        rotated = coupling._rotated_operator
+
+        def drifting(params, level, nq, lo, nodes, q):
+            # a shift that grows with the window keeps the level moving as it doubles
+            shift = 1e-3 * nodes.size * np.eye(nodes.size)
+            return rotated(params, level, nq, lo, nodes, q) + shift
+
+        monkeypatch.setattr(coupling, "_rotated_operator", drifting)
+        with pytest.raises(ConvergenceError, match="not stable under window refinement"):
+            h0_level_fd(p, 1, 100)

@@ -8,11 +8,10 @@ from triladder import (ConvergenceError, ModelParams, contour_arc_crossing,
                        contour_point_on_line, dressed_transition, eigenvalues_at,
                        h0_level_fd, resonance_contour, wkb_levels)
 from triladder import dressed
-from triladder.dressed import (_CHUNK_POINTS, _bisect_root, _count_nodes, _orbit_levels,
-                               _sinc_kinetic)
+from triladder.dressed import _CHUNK_POINTS, _bisect_root, _orbit_levels
 from triladder.trilevel import _amplitudes
 
-from conftest import random_params
+from conftest import _count_nodes, _sinc_kinetic, random_params
 
 
 class TestWkbAverage:

@@ -258,6 +258,19 @@ class TestTracking:
         approx = wkb_levels(ladder.with_couplings(0.5, 0.5))
         assert np.max(np.abs(exact - approx)) < 0.1
 
+    def test_exact_dressed_levels_assemble_each_coupling_once(self, ladder, monkeypatch):
+        # the truncation bound reuses the sector the sweep solved at its end
+        built = []
+        build = fock.build_hamiltonian
+
+        def spy_build(params, *args):
+            built.append((params.u, params.v))
+            return build(params, *args)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        exact_dressed_levels(ladder, 0.5, 0.5, 400)
+        assert len(built) == len(set(built)) == 14
+
     def test_three_levels_repeat_every_two_quanta(self, ladder):
         # within one parity sector the central spectrum is three curves
         # repeating with a two-quantum offset

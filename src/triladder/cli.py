@@ -196,10 +196,15 @@ def read_run(cfg, command) -> dict:
             raise ConfigError(f"[run] half_width = {width}: the window n0 +- {width} "
                               f"reaches below the vacuum at n0 = {n0}")
     if command == "splittings":
-        from .fock import central_quantum
+        from .fock import _sector_of, central_quantum
         j, k = run["transition"]
+        nb = central_quantum(j, n0)
         for dn in run["delta_n_list"]:
-            if central_quantum(j, n0) - dn < n0 - width:
+            try:
+                _sector_of([(j, nb), (k, nb - dn)])
+            except ValueError as err:
+                raise ConfigError(f"[run] transition = {j},{k}, delta_n {dn}: {err}") from err
+            if nb - dn < n0 - width:
                 raise ConfigError(f"[run] delta_n {dn}: the partner state of level {k} "
                                   f"lies outside the window n0 +- half_width = {width}")
     return run

@@ -11,12 +11,13 @@ d/dy with each F_jk.
 
 Matrix elements between product states (level j, oscillator quantum n) come
 in two families with one argument check and one sign rule.
-``v_matrix_element`` takes bare oscillator eigenfunctions and is evaluated
-two independent ways, selected by ``method``: a Gauss-Hermite product
-quadrature usable up to moderate quantum numbers, and a windowed
-Fock-operator construction with no practical limit on n.
-``v_matrix_element_h0`` takes the eigenfunctions of the rotated single-level
-problem, which the two-state splitting estimate calls for.
+``v_matrix_element`` takes bare oscillator eigenfunctions (unit Fock states)
+and ``v_matrix_element_h0`` the eigenfunctions of the rotated single-level
+problem, which the two-state splitting estimate calls for.  Both are
+evaluated the same way: on a Fock window around the two quantum numbers,
+through the window's DVR (the eigenvectors of the windowed position
+operator), by one evaluator, ``_window_element``, that also returns the size
+of the terms it sums as the roundoff floor of the window doubling.
 
 That single-level problem, E_j(y) plus the oscillator, is assembled on a
 Fock window in one place, ``_rotated_operator``.  Its spectrum is also the
@@ -33,15 +34,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
 
 from .dressed import _check_level, wkb_levels
 from .errors import ConvergenceError
-from .oscillator import (derivative_from_rows, eigenfunction_rows, ladder_rows,
-                         position_offdiagonal, roots_hermite)
 from .trilevel import ModelParams, _chained_bases, eigenvalues_at
-
-#: quantum number cap for the Gauss-Hermite route
-HERMITE_MAX_N = 5000
-
-METHOD_HERMITE = "hermite-quadrature"
-METHOD_FOCK = "fock-window"
 
 _REL_TOL = 1e-8
 _ABS_FLOOR = 1e-12
@@ -90,13 +83,12 @@ def _converged(new, old, scale):
     return delta <= _REL_TOL * abs(new) or delta <= _ABS_FLOOR * scale
 
 
-def _refine(evaluate, size, what, route):
+def _refine(evaluate, size, what):
     """Evaluate at ``size``, then double the size up to three times.
 
     ``evaluate(size)`` returns ``(value, scale)``; the first doubled value
     that passes ``_converged(new, previous, scale)`` is returned.  Otherwise
-    ConvergenceError names ``what``, the refinement ``route`` and the last
-    change.
+    ConvergenceError names ``what`` and the last change.
     """
     value, _ = evaluate(size)
     for _ in range(3):
@@ -107,38 +99,27 @@ def _refine(evaluate, size, what, route):
         last_change = abs(new - value)
         value = new
     raise ConvergenceError(
-        f"{what} not stable under {route} refinement; last change {last_change:.3e}")
+        f"{what} not stable under window refinement; last change {last_change:.3e}")
 
 
-#: coupling functions are only evaluated this far beyond the classical turning
-#: point; eigenfunction products there are already below double precision
-_TURNING_MARGIN = 12.0
+def position_offdiagonal(lo, hi):
+    """Off-diagonal of y = (a + a^dag)/sqrt(2) on Fock states lo..hi."""
+    k = np.arange(lo + 1, hi + 1, dtype=float)
+    return np.sqrt(k / 2.0)
 
 
-def _classical_mask(y, nmax):
-    return np.abs(y) <= np.sqrt(2.0 * nmax + 1.0) + _TURNING_MARGIN
+def ladder_rows(lo, mat, sign):
+    """((a + sign a^dag)/sqrt(2)) @ mat on Fock states lo, lo + 1, ...
 
-
-def _element_hermite(params, pair, n, m, order):
-    """Quadrature value of integral F * (phi_n phi_m' - phi_n' phi_m) dy.
-
-    The integrand is the integrated-by-parts form of the derivative-coupling
-    kernel; boundary terms vanish for bound states.  Also returns the
-    magnitude sum used as a noise floor for parity-forbidden elements.
+    ``sign`` = -1 gives d/dy, +1 the position y.  Both are tridiagonal, so the
+    product is two row shifts weighted by ``position_offdiagonal``: O(n^2)
+    where a dense product is O(n^3).
     """
-    y = roots_hermite(order)[0]
-    need = sorted({order - 1, n, m, abs(n - 1), n + 1, abs(m - 1), m + 1})
-    rows = eigenfunction_rows(y, need)
-    row = {k: rows[i] for i, k in enumerate(need)}
-    w = 1.0 / (order * row[order - 1] ** 2)
-    pn, pm = row[n], row[m]
-    dn = derivative_from_rows(n, row[abs(n - 1)], row[n + 1])
-    dm = derivative_from_rows(m, row[abs(m - 1)], row[m + 1])
-    inside = _classical_mask(y, max(n, m))
-    f = np.zeros(y.size)
-    f[inside] = _coupling_batch(params, y[inside])[:, pair[0] - 1, pair[1] - 1]
-    terms = w * f * (pn * dm - dn * pm)
-    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+    off = position_offdiagonal(lo, lo + mat.shape[0] - 1)[:, None]
+    out = np.zeros_like(mat)
+    out[:-1] = off * mat[1:]
+    out[1:] += sign * off * mat[:-1]
+    return out
 
 
 def _window(n, m, pad):
@@ -154,45 +135,47 @@ def _window(n, m, pad):
 
 
 def _window_operators(params, pair, lo, nodes, q):
-    """Windowed F_jk(y) and anticommutator {d/dy, F_jk} matrices."""
+    """F_jk(y) at the window's nodes and the windowed anticommutator {d/dy, F_jk}."""
     f = _coupling_batch(params, nodes)[:, pair[0] - 1, pair[1] - 1]
-    fmat = (q * f) @ q.T
     # F is symmetric and d/dy antisymmetric, so F d/dy = -(d/dy F)^T
-    dfmat = ladder_rows(lo, fmat, -1.0)
-    return fmat, dfmat - dfmat.T
+    dfmat = ladder_rows(lo, (q * f) @ q.T, -1.0)
+    return f, dfmat - dfmat.T
 
 
-def _element_fock(params, pair, n, m, pad):
-    lo, nodes, q = _window(n, m, pad)
-    fmat, op = _window_operators(params, pair, lo, nodes, q)
-    # |d/dy| is the position operator y, so the magnitude sum is y|F| + |F|y
-    yf = ladder_rows(lo, np.abs(fmat), 1.0)
-    a, b = n - lo, m - lo
-    return float(op[a, b]), float(yf[a, b] + yf[b, a])
+def _window_element(params, pair, lo, nodes, q, left, right):
+    """<left| {d/dy, F_jk} |right> on a window, and the size of the terms it sums.
+
+    ``left`` and ``right`` are vectors over the window's Fock states.  The
+    size is |left|^T (|D| M + M |D|) |right| with M = |q| diag|F| |q|^T and
+    |D| the position operator (the entrywise |d/dy|): the magnitude sum of
+    the products the DVR evaluation adds up, whatever they cancel to.  It is
+    taken from four |q|^T products, without forming M.
+    """
+    f, op = _window_operators(params, pair, lo, nodes, q)
+    value = float(left @ op @ right)
+    del op      # never held together with |q| (peak memory)
+    mags = np.abs(np.stack([left, right], axis=1))
+    # |q|^T times |left|, |right|, |D| |left| and |D| |right|
+    p = np.abs(q).T @ np.hstack([mags, ladder_rows(lo, mags, 1.0)])
+    return value, float(np.abs(f) @ (p[:, 2] * p[:, 1] + p[:, 0] * p[:, 3]))
 
 
-def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int,
-                     method: str) -> float:
+def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> float:
     """<level j, n| derivative-coupling operator |level k, m>, in oscillator quanta.
 
-    The oscillator factors are bare oscillator eigenfunctions.  ``method`` is
-    METHOD_HERMITE (n, m <= HERMITE_MAX_N) or METHOD_FOCK.  Both methods
-    refine themselves (node doubling, window-padding doubling) until the
-    result is stable to 1e-8 relative, and raise ConvergenceError otherwise.
+    The oscillator factors are bare oscillator eigenfunctions, the unit Fock
+    states n and m.  Evaluated on a Fock window around them padded by
+    4 |n - m| + 64 states; the padding doubles until the value is stable to
+    1e-8 relative, else ConvergenceError.  No practical limit on n.
     """
     sigma, pair = _ordered_pair(j, k, n, m)
-    if method == METHOD_HERMITE:
-        if max(n, m) > HERMITE_MAX_N:
-            raise ValueError(
-                f"{METHOD_HERMITE} supports n, m <= {HERMITE_MAX_N}; use {METHOD_FOCK}")
-        size = 2 * max(n, m) + 64
-        evaluate = lambda s: _element_hermite(params, pair, n, m, s)
-    elif method == METHOD_FOCK:
-        size = 4 * abs(n - m) + 64
-        evaluate = lambda s: _element_fock(params, pair, n, m, s)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    value = _refine(evaluate, size, f"matrix element ({j},{n})<->({k},{m})", method)
+
+    def evaluate(pad):
+        lo, nodes, q = _window(n, m, pad)
+        return _window_element(params, pair, lo, nodes, q, np.eye(1, nodes.size, n - lo)[0],
+                               np.eye(1, nodes.size, m - lo)[0])
+
+    value = _refine(evaluate, 4 * abs(n - m) + 64, f"matrix element ({j},{n})<->({k},{m})")
     return -0.5 * sigma * value
 
 
@@ -234,7 +217,7 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
         # the operator's norm sets the roundoff floor of its eigenvalues
         return float(value), float(np.max(np.sum(np.abs(op), axis=1)))
 
-    return _refine(evaluate, 48, f"dressed level {j} at n={n}", "window")
+    return _refine(evaluate, 48, f"dressed level {j} at n={n}")
 
 
 def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
@@ -254,8 +237,7 @@ def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
     tol = 1e-13 * np.max(np.sum(np.abs(shifted), axis=1))
     shifted[idx, idx] -= target_dressed
     lu = lu_factor(shifted)
-    vec = np.zeros(idx.size)
-    vec[nq - lo] = 1.0
+    vec = np.eye(1, idx.size, nq - lo)[0]
     for _ in range(_INVERSE_STEPS):
         vec = lu_solve(lu, vec)
         # for unit vec, |vec| <= 1 / (distance of the nearest level to the
@@ -301,12 +283,11 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
         lo, nodes, q = _window(n, m, p)
         uj = _window_h0_state(params, j, n, lo, nodes, q, target_j)
         uk = _window_h0_state(params, k, m, lo, nodes, q, target_k)
-        # built after the two eigensolves so the dense operators and the
-        # factorizations are never held at once (peak memory)
-        _, op = _window_operators(params, pair, lo, nodes, q)
-        return float(uj @ op @ uk), float(np.abs(uj) @ (np.abs(op) @ np.abs(uk)))
+        # the element operator is built after the two eigensolves, so it and
+        # the factorizations are never held at once (peak memory)
+        return _window_element(params, pair, lo, nodes, q, uj, uk)
 
     value = _refine(evaluate, 4 * abs(n - m) + 96,
-                    f"rotated-frame element ({j},{n})<->({k},{m})", "window")
+                    f"rotated-frame element ({j},{n})<->({k},{m})")
     return -0.5 * sigma * value
 

@@ -53,10 +53,15 @@ def _parity_bit(parity):
 
 
 def _sector_of(which):
-    """The parity sector of the (level, n) labels ``which``: level + n even or odd."""
+    """The parity sector of the (level, n) labels ``which``: level + n even or odd.
+
+    ValueError when the labels lie in different sectors: such states are not
+    coupled, so they cross exactly, and no sweep or gap can join them.
+    """
     bits = {(j + nq) % 2 for j, nq in which}
     if len(bits) != 1:
-        raise ValueError("tracked states must share one parity sector")
+        raise ValueError(f"states {which} must share one parity sector; "
+                         f"states of different sectors do not couple")
     return "even" if bits.pop() == 0 else "odd"
 
 
@@ -571,7 +576,8 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     (orbit-averaged) transition energy (reported as ``g_contour``), and the
     two resonant states, (j, n) with n = ``central_quantum(j, n0)`` and
     (k, n - delta_n), are tracked out to the vicinity in their parity sector
-    as one sweep interval, which ``track_levels`` halves only where a state's
+    (ValueError before any solve when they lie in different sectors) as one
+    sweep interval, which ``track_levels`` halves only where a state's
     overlap with its previous vector falls below 0.5.  The gap is then scanned
     on a grid of ``scan_points`` (at least 3) evenly spaced points across the
     vicinity, coarse to fine: every fourth point and the last are evaluated
@@ -606,11 +612,10 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
                          f"got {scan_points}")
     end = np.asarray(end, dtype=float)
     n0 = template.n0
-    t_star = _line_resonance(template, end, (j, k), delta_n)
-
     nb = central_quantum(j, n0)
     which = [(j, nb), (k, nb - delta_n)]
     parity = _sector_of(which)
+    t_star = _line_resonance(template, end, (j, k), delta_n)
     t_lo = max(t_star * (1.0 - vicinity), 1e-9)
     t_hi = min(t_star * (1.0 + vicinity), 1.0)
 

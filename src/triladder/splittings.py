@@ -19,7 +19,7 @@ from .coupling import v_matrix_element_h0
 from .dressed import (CONTOUR_RESIDUAL, RESONANCE_NODES, _check_odd, _check_transition,
                       _line_resonance, _transition_gap)
 from .errors import OffResonanceError, TriladderError
-from .fock import anticrossing_gap, central_quantum
+from .fock import _sector_of, anticrossing_gap, central_quantum
 from .trilevel import ModelParams
 
 
@@ -53,17 +53,20 @@ def pt_splitting(params: ModelParams, transition, delta_n: int) -> float:
     ``CONTOUR_RESIDUAL`` at twice ``RESONANCE_NODES``, the bound and node
     count every resonance search holds its roots to, so a ``g_contour`` of
     ``anticrossing_gap`` passes; anything else raises OffResonanceError since
-    the two-state estimate is meaningless off resonance.
+    the two-state estimate is meaningless off resonance.  Two states of
+    different parity sectors (``_sector_of``) cross exactly, so that pair
+    raises ValueError before any work.
     """
     j, k = _check_transition(transition)
     _check_odd(delta_n)
+    nb = central_quantum(j, params.n0)
+    _sector_of([(j, nb), (k, nb - delta_n)])
     resid = _transition_gap(params, params.g1, params.g2, (j, k), params.n0,
                             2 * RESONANCE_NODES) - delta_n
     if abs(resid) > CONTOUR_RESIDUAL:
         raise OffResonanceError(
             f"point (g1={params.g1:.6f}, g2={params.g2:.6f}) misses the "
             f"({j},{k}) resonance with {delta_n} quanta by {resid:.2e}")
-    nb = central_quantum(j, params.n0)
     return 2.0 * abs(v_matrix_element_h0(params, j, k, nb, nb - delta_n))
 
 
@@ -90,11 +93,15 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     g2 = ratio*g1 up to ``g1_max`` (its ``g_contour``), and the two-state
     estimate is evaluated at that point.  Failures of an individual entry
     (resonance off the line, lost tracking) are recorded as invalid entries
-    and the run continues.  Records come back sorted by ``delta_n``.
+    and the run continues; an exchange whose two states lie in different
+    parity sectors raises ValueError before any work.  Records come back
+    sorted by ``delta_n``.
     """
     j, k = transition
+    nb = central_quantum(j, template.n0)
     for dn in delta_ns:
         _check_odd(dn)
+        _sector_of([(j, nb), (k, nb - dn)])
     end = (g1_max, ratio * g1_max)
     records = []
     for dn in sorted(int(d) for d in delta_ns):

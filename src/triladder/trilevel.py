@@ -241,9 +241,12 @@ def _eigensystem(params, y):
 def _chained_bases(params, y):
     """Bases along ascending ``y`` with column signs continued point to point.
 
-    The first point uses the dominant-component convention; every later point
-    inherits the sign that keeps each column aligned with its predecessor.
-    The derivative couplings are evaluated on this basis.
+    The point nearest y = 0 uses the dominant-component convention; every
+    other point inherits the sign that keeps each column aligned with its
+    neighbour towards it.  Near y = 0 the basis is close to the bare levels',
+    so the convention is unambiguous there, and the gauge does not depend on
+    how far the grid reaches.  The derivative couplings are evaluated on this
+    basis.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -259,8 +262,7 @@ def _chained_bases(params, y):
         raise TrackingError(
             f"eigenbasis rotates too fast between y={y[k]} and y={y[k + 1]}; "
             "refine the scan before differentiating")
-    signs = np.cumprod(np.where(ov < 0, -1.0, 1.0), axis=0)
-    out = bases.copy()
-    out[1:] *= signs[:, None, :]
-    return energies, out
+    signs = np.cumprod(np.vstack([np.ones((1, 3)), np.where(ov < 0, -1.0, 1.0)]), axis=0)
+    signs *= signs[np.argmin(np.abs(y))]
+    return energies, bases * signs[:, None, :]
 

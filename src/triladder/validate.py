@@ -65,8 +65,8 @@ def check_parity_selection(fault=None):
     p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.4, 0.3, n)
     worst = 0.0
     for (j, k, dm) in ((1, 2, 2), (1, 2, 4), (2, 3, 2), (1, 3, 1), (1, 3, 3)):
-        elem = coupling.v_matrix_element(p, j, k, n, n - dm, "hermite-quadrature")
-        allowed = coupling.v_matrix_element(p, j, k, n, n - dm - 1, "hermite-quadrature")
+        elem = coupling.v_matrix_element(p, j, k, n, n - dm)
+        allowed = coupling.v_matrix_element(p, j, k, n, n - dm - 1)
         if fault == "parity":
             elem = allowed
         scale = max(abs(allowed), 1.0)

@@ -17,7 +17,7 @@ from triladder import (ModelParams, compare_splittings, contour_arc_crossing,
 from triladder.dressed import _transition_gap
 from triladder.validate import run_all
 
-from conftest import random_params
+from conftest import hermite_element, random_params
 from test_trilevel import jacobi_eigenvalues
 from test_fock import dense_full_basis, sector_eigenvalues
 
@@ -126,7 +126,7 @@ def test_criterion_06_wkb_vs_grid_oracle():
         gaps.append(worst)
     elapsed = time.time() - t0
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-2 and elapsed < 120.0
-    assert report("6 orbit average vs grid oracle", t0, ok,
+    assert report("6 orbit average vs window oracle", t0, ok,
                   "diffs " + " ".join(f"{g:.1e}" for g in gaps)) and ok
 
 
@@ -192,8 +192,8 @@ def test_criterion_09_element_method_cross_check():
     p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, n)
     worst = 0.0
     for dn in range(11, 22, 2):
-        hermite = v_matrix_element(p, 1, 2, n, n - dn, "hermite-quadrature")
-        window = v_matrix_element(p, 1, 2, n, n - dn, "fock-window")
+        hermite = hermite_element(p, 1, 2, n, n - dn)
+        window = v_matrix_element(p, 1, 2, n, n - dn)
         worst = max(worst, abs(hermite / window - 1.0))
     ok = worst <= 1e-6
     assert report("9 element method cross-check", t0, ok,

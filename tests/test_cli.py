@@ -229,6 +229,7 @@ class TestOtherCommands:
         ("contours", CONTOURS + "transition = 1,5\n"),
         ("resonance-map", GRID + "transition = 1,5\n"),
         ("splittings", SPLITTINGS + "transition = 2,1\n"),
+        ("splittings", SPLITTINGS + "transition = 1,3\n"),
         ("contours", CONTOURS + "transition = 0,2\n"),
         ("contours", CONTOURS.replace("delta_n_list = 13", "delta_n_list = 13,-15")),
         ("splittings", SPLITTINGS.replace("delta_n_list = 13", "delta_n_list = 14")),
@@ -270,6 +271,7 @@ class TestOtherCommands:
             "nodes-below-16", "n-negative", "n-fraction", "n0-float-inexact",
             "precision-fraction", "contours-transition-1-5",
             "resonance-map-transition-1-5", "splittings-transition-unordered",
+            "splittings-transition-parity-forbidden",
             "contours-transition-0-2", "delta-n-negative", "delta-n-even",
             "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative",
             "residual-tol-removed", "radius-negative",
@@ -340,8 +342,7 @@ class TestOtherCommands:
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import triladder.cli as cli
-HEAVY = ("triladder.fock", "triladder.coupling", "triladder.splittings",
-         "triladder.oscillator")
+HEAVY = ("triladder.fock", "triladder.coupling", "triladder.splittings")
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in HEAVY)
 seen = {"import": loaded()}

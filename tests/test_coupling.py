@@ -5,14 +5,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from triladder import (ConvergenceError, ModelParams, coupling_matrix, h0_level_fd,
-                       v_matrix_element, v_matrix_element_h0, wkb_levels)
+from triladder import (ConvergenceError, ModelParams, TrackingError, coupling_matrix,
+                       h0_level_fd, v_matrix_element, v_matrix_element_h0, wkb_levels)
 from triladder.fock import central_quantum
-from triladder.oscillator import eigenfunction_rows
 import triladder.coupling as coupling
 import triladder.trilevel as trilevel
 
-from conftest import _count_nodes, _sinc_kinetic, random_params
+from conftest import (_count_nodes, _sinc_kinetic, eigenfunction_rows, hermite_element,
+                      random_params)
 
 
 def two_level_f12(u, gap, y):
@@ -58,6 +58,15 @@ class TestCouplingFunctions:
             assert plus[1, 2] == pytest.approx(minus[1, 2], rel=1e-8)
             assert plus[0, 2] == pytest.approx(-minus[0, 2], rel=1e-6, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [57, 210])
+    def test_sign_independent_of_grid_reach(self, seed):
+        # models where the dominant component of the outermost basis differs
+        # between the two reaches; each window doubling reaches further out
+        p = random_params(np.random.default_rng(seed))
+        y = np.arange(-700, 701) / 20.0
+        far = coupling._coupling_batch(p, y)[350:-350]
+        assert np.array_equal(far, coupling._coupling_batch(p, y[350:-350]))
+
     def test_central_difference_order_two(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.7, 0.4, 100)
         y = 1.3
@@ -79,13 +88,9 @@ class TestMatrixElements:
         monkeypatch.setattr(coupling, "_refine", None)
         p = ModelParams(0.0, 11.0, 24.0, 0.1, 0.1, 100)
         with pytest.raises(ValueError):
-            v_matrix_element(p, 1, 1, 10, 9, "hermite-quadrature")
+            v_matrix_element(p, 1, 1, 10, 9)
         with pytest.raises(ValueError):
-            v_matrix_element(p, 1, 2, -1, 9, "hermite-quadrature")
-        with pytest.raises(ValueError):
-            v_matrix_element(p, 1, 2, 10, 9, "nonsense")
-        with pytest.raises(ValueError):
-            v_matrix_element(p, 1, 2, 6000, 9, "hermite-quadrature")
+            v_matrix_element(p, 1, 2, -1, 9)
         for j, k, n in ((2, 2, 10), (0, 2, 10), (1, 2, -1)):
             with pytest.raises(ValueError):
                 v_matrix_element_h0(p, j, k, n, 9)
@@ -93,37 +98,70 @@ class TestMatrixElements:
     def test_decoupled_level_gives_zero(self):
         n = 500
         p = ModelParams(0.0, 11.0, 24.0, 0.0, 0.2, n)
-        elem = v_matrix_element(p, 1, 2, n, n - 11, "hermite-quadrature")
+        elem = v_matrix_element(p, 1, 2, n, n - 11)
         assert elem == 0.0
 
     def test_parity_selection(self):
         n = 200
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.3, n)
-        allowed = abs(v_matrix_element(p, 1, 2, n, n - 11, "hermite-quadrature"))
+        allowed = abs(v_matrix_element(p, 1, 2, n, n - 11))
         for j, k, dm in ((1, 2, 2), (1, 2, 10), (2, 3, 4), (1, 3, 3)):
-            elem = v_matrix_element(p, j, k, n, n - dm, "hermite-quadrature")
+            elem = v_matrix_element(p, j, k, n, n - dm)
             assert abs(elem) <= 1e-10 * max(allowed, 1.0)
 
     def test_hermitian_pairing(self):
         n = 300
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.3, n)
         for j, k, m in ((1, 2, n - 11), (2, 3, n - 13), (1, 3, n - 12)):
-            a = v_matrix_element(p, j, k, n, m, "hermite-quadrature")
-            b = v_matrix_element(p, k, j, m, n, "hermite-quadrature")
+            a = v_matrix_element(p, j, k, n, m)
+            b = v_matrix_element(p, k, j, m, n)
             assert a == pytest.approx(b, rel=1e-8, abs=1e-15)
 
     def test_methods_agree(self):
         n = 500
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, n)
         for dn in (11, 13):
-            eh = v_matrix_element(p, 1, 2, n, n - dn, "hermite-quadrature")
-            ef = v_matrix_element(p, 1, 2, n, n - dn, "fock-window")
+            eh = hermite_element(p, 1, 2, n, n - dn)
+            ef = v_matrix_element(p, 1, 2, n, n - dn)
             assert eh == pytest.approx(ef, rel=1e-6)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 300),
+           pair=st.sampled_from([(1, 2), (2, 3), (1, 3)]), dm=st.integers(1, 15))
+    def test_matches_hermite_reference_or_raises(self, seed, n, pair, dm):
+        p = random_params(np.random.default_rng(seed))
+        j, k = pair
+        # F12 and F23 are even in y and F13 odd: (n, m) is allowed when
+        # n - m + k - j is even, and m + 1 is then forbidden
+        m = n - dm if (dm + k - j) % 2 == 0 else n - dm - 1
+        try:
+            allowed = v_matrix_element(p, j, k, n, m)
+            forbidden = v_matrix_element(p, j, k, n, m + 1)
+        except (ConvergenceError, TrackingError):
+            return
+        assert allowed == pytest.approx(hermite_element(p, j, k, n, m), rel=1e-6)
+        bound = 1e-10 * max(abs(allowed), 1.0)
+        assert abs(forbidden) <= bound
+        assert abs(hermite_element(p, j, k, n, m + 1)) <= bound
+
+    @pytest.mark.parametrize("element", [v_matrix_element, v_matrix_element_h0])
+    def test_unsettled_element_raises(self, element, monkeypatch):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, 100)
+        operators = coupling._window_operators
+
+        def drifting(params, pair, lo, nodes, q):
+            # an operator that grows with the window keeps the element moving as it doubles
+            f, op = operators(params, pair, lo, nodes, q)
+            return f, op * (1.0 + 1e-3 * nodes.size)
+
+        monkeypatch.setattr(coupling, "_window_operators", drifting)
+        with pytest.raises(ConvergenceError, match="not stable under window refinement"):
+            element(p, 1, 2, 100, 89)
 
     def test_multiphoton_suppression_at_fixed_couplings(self):
         n0 = 10**8
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.6, 0.18, n0)
-        mags = [abs(v_matrix_element(p, 1, 2, n0, n0 - dn, "fock-window"))
+        mags = [abs(v_matrix_element(p, 1, 2, n0, n0 - dn))
                 for dn in range(11, 27, 2)]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
@@ -163,7 +201,7 @@ class TestRotatedFrameElements:
         g = coupling._coupling_batch(p, y)
         w12 = 0.5 * np.sum(phi[0] * g[:, 0, 2] * g[:, 1, 2] * phi[1])
         expected = full - w12
-        mine = v_matrix_element(p, 1, 2, n, m, "hermite-quadrature")
+        mine = v_matrix_element(p, 1, 2, n, m)
         assert mine == pytest.approx(expected, rel=1e-6)
 
     def test_h0_states_element_matches_grid(self):
@@ -200,6 +238,14 @@ class TestRotatedFrameElements:
         mine = v_matrix_element_h0(p, 1, 2, nb, nb - dn)
         assert abs(mine) == pytest.approx(abs(expected), rel=2e-3)
 
+    @pytest.mark.parametrize("n", [60, 10**8])
+    def test_parity_selection(self, n):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.4, 0.3, n)
+        for j, k, dm in ((1, 2, 2), (2, 3, 4), (1, 3, 3)):
+            elem = v_matrix_element_h0(p, j, k, n, n - dm)
+            allowed = v_matrix_element_h0(p, j, k, n, n - dm - 1)
+            assert abs(elem) <= 1e-10 * max(abs(allowed), 1.0)
+
     def test_far_multiphoton_elements_need_distorted_states(self):
         # the bare-oscillator element underestimates by a large factor
         n0 = 10**8
@@ -207,7 +253,7 @@ class TestRotatedFrameElements:
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, g1, 0.3 * g1, n0)
         nb = n0 + 1
         distorted = abs(v_matrix_element_h0(p, 1, 2, nb, nb - 15))
-        bare = abs(v_matrix_element(p, 1, 2, nb, nb - 15, "fock-window"))
+        bare = abs(v_matrix_element(p, 1, 2, nb, nb - 15))
         assert distorted > 10 * bare
 
 

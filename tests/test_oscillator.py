@@ -4,9 +4,9 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.special import eval_hermite, gammaln
 
-from triladder.oscillator import (derivative_from_rows, eigenfunction_rows,
-                                  ladder_rows, position_offdiagonal,
-                                  product_quadrature)
+from triladder.coupling import ladder_rows, position_offdiagonal
+
+from conftest import derivative_from_rows, eigenfunction_rows, product_quadrature
 
 
 def reference_eigenfunction(n, y):

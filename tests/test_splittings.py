@@ -4,7 +4,7 @@ import pytest
 from triladder import (ConvergenceError, ModelParams, OffResonanceError,
                        anticrossing_gap, compare_splittings, contour_point_on_line,
                        pt_splitting, v_matrix_element)
-from triladder import dressed
+from triladder import dressed, fock, splittings
 from triladder.fock import central_quantum
 
 
@@ -12,6 +12,20 @@ class TestPtSplitting:
     def test_even_exchange_rejected(self, ladder):
         with pytest.raises(ValueError):
             pt_splitting(ladder.with_couplings(0.3, 0.09), (1, 2), 12)
+
+    def test_parity_forbidden_pair_rejected_before_any_work(self, ladder, monkeypatch):
+        # with an odd exchange, (1, n) and (3, n - delta_n) lie in different
+        # parity sectors: they are not coupled and cross exactly
+        for module, name in ((splittings, "_transition_gap"), (fock, "_line_resonance"),
+                             (splittings, "anticrossing_gap")):
+            monkeypatch.setattr(module, name, None)
+        params = ladder.with_couplings(0.5, 0.15)
+        with pytest.raises(ValueError, match="share one parity sector"):
+            pt_splitting(params, (1, 3), 25)
+        with pytest.raises(ValueError, match="share one parity sector"):
+            anticrossing_gap(ladder, (1.05, 0.315), 25, (1, 3), 400)
+        with pytest.raises(ValueError, match="share one parity sector"):
+            compare_splittings(ladder, 0.3, [13, 25], (1, 3))
 
     def test_off_resonance_rejected(self, ladder):
         # the 13-quantum resonance is nowhere near this point
@@ -54,7 +68,7 @@ class TestPtSplitting:
         params = ladder.with_couplings(*gc)
         dressed_waves = pt_splitting(params, (1, 2), 15)
         nb = central_quantum(1, params.n0)
-        bare_waves = 2.0 * abs(v_matrix_element(params, 1, 2, nb, nb - 15, "fock-window"))
+        bare_waves = 2.0 * abs(v_matrix_element(params, 1, 2, nb, nb - 15))
         assert bare_waves < dressed_waves / 10
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .dressed import resonance_contour, wkb_levels
-from .errors import ConvergenceError, TriladderError
+from .errors import ConvergenceError, DegenerateLevelsError, TriladderError
 from .trilevel import ModelParams, _amplitudes, eigenvalues_at
 
 
@@ -245,11 +245,11 @@ def render_wkb(cfg) -> str:
     rows = []
     for b in _couplings(run, "g2"):
         for a in _couplings(run, "g1"):
-            # a point whose quadrature does not settle is flagged, named on
-            # stderr, and does not cost the rest of the grid
+            # a point whose quadrature does not settle or whose cubic overflows
+            # is flagged, named on stderr, and does not cost the rest of the grid
             try:
                 lv, ok = wkb_levels(cfg.params.with_couplings(a, b), n, run["nodes"]), True
-            except ConvergenceError as err:
+            except (ConvergenceError, DegenerateLevelsError) as err:
                 print(f"wkb: {err}", file=sys.stderr)
                 lv, ok = np.full(3, np.nan), False
             rows.append((a, b, lv[0], lv[1], lv[2], ok))

@@ -15,12 +15,16 @@ in two families with one argument check and one sign rule.
 and ``v_matrix_element_h0`` the eigenfunctions of the rotated single-level
 problem, which the two-state splitting estimate calls for.  Both are
 evaluated the same way: on a Fock window around the two quantum numbers,
-through the window's DVR (the eigenvectors of the windowed position
+entirely in the window's DVR (the eigenbasis of the windowed position
 operator), by one evaluator, ``_window_element``, that also returns the size
 of the terms it sums as the roundoff floor of the window doubling.
 
-That single-level problem, E_j(y) plus the oscillator, is assembled on a
-Fock window in one place, ``_rotated_operator``.  Its spectrum is also the
+In the DVR every function of y is diagonal and d/dy = [y, N] holds exactly,
+N the window's number operator (its one dense product), counted from the
+window's first state so that its roundoff does not grow with n.
+
+That single-level problem, E_j(y) plus the oscillator, is assembled on the
+window in one place, ``_rotated_operator``.  Its spectrum is also the
 independent oracle of the dressed levels: ``h0_level_fd`` picks the rung by
 its index in the window, without the orbit average.
 """
@@ -108,56 +112,40 @@ def position_offdiagonal(lo, hi):
     return np.sqrt(k / 2.0)
 
 
-def ladder_rows(lo, mat, sign):
-    """((a + sign a^dag)/sqrt(2)) @ mat on Fock states lo, lo + 1, ...
-
-    ``sign`` = -1 gives d/dy, +1 the position y.  Both are tridiagonal, so the
-    product is two row shifts weighted by ``position_offdiagonal``: O(n^2)
-    where a dense product is O(n^3).
-    """
-    off = position_offdiagonal(lo, lo + mat.shape[0] - 1)[:, None]
-    out = np.zeros_like(mat)
-    out[:-1] = off * mat[1:]
-    out[1:] += sign * off * mat[:-1]
-    return out
-
-
 def _window(n, m, pad):
-    """Fock window around quanta n and m, padded by ``pad`` on both sides.
+    """Fock window around quanta n and m, padded by ``pad`` on both sides, in its DVR.
 
-    Returns the first state ``lo`` and the eigenvalues (position nodes) and
-    eigenvectors of the windowed position operator.
+    Returns the first Fock state ``lo``, the eigenvalues ``nodes`` and
+    eigenvectors ``q`` (columns) of the windowed position operator, in whose
+    basis (the DVR) every function of y is diagonal, and the window's one
+    dense product num = q^T diag(0, 1, 2, ...) q: the number operator N
+    counted from ``lo``.  N is diagonal on the window, so d/dy = [y, N] holds
+    exactly there, and in the DVR d/dy is (x_a - x_b) num_ab.  Counted from 0,
+    N near n = 1e8 would swamp that off-diagonal part in roundoff.
     """
     lo = max(min(n, m) - pad, 0)
     hi = max(n, m) + pad
     nodes, q = eigh_tridiagonal(np.zeros(hi - lo + 1), position_offdiagonal(lo, hi))
-    return lo, nodes, q
+    return lo, nodes, q, (q.T * np.arange(nodes.size, dtype=float)) @ q
 
 
-def _window_operators(params, pair, lo, nodes, q):
-    """F_jk(y) at the window's nodes and the windowed anticommutator {d/dy, F_jk}."""
-    f = _coupling_batch(params, nodes)[:, pair[0] - 1, pair[1] - 1]
-    # F is symmetric and d/dy antisymmetric, so F d/dy = -(d/dy F)^T
-    dfmat = ladder_rows(lo, (q * f) @ q.T, -1.0)
-    return f, dfmat - dfmat.T
-
-
-def _window_element(params, pair, lo, nodes, q, left, right):
+def _window_element(params, pair, nodes, num, left, right):
     """<left| {d/dy, F_jk} |right> on a window, and the size of the terms it sums.
 
-    ``left`` and ``right`` are vectors over the window's Fock states.  The
-    size is |left|^T (|D| M + M |D|) |right| with M = |q| diag|F| |q|^T and
-    |D| the position operator (the entrywise |d/dy|): the magnitude sum of
-    the products the DVR evaluation adds up, whatever they cancel to.  It is
-    taken from four |q|^T products, without forming M.
+    ``left`` and ``right`` are DVR vectors; there F_jk is the diagonal
+    f = F_jk(nodes) and d/dy is D_ab = (x_a - x_b) num_ab (``_window``).  The
+    size |left|^T (|D| |F| + |F| |D|) |right| is the magnitude sum of the
+    products the evaluation adds up, whatever they cancel to.
     """
-    f, op = _window_operators(params, pair, lo, nodes, q)
-    value = float(left @ op @ right)
-    del op      # never held together with |q| (peak memory)
-    mags = np.abs(np.stack([left, right], axis=1))
-    # |q|^T times |left|, |right|, |D| |left| and |D| |right|
-    p = np.abs(q).T @ np.hstack([mags, ladder_rows(lo, mags, 1.0)])
-    return value, float(np.abs(f) @ (p[:, 2] * p[:, 1] + p[:, 0] * p[:, 3]))
+    f = _coupling_batch(params, nodes)[:, pair[0] - 1, pair[1] - 1]
+    # D is built in place and antisymmetric: left^T F D right = -right^T D F left
+    d = np.subtract.outer(nodes, nodes)
+    d *= num
+    fv = np.stack([f * right, f * left], axis=1)
+    p = d @ fv
+    value = float(left @ p[:, 0] - right @ p[:, 1])
+    p = np.abs(d, out=d) @ np.abs(fv)
+    return value, float(np.abs(left) @ p[:, 0] + np.abs(right) @ p[:, 1])
 
 
 def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> float:
@@ -171,9 +159,9 @@ def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> flo
     sigma, pair = _ordered_pair(j, k, n, m)
 
     def evaluate(pad):
-        lo, nodes, q = _window(n, m, pad)
-        return _window_element(params, pair, lo, nodes, q, np.eye(1, nodes.size, n - lo)[0],
-                               np.eye(1, nodes.size, m - lo)[0])
+        lo, nodes, q, num = _window(n, m, pad)
+        # the unit Fock states n and m are rows of q in the DVR
+        return _window_element(params, pair, nodes, num, q[n - lo], q[m - lo])
 
     value = _refine(evaluate, 4 * abs(n - m) + 64, f"matrix element ({j},{n})<->({k},{m})")
     return -0.5 * sigma * value
@@ -183,17 +171,14 @@ def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> flo
 _INVERSE_STEPS = 30
 
 
-def _rotated_operator(params, level, nq, lo, nodes, q):
-    """The single-level rotated problem on a Fock window, rungs counted from ``nq``.
+def _rotated_operator(params, level, nq, lo, nodes, num):
+    """The single-level rotated problem in a window's DVR, rungs counted from ``nq``.
 
-    (number operator - nq) + E_level(y) on the window's Fock states from
-    ``lo``, with E_level(y) taken at the window's position nodes and rotated
-    back by their eigenvectors ``q`` (the window's DVR of the adiabatic curve).
+    The number operator ``num`` (counted from ``lo``, see ``_window``) plus
+    the diagonal E_level(nodes) + lo - nq.
     """
-    energies = eigenvalues_at(params, nodes)[:, level - 1]
-    op = (q * energies) @ q.T
-    idx = np.arange(nodes.size)
-    op[idx, idx] += (lo + idx) - float(nq)
+    op = num.copy()
+    op[np.diag_indices_from(op)] += eigenvalues_at(params, nodes)[:, level - 1] + float(lo - nq)
     return op
 
 
@@ -203,41 +188,53 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
     Solves E_j(y) + (oscillator) on the Fock window of ``n`` padded by 48
     states on each side and takes the eigenvalue at index ``n - lo`` of the
     window's ascending spectrum (``lo`` its first state), less the rung ``n``.
-    The padding doubles until the value is stable to 1e-8 relative
-    (``_refine``), else ConvergenceError.  Independent of the orbit average.
+    The padding doubles at most four times; once two successive doublings
+    pass ``_converged`` (1e-8 relative) the later value is returned, else
+    ConvergenceError.  Independent of the orbit average.
     """
     _check_level(j)
     if n < 0 or n > 2000:
         raise ValueError(f"h0_level_fd supports 0 <= n <= 2000, got {n}")
 
     def evaluate(pad):
-        lo, nodes, q = _window(n, n, pad)
-        op = _rotated_operator(params, j, n, lo, nodes, q)
+        lo, nodes, _, num = _window(n, n, pad)
+        op = _rotated_operator(params, j, n, lo, nodes, num)
         (value,) = eigvalsh(op, subset_by_index=[n - lo, n - lo])
         # the operator's norm sets the roundoff floor of its eigenvalues
         return float(value), float(np.max(np.sum(np.abs(op), axis=1)))
 
-    return _refine(evaluate, 48, f"dressed level {j} at n={n}")
+    # one small step between two unsettled windows is not convergence
+    pad, passed = 48, 0
+    value, _ = evaluate(pad)
+    for _ in range(4):
+        pad *= 2
+        new, scale = evaluate(pad)
+        passed = passed + 1 if _converged(new, value, scale) else 0
+        last_change, value = abs(new - value), new
+        if passed == 2:
+            return new
+    raise ConvergenceError(f"dressed level {j} at n={n} not stable under window refinement; "
+                           f"last change {last_change:.3e}")
 
 
-def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
+def _window_h0_state(params, level, nq, lo, nodes, q, num, target_dressed):
     """Eigenvector of the windowed single-level rotated problem near one rung.
 
     The operator is ``_rotated_operator``; its eigenvector with eigenvalue
     nearest ``target_dressed + nq`` is the distorted oscillator state carrying
     quantum label ``nq``.  It comes from shift-and-invert inverse iteration:
     one LU of the operator minus the target, applied to the Fock state at
-    ``nq`` until the residual is below 1e-13 of the operator's infinity norm
-    (at most 30 steps).  ConvergenceError is raised when the nearest level
-    lies more than 0.45 from the target, and when the residual does not
-    settle.
+    ``nq`` (row ``nq - lo`` of ``q`` in the DVR) until the residual is below
+    1e-13 of the operator's infinity norm (at most 30 steps).
+    ConvergenceError is raised when the nearest level lies more than 0.45
+    from the target, and when the residual does not settle.  Returned in the
+    DVR, signed so that its largest Fock component is positive.
     """
-    shifted = _rotated_operator(params, level, nq, lo, nodes, q)
-    idx = np.arange(nodes.size)
+    shifted = _rotated_operator(params, level, nq, lo, nodes, num)
     tol = 1e-13 * np.max(np.sum(np.abs(shifted), axis=1))
-    shifted[idx, idx] -= target_dressed
+    shifted[np.diag_indices_from(shifted)] -= target_dressed
     lu = lu_factor(shifted)
-    vec = np.eye(1, idx.size, nq - lo)[0]
+    vec = q[nq - lo]
     for _ in range(_INVERSE_STEPS):
         vec = lu_solve(lu, vec)
         # for unit vec, |vec| <= 1 / (distance of the nearest level to the
@@ -256,7 +253,8 @@ def _window_h0_state(params, level, nq, lo, nodes, q, target_dressed):
             f"rotated-frame level {level}, n={nq} did not settle in {_INVERSE_STEPS} "
             f"inverse-iteration steps; residual {residual:.3e} against {tol:.3e}")
     # deterministic sign so window-size refinement compares like with like
-    return vec if vec[np.argmax(np.abs(vec))] >= 0 else -vec
+    fock = q @ vec
+    return vec if fock[np.argmax(np.abs(fock))] >= 0 else -vec
 
 
 def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> float:
@@ -273,19 +271,17 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
     """
     sigma, pair = _ordered_pair(j, k, n, m)
     # each rung is targeted with its own level's orbit average at its own
-    # quantum number; rung identification only needs the dressed values to a
-    # fraction of one quantum, so a kinked integrand (decoupled-level
-    # crossing) is tolerable
+    # quantum number; identifying the rung needs it only to a fraction of a
+    # quantum, so a kinked integrand (decoupled-level crossing) is tolerable
     target_j = wkb_levels(params, n, tol=1e-6)[j - 1]
     target_k = wkb_levels(params, m, tol=1e-6)[k - 1]
 
     def evaluate(p):
-        lo, nodes, q = _window(n, m, p)
-        uj = _window_h0_state(params, j, n, lo, nodes, q, target_j)
-        uk = _window_h0_state(params, k, m, lo, nodes, q, target_k)
-        # the element operator is built after the two eigensolves, so it and
-        # the factorizations are never held at once (peak memory)
-        return _window_element(params, pair, lo, nodes, q, uj, uk)
+        lo, nodes, q, num = _window(n, m, p)
+        uj = _window_h0_state(params, j, n, lo, nodes, q, num, target_j)
+        uk = _window_h0_state(params, k, m, lo, nodes, q, num, target_k)
+        # d/dy is built after the eigensolves, never beside their LUs (peak memory)
+        return _window_element(params, pair, nodes, num, uj, uk)
 
     value = _refine(evaluate, 4 * abs(n - m) + 96,
                     f"rotated-frame element ({j},{n})<->({k},{m})")

@@ -151,15 +151,18 @@ def _trig_form(params: ModelParams, y, u=None, v=None):
 
     phi, a third of the arcsin angle, lies in [-pi/6, pi/6]; ``u`` and ``v``
     are as in :func:`_cubic_terms`.  Raises DegenerateLevelsError when the
-    amplitude vanishes and TriladderError when the arcsin argument exceeds 1
-    by more than roundoff.
+    amplitude vanishes or the arcsin argument is NaN (y or the cubic not
+    finite), and TriladderError when it exceeds 1 by more than roundoff.
     """
     alpha, beta, mean = _cubic_terms(params, y, u, v)
     amp = np.sqrt(4.0 * np.asarray(alpha) / 3.0)
     if np.any(amp < _DEGENERATE_CUBIC):
         raise DegenerateLevelsError(y, None, "cubic amplitude vanishes; spectrum degenerate")
     s = -4.0 * np.asarray(beta) / amp**3
-    if np.any(np.abs(s) > 1.0 + _ARCSIN_SLACK):
+    # written so that a NaN argument fails the test as well
+    if not np.all(np.abs(s) <= 1.0 + _ARCSIN_SLACK):
+        if np.any(np.isnan(s)):
+            raise DegenerateLevelsError(y, None, "cubic is not finite (y or couplings overflow)")
         raise TriladderError("arcsin argument exceeds 1 beyond roundoff slack")
     sin = np.sin(np.arcsin(np.clip(s, -1.0, 1.0)) / 3.0)
     # cos(phi) >= sqrt(3)/2 on [-pi/6, pi/6], so the root loses nothing

@@ -327,6 +327,24 @@ class TestOtherCommands:
         assert "configuration error: cannot read configuration" in err
         assert not (tmp_path / "levels.csv").exists()
 
+    def test_overflowing_levels_refused(self, tmp_path, capsys):
+        # at y = 1e160 the cubic's coefficients overflow and its roots are NaN
+        cfg = write_config(tmp_path, self.LEVELS.replace("y_max = 1\n", "y_max = 1e160\n"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["levels", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "computation failed: cubic is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "levels.csv").exists()
+
+    def test_wkb_overflowing_point_is_flagged(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.GRID.replace("g1_max = 0.2", "g1_max = 1e300"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["wkb", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "wkb: cubic is not finite" in capsys.readouterr().err
+        lines = (tmp_path / "wkb.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert [r[5] for r in rows] == ["1", "0", "1", "0"]
+        assert ["1e+300", "0.1", "nan", "nan", "nan", "0"] in rows
+
     def test_unwritable_out_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.LEVELS)
         (tmp_path / "afile").write_text("")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triladder import (ConvergenceError, ModelParams, TrackingError, coupling_matrix,
                        h0_level_fd, v_matrix_element, v_matrix_element_h0, wkb_levels)
@@ -147,14 +147,14 @@ class TestMatrixElements:
     @pytest.mark.parametrize("element", [v_matrix_element, v_matrix_element_h0])
     def test_unsettled_element_raises(self, element, monkeypatch):
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, 100)
-        operators = coupling._window_operators
+        window_element = coupling._window_element
 
-        def drifting(params, pair, lo, nodes, q):
-            # an operator that grows with the window keeps the element moving as it doubles
-            f, op = operators(params, pair, lo, nodes, q)
-            return f, op * (1.0 + 1e-3 * nodes.size)
+        def drifting(params, pair, nodes, num, left, right):
+            # a value that grows with the window keeps the element moving as it doubles
+            value, floor = window_element(params, pair, nodes, num, left, right)
+            return value * (1.0 + 1e-3 * nodes.size), floor
 
-        monkeypatch.setattr(coupling, "_window_operators", drifting)
+        monkeypatch.setattr(coupling, "_window_element", drifting)
         with pytest.raises(ConvergenceError, match="not stable under window refinement"):
             element(p, 1, 2, 100, 89)
 
@@ -261,13 +261,16 @@ class TestRotatedFrameElements:
 def h0_window(params, level, nq, n, m, pad):
     """Window of an element, the rotated single-level operator on it, and its target.
 
-    The operator is built as ``_window_h0_state`` builds it, and the target
-    is the level's orbit average at ``nq``, as ``v_matrix_element_h0`` sets it.
+    The operator is built in the Fock basis, independently of
+    ``_rotated_operator``, and rotated into the window's DVR, where
+    ``_window_h0_state`` works; the target is the level's orbit average at
+    ``nq``, as ``v_matrix_element_h0`` sets it.
     """
-    lo, nodes, q = coupling._window(n, m, pad)
+    window = coupling._window(n, m, pad)
+    lo, nodes, q, _ = window
     h0 = (q * trilevel.eigenvalues_at(params, nodes)[:, level - 1]) @ q.T
     h0 += np.diag((lo + np.arange(nodes.size)) - float(nq))
-    return (lo, nodes, q), h0, wkb_levels(params, nq, tol=1e-6)[level - 1]
+    return window, q.T @ h0 @ q, wkb_levels(params, nq, tol=1e-6)[level - 1]
 
 
 class TestRotatedFrameStates:
@@ -316,8 +319,8 @@ def vacuum_window_level(params, j, n):
     Its Fock states start at 0, so the n-th eigenvalue of the rotated
     single-level problem is rung n without any choice of index.
     """
-    lo, nodes, q = coupling._window(0, n, n + 400)
-    op = coupling._rotated_operator(params, j, n, lo, nodes, q)
+    lo, nodes, _, num = coupling._window(0, n, n + 400)
+    op = coupling._rotated_operator(params, j, n, lo, nodes, num)
     return scipy.linalg.eigvalsh(op, subset_by_index=[n, n])[0]
 
 
@@ -331,6 +334,10 @@ class TestWindowLevelOracle:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200), j=st.sampled_from([1, 2, 3]))
+    # draws where a single doubling that passed still left the value unsettled
+    @example(seed=0, n=1, j=1)
+    @example(seed=0, n=85, j=2)
+    @example(seed=6615798, n=90, j=3)
     def test_matches_vacuum_window_or_raises(self, seed, n, j):
         p = random_params(np.random.default_rng(seed))
         try:
@@ -343,10 +350,10 @@ class TestWindowLevelOracle:
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.5, 100)
         rotated = coupling._rotated_operator
 
-        def drifting(params, level, nq, lo, nodes, q):
+        def drifting(params, level, nq, lo, nodes, num):
             # a shift that grows with the window keeps the level moving as it doubles
             shift = 1e-3 * nodes.size * np.eye(nodes.size)
-            return rotated(params, level, nq, lo, nodes, q) + shift
+            return rotated(params, level, nq, lo, nodes, num) + shift
 
         monkeypatch.setattr(coupling, "_rotated_operator", drifting)
         with pytest.raises(ConvergenceError, match="not stable under window refinement"):

@@ -4,7 +4,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.special import eval_hermite, gammaln
 
-from triladder.coupling import ladder_rows, position_offdiagonal
+from triladder.coupling import _window, position_offdiagonal
 
 from conftest import derivative_from_rows, eigenfunction_rows, product_quadrature
 
@@ -61,25 +61,16 @@ def test_ladder_derivative_matches_finite_difference():
     assert_allclose(ladder, central, atol=2e-7)
 
 
-def test_window_operators_satisfy_commutator():
-    lo, hi = 200, 260
-    dim = hi - lo + 1
-    off = position_offdiagonal(lo, hi)
-    y = np.zeros((dim, dim))
-    idx = np.arange(dim - 1)
-    y[idx, idx + 1] = off
-    y[idx + 1, idx] = off
-    assert_allclose(ladder_rows(lo, np.eye(dim), 1.0), y, atol=0.0)
-    d = ladder_rows(lo, np.eye(dim), -1.0)
-    comm = d @ y - y @ d
-    interior = comm[5:-5, 5:-5]
-    assert_allclose(interior, np.eye(dim - 10), atol=1e-12)
-    assert_allclose(d, -d.T, atol=0.0)
-
-
-def test_ladder_rows_match_dense_products(rng):
-    lo, dim = 200, 61
-    mat = rng.normal(size=(dim, dim))
-    for sign in (-1.0, 1.0):
-        dense = ladder_rows(lo, np.eye(dim), sign)
-        assert_allclose(ladder_rows(lo, mat, sign), dense @ mat, rtol=1e-13, atol=1e-12)
+@pytest.mark.parametrize("lo", [0, 10**8 - 300])
+def test_dvr_derivative_is_commutator_with_number_operator(lo):
+    # d/dy = [y, N] on a Fock window; in its DVR, (x_a - x_b) num_ab
+    pad = 100
+    start, nodes, q, num = _window(lo + pad, lo + pad, pad)
+    assert start == lo
+    off = position_offdiagonal(lo, lo + nodes.size - 1)
+    idx = np.arange(nodes.size - 1)
+    d = np.zeros((nodes.size, nodes.size))
+    d[idx, idx + 1] = off
+    d[idx + 1, idx] = -off
+    dvr = q @ (np.subtract.outer(nodes, nodes) * num) @ q.T
+    assert np.max(np.abs(dvr - d)) <= 1e-10 * np.max(np.abs(d))

@@ -341,7 +341,10 @@ def main(argv=None) -> int:
         return cmd_validate()
     try:
         cfg = load_config(args.config)
-        text = renderers[args.command](cfg)
+        # an overflowing cubic is refused by the NaN check in trilevel._trig_form;
+        # numpy's warnings on the way there would only precede that message
+        with np.errstate(over="ignore", invalid="ignore"):
+            text = renderers[args.command](cfg)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

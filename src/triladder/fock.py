@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .dressed import _check_odd, _check_transition, _line_resonance
-from .errors import ConvergenceError, TrackingError
+from .errors import ConvergenceError, TrackingError, TriladderError
 from .trilevel import ModelParams
 
 #: resolve tracked-state identities only when the best overlap clears this
@@ -192,6 +192,13 @@ def _sector(n0, half_width, parity) -> _Sector:
     return _Sector(labels, level, shift, tuple(ladders))
 
 
+def _check_window(n0, half_width):
+    if half_width < 8:
+        raise ValueError("window half-width must be at least 8")
+    if n0 - half_width < 0:
+        raise ValueError(f"window underflows the vacuum: n0={n0}, W={half_width}")
+
+
 def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
                       parity: str) -> FockWindowHamiltonian:
     """Assemble one parity sector of the windowed Hamiltonian.
@@ -202,10 +209,7 @@ def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
     """
     n0 = int(n0)
     half_width = int(half_width)
-    if half_width < 8:
-        raise ValueError("window half-width must be at least 8")
-    if n0 - half_width < 0:
-        raise ValueError(f"window underflows the vacuum: n0={n0}, W={half_width}")
+    _check_window(n0, half_width)
     sector = _sector(n0, half_width, parity)
     bands = np.zeros((3, sector.labels.shape[0]))
     bands[0] = np.array([params.e1, params.e2, params.e3])[sector.level] + sector.shift
@@ -463,6 +467,41 @@ def central_quantum(level, n0):
     return n0 if (level + n0) % 2 == 0 else n0 + 1
 
 
+#: The entry points that check a truncation bound try the windows n0 +- 64,
+#: 128, 256, ... up to the caller's half_width.  Against W = 400, W = 64
+#: passed the seed-0, 1 and 7 splittings records, criterion 7's line
+#: (delta_n 13-27), its two strong-coupling records, criterion 8 and
+#: criterion 3's 25 points with the same minima counts, moving the lowest
+#: gaps by at most 1.1e-12 relative, other minima by 1.8e-11 and the dressed
+#: levels by 4e-15; the map's far corner (1.0, 1.25) fails at 64 and 80 and
+#: passes at 96.  A seed-0 splittings pass (delta_n 13, 15) took 0.47-0.58 s
+#: at W = 64 against 1.00-1.06 s at W = 400 on a shared 2-core host.
+_FIRST_WINDOW = 64
+_WINDOW_GROWTH = 2
+
+
+def _on_growing_windows(solve, n0, cap, which):
+    """``solve(w)`` on the narrowest window n0 +- w that it accepts, w <= ``cap``.
+
+    The windows tried are 64, 128, 256, ... below ``cap`` that hold every
+    (level, quantum-number) label of ``which``, then ``cap`` itself.  Below
+    the cap a TriladderError (a truncation bound missed, tracking lost) moves
+    on to the next window; at the cap it propagates, so a call fails exactly
+    as one on the cap window alone would.
+    """
+    _check_window(n0, cap)
+    reach = max(abs(nq - n0) for _, nq in which)
+    width = _FIRST_WINDOW
+    while width < cap:
+        if width >= reach:
+            try:
+                return solve(width)
+            except TriladderError:
+                pass
+        width *= _WINDOW_GROWTH
+    return solve(cap)
+
+
 def exact_dressed_levels(template: ModelParams, g1: float, g2: float,
                          half_width: int) -> np.ndarray:
     """Dressed energies of the three levels from the exact windowed spectrum.
@@ -472,7 +511,9 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float,
     (g1, g2) in their parity sector and subtracts each state's ladder rung
     n - n0.  The truncation bound of every tracked eigenpair must be within
     1e-8, so each value lies within 1e-8 of an eigenvalue of the untruncated
-    Hamiltonian; ConvergenceError otherwise.
+    Hamiltonian.  The windows n0 +- 64, 128, ... are tried in turn up to the
+    cap ``half_width`` (``_on_growing_windows``); the first that meets the
+    bound gives the result, and ConvergenceError names the cap when none does.
 
     The sweep keeps a fixed step count that grows with the coupling, unlike
     the one-interval approach of ``anticrossing_gap``: the three states pass
@@ -484,14 +525,22 @@ def exact_dressed_levels(template: ModelParams, g1: float, g2: float,
     n0 = template.n0
     nq = [central_quantum(j, n0) for j in (1, 2, 3)]
     which = list(zip((1, 2, 3), nq))
+    levels = _on_growing_windows(
+        lambda width: _dressed_levels_on(template, g1, g2, width, which),
+        n0, half_width, which)
+    return levels - np.array([q - n0 for q in nq], dtype=float)
+
+
+def _dressed_levels_on(template, g1, g2, half_width, which):
+    """``exact_dressed_levels`` on one window, before the rungs are subtracted."""
     steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
-    tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, n0, half_width, which)
+    tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, template.n0, half_width, which)
     bound = np.max(tr.hamiltonian.truncation_bound(tr.energies[-1], tr.vectors))
     if bound > 1e-8:
         raise ConvergenceError(
             f"the window n0 +- {half_width} leaves the dressed levels at "
             f"(g1, g2) = ({g1:g}, {g2:g}) uncertain by up to {bound:.2e}")
-    return tr.energies[-1] - np.array([q - n0 for q in nq], dtype=float)
+    return tr.energies[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +559,7 @@ class GapScan:
     minima: list                # [(g1, g2, gap)] for every local minimum found
     ts: np.ndarray              # scan parameter values evaluated, ascending
     gaps: np.ndarray            # gap at each of them
+    half_width: int             # the window n0 +- half_width the gap was accepted on
 
 
 def _pair_rule(vals, vecs, anchors):
@@ -571,9 +621,9 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     """Locate and refine the avoided-crossing gap of one resonance.
 
     The scan runs on the line from zero coupling to the (g1, g2) point
-    ``end``, in the window n0 +- ``half_width`` around n0 = ``template.n0``.
-    The resonance location is first estimated from the dressed
-    (orbit-averaged) transition energy (reported as ``g_contour``), and the
+    ``end``, in a window n0 +- W around n0 = ``template.n0``.  The resonance
+    location is first estimated from the dressed (orbit-averaged) transition
+    energy (reported as ``g_contour``), and the
     two resonant states, (j, n) with n = ``central_quantum(j, n0)`` and
     (k, n - delta_n), are tracked out to the vicinity in their parity sector
     (ValueError before any solve when they lie in different sectors) as one
@@ -590,9 +640,12 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     quadratic at the bottom of an anticrossing (the two-state hyperbola) and
     of an exact crossing alike, so its parabolic steps converge on either.  At
     the reported minimum the truncation bounds of the two eigenpairs whose
-    distance is the gap must sum to at most 1 percent of max(gap, 1e-9), or
-    ConvergenceError is raised.  ``ts`` and ``gaps`` of the result hold the
-    evaluated points only.
+    distance is the gap must sum to at most 1 percent of max(gap, 1e-9).  The
+    whole search runs on W = 64, 128, ... in turn up to the cap ``half_width``
+    (``_on_growing_windows``) and returns from the first window that meets
+    that bound, recording it as ``half_width`` of the result;
+    ConvergenceError names the cap when none does.  ``ts`` and ``gaps`` of the
+    result hold the evaluated points only.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -604,21 +657,30 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     _check_odd(delta_n)
     if mode not in _GAP_RULES:
         raise ValueError(f"unknown scan mode {mode!r}")
-    rule = _GAP_RULES[mode]
     if not (math.isfinite(vicinity) and vicinity > 0):
         raise ValueError(f"vicinity must be a positive number, got {vicinity}")
     if scan_points < 3:
         raise ValueError(f"scan_points must be at least 3 to hold an interior minimum, "
                          f"got {scan_points}")
     end = np.asarray(end, dtype=float)
-    n0 = template.n0
-    nb = central_quantum(j, n0)
+    nb = central_quantum(j, template.n0)
     which = [(j, nb), (k, nb - delta_n)]
-    parity = _sector_of(which)
+    _sector_of(which)
     t_star = _line_resonance(template, end, (j, k), delta_n)
-    t_lo = max(t_star * (1.0 - vicinity), 1e-9)
-    t_hi = min(t_star * (1.0 + vicinity), 1.0)
+    t_range = (max(t_star * (1.0 - vicinity), 1e-9), min(t_star * (1.0 + vicinity), 1.0))
+    g_star, best, minima, ts, gaps, window = _on_growing_windows(
+        lambda width: _gap_on(template, end, which, mode, t_range, scan_points, width),
+        template.n0, half_width, which)
+    return GapScan((j, k), int(delta_n), tuple(t_star * end), g_star, best, minima, ts, gaps,
+                   window)
 
+
+def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
+    """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, half_width)."""
+    n0 = template.n0
+    parity = _sector_of(which)
+    rule = _GAP_RULES[mode]
+    t_lo, t_hi = t_range
     approach = track_levels(template, (0.0, 0.0), tuple(t_lo * end),
                             _APPROACH_STEPS, n0, half_width, which)
 
@@ -722,8 +784,7 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
             f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
 
     minima.sort(key=lambda m: (m[0], m[1]))
-    return GapScan((j, k), int(delta_n), tuple(t_star * end), (g1s, g2s), float(best),
-                   minima, ts, gaps)
+    return (g1s, g2s), float(best), minima, ts, gaps, half_width
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,9 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     (resonance off the line, lost tracking) are recorded as invalid entries
     and the run continues; an exchange whose two states lie in different
     parity sectors raises ValueError before any work.  Records come back
-    sorted by ``delta_n``.
+    sorted by ``delta_n``.  ``half_width`` caps the Fock window of each gap
+    scan, which starts at n0 +- 64 and doubles while the gap's truncation
+    bound fails (``anticrossing_gap``).
     """
     j, k = transition
     nb = central_quantum(j, template.n0)

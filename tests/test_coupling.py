@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from triladder import (ConvergenceError, ModelParams, TrackingError, coupling_matrix,
                        h0_level_fd, v_matrix_element, v_matrix_element_h0, wkb_levels)
@@ -128,6 +128,7 @@ class TestMatrixElements:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 300),
            pair=st.sampled_from([(1, 2), (2, 3), (1, 3)]), dm=st.integers(1, 15))
+    @example(seed=80, n=16, pair=(1, 2), dm=8)      # the reference does not settle
     def test_matches_hermite_reference_or_raises(self, seed, n, pair, dm):
         p = random_params(np.random.default_rng(seed))
         j, k = pair
@@ -139,10 +140,15 @@ class TestMatrixElements:
             forbidden = v_matrix_element(p, j, k, n, m + 1)
         except (ConvergenceError, TrackingError):
             return
-        assert allowed == pytest.approx(hermite_element(p, j, k, n, m), rel=1e-6)
+        try:
+            reference = hermite_element(p, j, k, n, m)
+            reference_forbidden = hermite_element(p, j, k, n, m + 1)
+        except ConvergenceError:
+            reject()        # a draw without a settled reference checks nothing
+        assert allowed == pytest.approx(reference, rel=1e-6)
         bound = 1e-10 * max(abs(allowed), 1.0)
         assert abs(forbidden) <= bound
-        assert abs(hermite_element(p, j, k, n, m + 1)) <= bound
+        assert abs(reference_forbidden) <= bound
 
     @pytest.mark.parametrize("element", [v_matrix_element, v_matrix_element_h0])
     def test_unsettled_element_raises(self, element, monkeypatch):

@@ -304,6 +304,56 @@ class TestTruncationBound:
             anticrossing_gap(ladder, (1.1, 0.33), 13, (1, 2), 16)
 
 
+class TestWindowRule:
+    """Bound-checked entry points try n0 +- 64, 128, ... up to their half_width."""
+
+    def test_levels_double_the_window_until_the_bound_passes(self, ladder, monkeypatch):
+        widths = []
+        build = fock.build_hamiltonian
+
+        def spy_build(params, n0, half_width, parity):
+            widths.append(half_width)
+            return build(params, n0, half_width, parity)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        levels = exact_dressed_levels(ladder, 1.0, 1.25, 400)
+        assert list(dict.fromkeys(widths)) == [64, 128]
+        monkeypatch.setattr(fock, "build_hamiltonian", build)
+        capped = exact_dressed_levels(ladder, 1.0, 1.25, 128)
+        assert np.array_equal(levels, capped)
+
+    def test_benign_gap_accepted_on_the_first_window(self, ladder):
+        end, dn, options = SCAN_LINES["benign-dn13"]
+        assert anticrossing_gap(ladder, end, dn, (1, 2), 400, **options).half_width == 64
+
+    def test_failure_below_the_cap_moves_to_the_next_window(self, ladder, monkeypatch):
+        end, dn, options = SCAN_LINES["benign-dn13"]
+        with monkeypatch.context() as m:
+            m.setattr(fock, "_FIRST_WINDOW", 128)
+            wider = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+
+        def lost_at_64(h, *args, **kwargs):
+            if h.half_width == 64:
+                raise TrackingError("injected at n0 +- 64")
+            return _shift_invert_near(h, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "_shift_invert_near", lost_at_64)
+        scan = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+        assert scan.half_width == wider.half_width == 128
+        assert scan.gap == wider.gap and scan.g_star == wider.g_star
+        assert scan.minima == wider.minima
+
+    def test_too_narrow_cap_above_64_names_the_cap(self, ladder):
+        with pytest.raises(ConvergenceError, match=r"n0 \+- 80 leaves .* uncertain"):
+            exact_dressed_levels(ladder, 1.0, 1.25, 80)
+
+    def test_underflowing_cap_refused_before_any_solve(self, monkeypatch):
+        # n0 +- 64 would fit above the vacuum, the cap does not
+        monkeypatch.setattr(fock, "_shift_invert_near", None)
+        with pytest.raises(ValueError, match="underflows the vacuum"):
+            exact_dressed_levels(ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 100), 0.2, 0.2, 400)
+
+
 class TestAnticrossing:
     def test_even_exchange_rejected(self, ladder):
         with pytest.raises(ValueError):

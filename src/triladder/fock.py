@@ -332,8 +332,8 @@ def eigen_near(h: FockWindowHamiltonian, target: float, count: int):
 class TrackedLevels:
     """Eigenvalue curves continued along a coupling sweep by vector overlap.
 
-    Every recorded point keeps its eigenvectors (``step_vectors``); the
-    sector solved at the final point is kept too, for its truncation bound.
+    Every recorded point keeps its eigenvectors (``step_vectors``) and the
+    truncation bound of each tracked eigenpair there (``bounds``).
     """
 
     which: list
@@ -343,7 +343,7 @@ class TrackedLevels:
     relabelings: list           # (step index, note) where the energy order changed
     vectors: np.ndarray         # (dim, L) eigenvectors at the final point
     step_vectors: np.ndarray    # (steps, dim, L) eigenvectors at every point; [-1] is vectors
-    hamiltonian: FockWindowHamiltonian   # the sector assembled at the final point
+    bounds: np.ndarray          # (steps, L) truncation_bound of every eigenpair at every point
 
 
 def _assign(prev_vecs, vals, vecs):
@@ -416,6 +416,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
     ts = np.linspace(0.0, 1.0, steps)
     energies = [vals]
     overlaps = [np.ones(len(which))]
+    bounds = [h0.truncation_bound(vals, vecs)]
     relabel = []
 
     def advance(t_from, t_to, vals, vecs, depth):
@@ -439,7 +440,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         vals, vecs, _ = advance(t_from, t_mid, vals, vecs, depth + 1)
         return advance(t_mid, t_to, vals, vecs, depth + 1)
 
-    kept, h = [vecs], h0
+    kept = [vecs]
     for s in range(1, steps):
         new_vals, new_vecs, h = advance(ts[s - 1], ts[s], vals, vecs, 0)
         prev_order = np.argsort(vals, kind="stable")
@@ -450,11 +451,13 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         vals, vecs = new_vals, new_vecs
         energies.append(vals)
         overlaps.append(quality)
+        # from the sector advance() assembled at this recorded point
+        bounds.append(h.truncation_bound(vals, vecs))
         kept.append(vecs)
 
     gs = start + ts[:, None] * (end - start)
     return TrackedLevels(which, gs, np.array(energies), np.array(overlaps), relabel, vecs,
-                         np.array(kept), h)
+                         np.array(kept), np.array(bounds))
 
 
 def central_quantum(level, n0):
@@ -475,7 +478,10 @@ def central_quantum(level, n0):
 #: gaps by at most 1.1e-12 relative, other minima by 1.8e-11 and the dressed
 #: levels by 4e-15; the map's far corner (1.0, 1.25) fails at 64 and 80 and
 #: passes at 96.  A seed-0 splittings pass (delta_n 13, 15) took 0.47-0.58 s
-#: at W = 64 against 1.00-1.06 s at W = 400 on a shared 2-core host.
+#: at W = 64 against 1.00-1.06 s at W = 400 on a shared 2-core host.  The
+#: seed-0 resonance map (g1 <= 1.0, g2 <= 1.25) fails at 64 on its g2 column
+#: alone (bound 1.5e-3) and passes at 128 at every point (worst 5.6e-14),
+#: taking about half the time of a pass at W = 400.
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 2
 
@@ -500,6 +506,26 @@ def _on_growing_windows(solve, n0, cap, which):
                 pass
         width *= _WINDOW_GROWTH
     return solve(cap)
+
+
+#: every level a bound-checked sweep returns lies within this of an
+#: eigenvalue of the untruncated Hamiltonian
+_LEVEL_BOUND = 1e-8
+
+
+def _require_bound(tr, half_width, what, points=slice(None)):
+    """ConvergenceError unless the eigenpairs of ``tr`` at ``points`` meet _LEVEL_BOUND.
+
+    ``points`` slices the recorded points of the sweep; the message names the
+    window and the point with the largest bound.
+    """
+    bounds = np.max(tr.bounds[points], axis=1)
+    worst = int(np.argmax(bounds))
+    if bounds[worst] > _LEVEL_BOUND:
+        g1, g2 = tr.gs[points][worst]
+        raise ConvergenceError(
+            f"the window n0 +- {half_width} leaves {what} at "
+            f"(g1, g2) = ({g1:g}, {g2:g}) uncertain by up to {bounds[worst]:.2e}")
 
 
 def exact_dressed_levels(template: ModelParams, g1: float, g2: float,
@@ -535,11 +561,7 @@ def _dressed_levels_on(template, g1, g2, half_width, which):
     """``exact_dressed_levels`` on one window, before the rungs are subtracted."""
     steps = max(12, int(18 * math.hypot(g1, g2)) + 2)
     tr = track_levels(template, (0.0, 0.0), (g1, g2), steps, template.n0, half_width, which)
-    bound = np.max(tr.hamiltonian.truncation_bound(tr.energies[-1], tr.vectors))
-    if bound > 1e-8:
-        raise ConvergenceError(
-            f"the window n0 +- {half_width} leaves the dressed levels at "
-            f"(g1, g2) = ({g1:g}, {g2:g}) uncertain by up to {bound:.2e}")
+    _require_bound(tr, half_width, "the dressed levels", slice(-1, None))
     return tr.energies[-1]
 
 
@@ -825,17 +847,33 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
     The exact dressed energies come from overlap-tracked windowed eigenvalues
     of the states next to n0 = ``template.n0`` (``central_quantum``): one
     sweep up the g2 axis seeds the start vectors of every constant-g2 row.
+    The truncation bound of every eigenpair recorded on that column and on
+    every tracked row must be within 1e-8, as in ``exact_dressed_levels``.
+    One window serves the whole map: n0 +- 64, 128, ... are tried in turn up
+    to the cap ``half_width`` (``_on_growing_windows``), the first that meets
+    the bound gives the map, and ConvergenceError names the cap when none
+    does.  A row whose tracking fails is an ok=False row on that window and
+    does not move the map to a wider one.
     """
     j, k = _check_transition(transition)
+    n0 = template.n0
+    which = [(lvl, central_quantum(lvl, n0)) for lvl in (j, k)]
+    return _on_growing_windows(
+        lambda width: _map_on(template, which, g1_grid, g2_grid, width),
+        n0, half_width, which)
+
+
+def _map_on(template, which, g1_grid, g2_grid, half_width):
+    """``resonance_sharpness_map`` on one window, for the labels ``which``."""
+    (_, nj), (_, nk) = which
     g2_grid = np.asarray(g2_grid, dtype=float)
     drop_first = np.asarray(g1_grid, dtype=float)[0] != 0.0
     seed_start = g2_grid[0] == 0.0
     g1_grid, col_g2 = _sweep_grids(g1_grid, g2_grid)
     n0 = template.n0
-    nq = {lvl: central_quantum(lvl, n0) for lvl in (j, k)}
-    which = [(j, nq[j]), (k, nq[k])]
     column = track_levels(template, (0.0, 0.0), (0.0, col_g2[-1]),
                           len(col_g2), n0, half_width, which)
+    _require_bound(column, half_width, "the map's g2 column")
 
     rows = []
     for row_idx, g2 in enumerate(g2_grid):
@@ -844,9 +882,11 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
             tr = track_levels(template, (0.0, g2), (g1_grid[-1], g2), len(g1_grid),
                               n0, half_width, which,
                               start_vectors=column.step_vectors[col_idx])
-            diffs = (tr.energies[:, 1] - (nq[k] - n0)) - (tr.energies[:, 0] - (nq[j] - n0))
+            diffs = (tr.energies[:, 1] - (nk - n0)) - (tr.energies[:, 0] - (nj - n0))
         except TrackingError:
             diffs = np.full(len(g1_grid), np.nan)
+        else:
+            _require_bound(tr, half_width, "the map's levels")
         for col, g1 in enumerate(g1_grid):
             if drop_first and col == 0:
                 continue

@@ -190,6 +190,16 @@ class TestOtherCommands:
         assert float(first[2]) == pytest.approx(11.0, abs=1e-8)
         assert int(first[3]) == 11
 
+    def test_resonance_map_beyond_its_largest_window_refused(self, tmp_path, capsys):
+        # the g2 column up to 1.25 misses the truncation bound on n0 +- 64
+        body = MODEL + ("[run]\ntransition = 1,2\ng1_min = 0\ng1_max = 0.2\n"
+                        "g1_points = 2\ng2_min = 0\ng2_max = 1.25\ng2_points = 11\n"
+                        "half_width = 64\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["resonance-map", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "n0 +- 64 leaves" in capsys.readouterr().err
+        assert not (tmp_path / "resonance-map.csv").exists()
+
     def test_validate_command_passes(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out

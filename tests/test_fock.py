@@ -353,6 +353,83 @@ class TestWindowRule:
         with pytest.raises(ValueError, match="underflows the vacuum"):
             exact_dressed_levels(ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 100), 0.2, 0.2, 400)
 
+    def test_map_widens_until_every_bound_passes(self, ladder, monkeypatch, seed0_map):
+        built = []
+        build = fock.build_hamiltonian
+
+        def spy_build(params, n0, half_width, parity):
+            built.append((half_width, params.u))
+            return build(params, n0, half_width, parity)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        table = resonance_sharpness_map(ladder, (1, 2), *MAP_GRID, 400)
+        assert list(dict.fromkeys(w for w, _ in built)) == [64, 128]
+        # only the g2 column (g1 = 0) is swept on n0 +- 64
+        assert all(u == 0.0 for w, u in built if w == 64)
+        assert table.tobytes() == seed0_map.tobytes()
+
+    def test_lost_map_row_keeps_the_window(self, ladder, monkeypatch, seed0_map):
+        widths = []
+        build, track = fock.build_hamiltonian, fock.track_levels
+
+        def spy_build(params, n0, half_width, parity):
+            widths.append(half_width)
+            return build(params, n0, half_width, parity)
+
+        def lose_row(template, start, *args, **kwargs):
+            if tuple(start) == (0.0, 0.125):
+                raise TrackingError("injected on the row g2 = 0.125")
+            return track(template, start, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        monkeypatch.setattr(fock, "track_levels", lose_row)
+        table = resonance_sharpness_map(ladder, (1, 2), *MAP_GRID, 400)
+        assert list(dict.fromkeys(widths)) == [64, 128]
+        lost = table["g2"] == 0.125
+        assert seed0_map["ok"][lost].all() and not table["ok"][lost].any()
+        assert table[~lost].tobytes() == seed0_map[~lost].tobytes()
+
+    def test_map_cap_that_fails_the_bound_names_the_cap(self, ladder):
+        with pytest.raises(ConvergenceError, match=r"n0 \+- 64 leaves the map's g2 column"):
+            resonance_sharpness_map(ladder, (1, 2), *MAP_GRID, 64)
+
+    def test_sweep_bounds_are_the_sector_bounds(self, ladder):
+        n0 = ladder.n0
+        which = [(j, central_quantum(j, n0)) for j in (1, 2, 3)]
+        tr = track_levels(ladder, (0.0, 0.0), (1.0, 1.25), 9, n0, 64, which)
+        assert tr.bounds.shape == tr.energies.shape
+        for s, g in enumerate(tr.gs):
+            h = build_hamiltonian(ladder.with_couplings(*g), n0, 64, "even")
+            # equal up to the summation order of the norms, which follows the
+            # memory layout of the vectors
+            assert_allclose(tr.bounds[s], h.truncation_bound(tr.energies[s], tr.step_vectors[s]),
+                            rtol=1e-12, atol=0.0)
+
+
+# the seed-0 resonance-map grid of the benchmark
+MAP_GRID = (np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.25, 11))
+
+
+@pytest.fixture(scope="module")
+def seed0_map():
+    ladder = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 10**8)
+    return resonance_sharpness_map(ladder, (1, 2), *MAP_GRID, 128)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n0=st.integers(150, 10**8), transition=st.sampled_from([(1, 2), (2, 3), (1, 3)]),
+       g_max=st.tuples(st.floats(0.05, 0.4), st.floats(0.05, 0.4)),
+       points=st.tuples(st.integers(2, 5), st.integers(2, 5)), cap=st.integers(64, 150))
+def test_growing_window_map_matches_the_cap(n0, transition, g_max, points, cap):
+    template = ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, n0)
+    grids = [np.linspace(0.0, top, count) for top, count in zip(g_max, points)]
+    which = [(j, central_quantum(j, n0)) for j in transition]
+    table = resonance_sharpness_map(template, transition, *grids, cap)
+    at_cap = fock._map_on(template, which, *grids, cap)
+    assert np.array_equal(table["ok"], at_cap["ok"])
+    assert np.array_equal(table["delta_n"], at_cap["delta_n"])
+    assert_allclose(table["diff"], at_cap["diff"], rtol=0, atol=1e-8)
+
 
 class TestAnticrossing:
     def test_even_exchange_rejected(self, ladder):

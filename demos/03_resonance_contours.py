@@ -1,9 +1,10 @@
 """Resonance contours in the coupling plane.
 
 A transition exchanges energy with the oscillator when its dressed energy
-matches an odd number of quanta.  The contours of those conditions organize
-the whole coupling plane: the lowest orders terminate at the origin (the
-bare gaps are 11 and 13 quanta), higher orders march outward.
+matches a number of quanta that couples its two states: odd for the
+adjacent pairs (1,2) and (2,3), even for (1,3).  The contours of those
+conditions organize the whole coupling plane: the lowest orders terminate at
+the origin (the bare gaps are 11 and 13 quanta), higher orders march outward.
 """
 
 import numpy as np

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .dressed import resonance_contour, wkb_levels
 from .errors import ConvergenceError, DegenerateLevelsError, TriladderError
+from .selection import _check_transition, _exchange, central_quantum
 from .trilevel import ModelParams, _amplitudes, eigenvalues_at
 
 
@@ -66,12 +67,11 @@ REQUIRED = "required"
 NUMBER = float, math.isfinite, "a finite number"
 NON_NEGATIVE = float, lambda x: 0 <= x < math.inf, "a finite number >= 0"
 POSITIVE = float, lambda x: 0 < x < math.inf, "a finite number > 0"
-TRANSITION = (lambda text: tuple(int(part) for part in text.split(",")),
-              lambda jk: len(jk) == 2 and 1 <= jk[0] < jk[1] <= 3,
-              "two levels 'j,k' with 1 <= j < k <= 3")
+TRANSITION = (lambda text: _check_transition([int(part) for part in text.split(",")]),
+              lambda jk: True, "two levels 'j,k' with 1 <= j < k <= 3")
 DELTA_NS = (lambda text: [int(part) for part in text.split(",") if part.strip()],
-            lambda dns: dns and all(dn > 0 and dn % 2 for dn in dns),
-            "a comma-separated list of odd positive integers")
+            lambda dns: dns and all(dn > 0 for dn in dns),
+            "a comma-separated list of positive integers")
 MODEL_NUMBER = float, lambda x: True, "a number"   # ModelParams checks the values
 
 
@@ -195,18 +195,14 @@ def read_run(cfg, command) -> dict:
         if width > n0:
             raise ConfigError(f"[run] half_width = {width}: the window n0 +- {width} "
                               f"reaches below the vacuum at n0 = {n0}")
-    if command == "splittings":
-        from .fock import _sector_of, central_quantum
-        j, k = run["transition"]
-        nb = central_quantum(j, n0)
-        for dn in run["delta_n_list"]:
-            try:
-                _sector_of([(j, nb), (k, nb - dn)])
-            except ValueError as err:
-                raise ConfigError(f"[run] transition = {j},{k}, delta_n {dn}: {err}") from err
-            if nb - dn < n0 - width:
-                raise ConfigError(f"[run] delta_n {dn}: the partner state of level {k} "
-                                  f"lies outside the window n0 +- half_width = {width}")
+    for dn in run.get("delta_n_list", ()):
+        try:
+            j, k = _exchange(run["transition"], dn)
+        except ValueError as err:
+            raise ConfigError(f"[run] delta_n_list: {err}") from err
+        if command == "splittings" and central_quantum(j, n0) - dn < n0 - width:
+            raise ConfigError(f"[run] delta_n {dn}: the partner state of level {k} "
+                              f"lies outside the window n0 +- half_width = {width}")
     return run
 
 

@@ -36,8 +36,9 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
 
-from .dressed import _check_level, wkb_levels
+from .dressed import wkb_levels
 from .errors import ConvergenceError
+from .selection import _check_level
 from .trilevel import ModelParams, _chained_bases, eigenvalues_at
 
 _REL_TOL = 1e-8

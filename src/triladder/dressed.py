@@ -13,7 +13,7 @@ The independent oracle at moderate n, the one-dimensional problem solved on
 a Fock window, is ``coupling.h0_level_fd``.
 
 Resonance contours in the (g1, g2) plane collect the points where a dressed
-transition energy equals an odd number of oscillator quanta.  One table of
+transition energy equals a number of quanta ``_exchange`` admits.  One table of
 the transition over a fan of rays serves every quantum exchange asked for,
 and all brackets on it are closed together.  Every resonance search, on the
 rays, on an arc (``contour_arc_crossing``) or on a straight line from zero
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .selection import _check_level, _check_transition, _exchange
 from .trilevel import ModelParams, _amplitudes, _ascending, _trig_form
 from .trilevel import eigenvalues_at  # unused here: perfbench's tracing wraps this binding
 
@@ -73,26 +74,6 @@ class ResonanceContour:
     residuals: np.ndarray
     multiple: np.ndarray
     missed_angles: np.ndarray
-
-
-def _check_level(j):
-    if j not in (1, 2, 3):
-        raise ValueError(f"level index must be 1, 2 or 3, got {j}")
-
-
-def _check_transition(transition):
-    """``(j, k)`` when it names levels 1 <= j < k <= 3, else ValueError."""
-    j, k = transition
-    _check_level(j)
-    _check_level(k)
-    if j >= k:
-        raise ValueError("transition must be ordered (lower, upper)")
-    return j, k
-
-
-def _check_odd(delta_n):
-    if delta_n % 2 == 0 or delta_n <= 0:
-        raise ValueError(f"only odd positive quantum exchange is resonant, got {delta_n}")
 
 
 def _bisect_root(f, lo, hi, what, flo=None, fhi=None, args=()):
@@ -308,7 +289,7 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     j, k = _check_transition(transition)
     delta_ns = list(delta_ns)
     for dn in delta_ns:
-        _check_odd(dn)
+        _exchange((j, k), dn)
     n = template.n0
     if angles is None:
         angles = np.linspace(0.0, np.pi / 2.0, 181)
@@ -364,8 +345,7 @@ def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
     Raises ConvergenceError when the contour does not cross the arc, and as
     ``_resonance_roots`` does.
     """
-    j, k = _check_transition(transition)
-    _check_odd(delta_n)
+    j, k = _exchange(transition, delta_n)
 
     def mismatch(phi, quad):
         return _transition_gap(template, radius * np.cos(phi), radius * np.sin(phi),

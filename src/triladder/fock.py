@@ -28,12 +28,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
-from .dressed import _check_odd, _check_transition, _line_resonance
+from .dressed import _line_resonance
 from .errors import ConvergenceError, TrackingError, TriladderError
+from .selection import _check_transition, _exchange, _sector_of, central_quantum
 from .trilevel import ModelParams
 
 #: resolve tracked-state identities only when the best overlap clears this
@@ -44,25 +46,6 @@ AMBIGUITY = 1e-3
 
 #: a sweep step is halved at most this many times before tracking gives up
 _MAX_REFINES = 14
-
-
-def _parity_bit(parity):
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return 0 if parity == "even" else 1
-
-
-def _sector_of(which):
-    """The parity sector of the (level, n) labels ``which``: level + n even or odd.
-
-    ValueError when the labels lie in different sectors: such states are not
-    coupled, so they cross exactly, and no sweep or gap can join them.
-    """
-    bits = {(j + nq) % 2 for j, nq in which}
-    if len(bits) != 1:
-        raise ValueError(f"states {which} must share one parity sector; "
-                         f"states of different sectors do not couple")
-    return "even" if bits.pop() == 0 else "odd"
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +146,11 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=64)
 def _sector(n0, half_width, parity) -> _Sector:
-    bit = _parity_bit(parity)
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     nq = np.repeat(np.arange(n0 - half_width, n0 + half_width + 1, dtype=np.int64), 3)
     lvl = np.tile(np.arange(1, 4, dtype=np.int64), 2 * half_width + 1)
-    keep = (lvl + nq) % 2 == bit
+    keep = (lvl + nq) % 2 == (parity == "odd")
     labels = np.column_stack([lvl[keep], nq[keep]])
     # labels are sorted by n then level, so this key is sorted too
     key = 4 * labels[:, 1] + labels[:, 0]
@@ -460,16 +444,6 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
                          np.array(kept), np.array(bounds))
 
 
-def central_quantum(level, n0):
-    """Quantum number n nearest n0 with level + n even.
-
-    That is n0 when level + n0 is even, else n0 + 1, so the state
-    (level, n) sits in the even sector; for adjacent levels j, j + 1 the
-    partner (j + 1, n - delta_n) of an odd exchange sits there too.
-    """
-    return n0 if (level + n0) % 2 == 0 else n0 + 1
-
-
 #: The entry points that check a truncation bound try the windows n0 +- 64,
 #: 128, 256, ... up to the caller's half_width.  Against W = 400, W = 64
 #: passed the seed-0, 1 and 7 splittings records, criterion 7's line
@@ -648,7 +622,7 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     energy (reported as ``g_contour``), and the
     two resonant states, (j, n) with n = ``central_quantum(j, n0)`` and
     (k, n - delta_n), are tracked out to the vicinity in their parity sector
-    (ValueError before any solve when they lie in different sectors) as one
+    (ValueError before any solve when ``_exchange`` refuses them) as one
     sweep interval, which ``track_levels`` halves only where a state's
     overlap with its previous vector falls below 0.5.  The gap is then scanned
     on a grid of ``scan_points`` (at least 3) evenly spaced points across the
@@ -662,11 +636,13 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     quadratic at the bottom of an anticrossing (the two-state hyperbola) and
     of an exact crossing alike, so its parabolic steps converge on either.  At
     the reported minimum the truncation bounds of the two eigenpairs whose
-    distance is the gap must sum to at most 1 percent of max(gap, 1e-9).  The
-    whole search runs on W = 64, 128, ... in turn up to the cap ``half_width``
-    (``_on_growing_windows``) and returns from the first window that meets
-    that bound, recording it as ``half_width`` of the result;
-    ConvergenceError names the cap when none does.  ``ts`` and ``gaps`` of the
+    distance is the gap must sum to at most 1 percent of max(gap, 1e-9), and
+    no eigenvalue of the sector may lie more than that inside both of the
+    two (else TrackingError: the pair is not one anticrossing).  The whole
+    search runs on W = 64, 128, ... in turn up to the cap ``half_width``
+    (``_on_growing_windows``) and returns from the first window that passes
+    both checks, recording it as ``half_width`` of the result; the cap's
+    error propagates when none does.  ``ts`` and ``gaps`` of the
     result hold the evaluated points only.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
@@ -675,8 +651,7 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     eigenvalue comes closest; use it where a third level interferes and the
     single predicted resonance splits into several.
     """
-    j, k = transition
-    _check_odd(delta_n)
+    j, k = _exchange(transition, delta_n)
     if mode not in _GAP_RULES:
         raise ValueError(f"unknown scan mode {mode!r}")
     if not (math.isfinite(vicinity) and vicinity > 0):
@@ -687,7 +662,6 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     end = np.asarray(end, dtype=float)
     nb = central_quantum(j, template.n0)
     which = [(j, nb), (k, nb - delta_n)]
-    _sector_of(which)
     t_star = _line_resonance(template, end, (j, k), delta_n)
     t_range = (max(t_star * (1.0 - vicinity), 1e-9), min(t_star * (1.0 + vicinity), 1.0))
     g_star, best, minima, ts, gaps, window = _on_growing_windows(
@@ -801,9 +775,19 @@ def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
     h, vals, vecs, (_, _, pair) = at_minima[lowest]
     bound = float(np.sum(h.truncation_bound(vals[pair], vecs[:, pair])))
     # gaps below 1e-9 are zero to solver tolerance; no relative check there
-    if bound > 0.01 * max(best, 1e-9):
+    slack = 0.01 * max(best, 1e-9)
+    if bound > slack:
         raise ConvergenceError(
             f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
+    # the pair must be neighbours in the sector's spectrum: with an eigenvalue
+    # between them the rule has followed a foreign state, and its distance is no gap
+    lo, hi = np.sort(vals[pair]) + (slack, -slack)
+    between = scipy.linalg.eig_banded(h.bands, lower=True, eigvals_only=True, select="v",
+                                      select_range=(lo, hi)).size if lo < hi else 0
+    if between:
+        raise TrackingError(f"on the window n0 +- {half_width}, {between} eigenvalue(s) lie "
+                            f"between the pair at (g1, g2) = ({g1s:g}, {g2s:g}), "
+                            f"{best:.3e} apart: not one anticrossing")
 
     minima.sort(key=lambda m: (m[0], m[1]))
     return (g1s, g2s), float(best), minima, ts, gaps, half_width
@@ -838,11 +822,11 @@ def _sweep_grids(g1_grid, g2_grid):
 
 def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
                             half_width: int):
-    """Inverse distance of the exact dressed transition to the nearest odd rung.
+    """Inverse distance of the exact dressed transition to the nearest resonant rung.
 
     Returns a record array with fields g1, g2, diff (dressed transition
-    energy), delta_n (nearest odd quantum count), sharpness (capped inverse
-    mismatch) and ok (False where tracking failed; such points carry NaN).
+    energy), delta_n (nearest quantum count ``_exchange`` admits), sharpness
+    (capped inverse mismatch) and ok (False, with NaN values, where tracking failed).
 
     The exact dressed energies come from overlap-tracked windowed eigenvalues
     of the states next to n0 = ``template.n0`` (``central_quantum``): one
@@ -865,7 +849,7 @@ def resonance_sharpness_map(template: ModelParams, transition, g1_grid, g2_grid,
 
 def _map_on(template, which, g1_grid, g2_grid, half_width):
     """``resonance_sharpness_map`` on one window, for the labels ``which``."""
-    (_, nj), (_, nk) = which
+    (j, nj), (k, nk) = which
     g2_grid = np.asarray(g2_grid, dtype=float)
     drop_first = np.asarray(g1_grid, dtype=float)[0] != 0.0
     seed_start = g2_grid[0] == 0.0
@@ -894,7 +878,7 @@ def _map_on(template, which, g1_grid, g2_grid, half_width):
             if np.isnan(d):
                 rows.append((g1, g2, np.nan, -1, np.nan, False))
                 continue
-            best = max(1, 2 * int(round((d - 1.0) / 2.0)) + 1)
+            best = max(k - j, 2 * int(round((d - (k - j)) / 2.0)) + k - j)
             mismatch = abs(d - best)
             sharp = SHARPNESS_CAP if mismatch <= 1.0 / SHARPNESS_CAP else 1.0 / mismatch
             rows.append((g1, g2, d, best, sharp, True))

@@ -1,12 +1,13 @@
 """Degenerate-perturbation-theory splittings versus exact anticrossing gaps.
 
-At a resonance where the dressed transition (j -> k) matches an odd number of
-oscillator quanta, the two product states hybridize and the level splitting is
-estimated as twice the magnitude of the derivative-coupling element between
-the rotated-frame eigenstates of the two levels.  The exact gap comes from
-minimizing the tracked level distance of the windowed reference solver along
-a line g2 = ratio * g1; the same gap scan locates the dressed resonance on
-that line once, and the estimate is evaluated there.
+At a resonance where the dressed transition (j -> k) matches a number of
+quanta ``_exchange`` admits, the two product states hybridize and the level
+splitting is estimated as twice the magnitude of the derivative-coupling
+element between the rotated-frame eigenstates of the two levels (for (1,3),
+coupled only through level 2, not the leading order).  The exact gap comes
+from minimizing the tracked level distance of the windowed reference solver
+along a line g2 = ratio * g1; the same gap scan locates the dressed resonance
+on that line once, and the estimate is evaluated there.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import v_matrix_element_h0
-from .dressed import (CONTOUR_RESIDUAL, RESONANCE_NODES, _check_odd, _check_transition,
-                      _line_resonance, _transition_gap)
+from .dressed import CONTOUR_RESIDUAL, RESONANCE_NODES, _line_resonance, _transition_gap
 from .errors import OffResonanceError, TriladderError
-from .fock import _sector_of, anticrossing_gap, central_quantum
+from .fock import anticrossing_gap
+from .selection import _check_transition, _exchange, central_quantum
 from .trilevel import ModelParams
 
 
@@ -53,14 +54,11 @@ def pt_splitting(params: ModelParams, transition, delta_n: int) -> float:
     ``CONTOUR_RESIDUAL`` at twice ``RESONANCE_NODES``, the bound and node
     count every resonance search holds its roots to, so a ``g_contour`` of
     ``anticrossing_gap`` passes; anything else raises OffResonanceError since
-    the two-state estimate is meaningless off resonance.  Two states of
-    different parity sectors (``_sector_of``) cross exactly, so that pair
-    raises ValueError before any work.
+    the two-state estimate is meaningless off resonance.  What ``_exchange``
+    refuses (states of different sectors cross exactly) raises ValueError first.
     """
-    j, k = _check_transition(transition)
-    _check_odd(delta_n)
+    j, k = _exchange(transition, delta_n)
     nb = central_quantum(j, params.n0)
-    _sector_of([(j, nb), (k, nb - delta_n)])
     resid = _transition_gap(params, params.g1, params.g2, (j, k), params.n0,
                             2 * RESONANCE_NODES) - delta_n
     if abs(resid) > CONTOUR_RESIDUAL:
@@ -77,9 +75,9 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
     The same search ``anticrossing_gap`` runs on the line to
     (g1_max, ratio * g1_max), so the point equals its ``g_contour``.
     """
-    _check_odd(delta_n)
+    jk = _exchange(transition, delta_n)
     end = np.array([g1_max, ratio * g1_max])
-    g = _line_resonance(template, end, transition, delta_n) * end
+    g = _line_resonance(template, end, jk, delta_n) * end
     return float(g[0]), float(g[1])
 
 
@@ -93,17 +91,15 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     g2 = ratio*g1 up to ``g1_max`` (its ``g_contour``), and the two-state
     estimate is evaluated at that point.  Failures of an individual entry
     (resonance off the line, lost tracking) are recorded as invalid entries
-    and the run continues; an exchange whose two states lie in different
-    parity sectors raises ValueError before any work.  Records come back
+    and the run continues; a transition or exchange that ``_exchange``
+    refuses raises ValueError before any work.  Records come back
     sorted by ``delta_n``.  ``half_width`` caps the Fock window of each gap
     scan, which starts at n0 +- 64 and doubles while the gap's truncation
     bound fails (``anticrossing_gap``).
     """
-    j, k = transition
-    nb = central_quantum(j, template.n0)
+    j, k = _check_transition(transition)
     for dn in delta_ns:
-        _check_odd(dn)
-        _sector_of([(j, nb), (k, nb - dn)])
+        _exchange((j, k), dn)
     end = (g1_max, ratio * g1_max)
     records = []
     for dn in sorted(int(d) for d in delta_ns):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coupling, fock, trilevel
+from . import coupling, fock, selection, trilevel
 from .trilevel import ModelParams
 
 
@@ -60,18 +60,23 @@ def check_coupling_derivative(fault=None):
 
 
 def check_parity_selection(fault=None):
-    """Derivative-coupling elements vanish for parity-forbidden quantum changes."""
+    """``selection._exchange`` refuses exactly the exchanges whose elements vanish (1e-10)."""
     n = 60
     p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.4, 0.3, n)
-    worst = 0.0
-    for (j, k, dm) in ((1, 2, 2), (1, 2, 4), (2, 3, 2), (1, 3, 1), (1, 3, 3)):
-        elem = coupling.v_matrix_element(p, j, k, n, n - dm)
-        allowed = coupling.v_matrix_element(p, j, k, n, n - dm - 1)
-        if fault == "parity":
-            elem = allowed
-        scale = max(abs(allowed), 1.0)
-        worst = max(worst, abs(elem) / scale)
-    return worst <= 1e-10, f"worst forbidden/allowed ratio {worst:.2e}"
+    allowed, refused = [], []
+    for j, k in ((1, 2), (2, 3), (1, 3)):
+        for dm in range(1, 5):
+            elem = abs(coupling.v_matrix_element(p, j, k, n, n - dm))
+            try:
+                selection._exchange((j, k), dm)
+                allowed.append(elem)
+            except ValueError:
+                refused.append(elem)
+    if fault == "parity":
+        refused = allowed
+    worst, least = max(refused, default=0.0), min(allowed, default=0.0)
+    return worst <= 1e-10 < least, (f"largest refused element {worst:.2e}, "
+                                     f"smallest allowed {least:.2e}")
 
 
 def check_trace_preservation(fault=None):

@@ -166,6 +166,35 @@ class TestOtherCommands:
         assert main(["contours", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_contours_upper_pair_takes_even_exchanges(self, tmp_path, capsys):
+        # (1, n) and (3, n - delta_n) share a parity sector only at even delta_n
+        for dn, code in ((27, 2), (28, 0)):
+            body = MODEL + f"[run]\ntransition = 1,3\ndelta_n_list = {dn}\nrays = 5\n"
+            out = tmp_path / str(dn)
+            assert main(["contours", "--config", write_config(tmp_path, body),
+                         "--out", str(out)]) == code
+        assert "even positive quantum exchanges" in capsys.readouterr().err
+        assert not (tmp_path / "27" / "contours.csv").exists()
+        lines = (tmp_path / "28" / "contours.csv").read_text().splitlines()
+        data = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert data and all(r[:3] == ["1", "3", "28"] for r in data)
+
+    def test_splittings_lost_pair_is_not_a_gap(self, tmp_path, capsys):
+        # on g2 = 1.1 g1 the pair rule loses the delta_n 17 pair: at its
+        # minimum three eigenvalues lie between the two tracked levels, on
+        # every window up to the cap, so the row is ok = 0 with the reason
+        body = MODEL + "[run]\nratio = 1.1\ndelta_n_list = 13,17\n"
+        assert main(["splittings", "--config", write_config(tmp_path, body),
+                     "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"splittings: delta_n 17: on the window n0 \+- 400, 3 eigenvalue\(s\) "
+                         r"lie between the pair at \(g1, g2\) = \(0\.67\d+, 0\.74\d+\)", err)
+        assert "delta_n 13" not in err
+        lines = (tmp_path / "splittings.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert [(r[2], r[-1]) for r in rows] == [("13", "1"), ("17", "0")]
+        assert rows[1][4:] == ["nan"] * 7 + ["0", "0"]
+
     def test_contours_csv(self, tmp_path):
         body = MODEL + ("[run]\ntransition = 1,2\ndelta_n_list = 13\n"
                         "rays = 7\nscan_points = 60\n")
@@ -464,7 +493,7 @@ spelling = st.one_of(
 VALID = {"a finite number": ["-1", "0.5", "2e4"], "a finite number >= 0": ["0", "0.2", "1"],
          "a finite number > 0": ["1e-6", "0.08", "1.25"],
          "two levels 'j,k' with 1 <= j < k <= 3": ["1,2", "2,3", "1,3"],
-         "a comma-separated list of odd positive integers": ["1", "13", "13,15,17"],
+         "a comma-separated list of positive integers": ["1", "13", "13,15,17", "26,28"],
          "'pair' or 'nearest'": ["pair", "nearest"]}
 
 

@@ -579,6 +579,18 @@ class TestSharpnessMap:
             resonance_sharpness_map(ladder, transition, np.array([0.0, 0.1]),
                                     np.array([0.0]), 60)
 
+    def test_upper_pair_rows_take_even_exchanges(self, ladder):
+        # (1,3) couples at even exchanges only, so each row's delta_n is the
+        # even integer nearest its transition (rows lost by tracking aside:
+        # 20 of these 25, the CHANGES.md FOUND on track_levels)
+        table = resonance_sharpness_map(ladder, (1, 3), np.linspace(0.0, 1.0, 5),
+                                        np.linspace(0.0, 1.25, 5), 400)
+        ok = table[table["ok"]]
+        assert ok.size >= 5
+        assert np.all(ok["delta_n"] % 2 == 0)
+        assert np.all(np.abs(ok["diff"] - ok["delta_n"]) <= 1.0)
+        assert ok[0]["delta_n"] == 24 and ok[0]["sharpness"] == pytest.approx(1e6)
+
     def test_ridges_align_with_contours(self, ladder):
         # along one row of the map, the sharpness peak of the 13-quantum
         # ridge must sit within a cell of where the dressed contour crosses

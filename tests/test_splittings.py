@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from triladder import (ConvergenceError, ModelParams, OffResonanceError,
                        anticrossing_gap, compare_splittings, contour_point_on_line,
-                       pt_splitting, v_matrix_element)
+                       pt_splitting, resonance_contour, v_matrix_element)
 from triladder import dressed, fock, splittings
 from triladder.fock import central_quantum
 
@@ -17,6 +19,7 @@ class TestPtSplitting:
         # with an odd exchange, (1, n) and (3, n - delta_n) lie in different
         # parity sectors: they are not coupled and cross exactly
         for module, name in ((splittings, "_transition_gap"), (fock, "_line_resonance"),
+                             (splittings, "_line_resonance"),
                              (splittings, "anticrossing_gap")):
             monkeypatch.setattr(module, name, None)
         params = ladder.with_couplings(0.5, 0.15)
@@ -25,7 +28,19 @@ class TestPtSplitting:
         with pytest.raises(ValueError, match="share one parity sector"):
             anticrossing_gap(ladder, (1.05, 0.315), 25, (1, 3), 400)
         with pytest.raises(ValueError, match="share one parity sector"):
-            compare_splittings(ladder, 0.3, [13, 25], (1, 3))
+            compare_splittings(ladder, 0.3, [26, 25], (1, 3))
+        with pytest.raises(ValueError, match="share one parity sector"):
+            contour_point_on_line(ladder, (1, 3), 25, ratio=0.3)
+        # a transition that names no two levels 1 <= j < k <= 3
+        for bad in ((1, 4), (1, 5), (2, 1), (0, 1)):
+            with pytest.raises(ValueError, match=r"1 <= j < k <= 3"):
+                pt_splitting(params, bad, 13)
+            with pytest.raises(ValueError, match=r"1 <= j < k <= 3"):
+                anticrossing_gap(ladder, (1.05, 0.315), 13, bad, 400)
+            with pytest.raises(ValueError, match=r"1 <= j < k <= 3"):
+                contour_point_on_line(ladder, bad, 13, ratio=0.3)
+            with pytest.raises(ValueError, match=r"1 <= j < k <= 3"):
+                compare_splittings(ladder, 0.3, [13], bad)
 
     def test_off_resonance_rejected(self, ladder):
         # the 13-quantum resonance is nowhere near this point
@@ -84,6 +99,20 @@ class TestContourPoint:
             contour_point_on_line(ladder, (1, 2), 17, ratio=0.5)
         with pytest.raises(ConvergenceError, match="leaves a mismatch of"):
             anticrossing_gap(ladder, (1.05, 0.525), 17, (1, 2), 400)
+
+
+class TestUpperPair:
+    def test_even_exchange_contour_meets_the_exact_gap(self, ladder):
+        # (1,3) couples at even exchanges only.  The delta_n 28 contour, from
+        # the ray scan and from the line search alike, crosses g2 = 0.3 g1
+        # within 3e-3 in g1 of the exact gap minimum (0.46527 against 0.46367)
+        contour, = resonance_contour(ladder, (1, 3), [28], angles=[math.atan(0.3)])
+        record, = compare_splittings(ladder, 0.3, [28], (1, 3))
+        assert record.ok and record.transition == (1, 3) and record.de_exact > 0.0
+        assert contour.points[0] == pytest.approx(record.g_contour, rel=1e-9)
+        assert abs(record.g_contour[0] - record.g_star[0]) <= 3e-3
+        # the first-order element is not the leading order of a (1,3) gap
+        assert record.ratio < 0.1
 
 
 class TestCompare:

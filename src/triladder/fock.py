@@ -16,8 +16,8 @@ previous point.  Around it the module continues eigenpairs along coupling
 sweeps by eigenvector overlap (energy order swaps at every anticrossing, the
 vectors do not), locates anticrossing gap minima by a coarse-to-fine scan
 steered by the exact level slopes and a bounded scalar minimization of
-gap^2, and rasterizes resonance-sharpness maps from the
-tracked exact spectrum.
+gap^2 (whose pair check reads the candidates of the solve at the minimum),
+and rasterizes resonance-sharpness maps from the tracked exact spectrum.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .dressed import _line_resonance
 from .errors import ConvergenceError, TrackingError, TriladderError
-from .selection import _check_transition, _exchange, _sector_of, central_quantum
+from .selection import (_check_transition, _exchange, _nearest_exchange, _sector_of,
+                        central_quantum)
 from .trilevel import ModelParams
 
 #: resolve tracked-state identities only when the best overlap clears this
@@ -636,14 +636,14 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     quadratic at the bottom of an anticrossing (the two-state hyperbola) and
     of an exact crossing alike, so its parabolic steps converge on either.  At
     the reported minimum the truncation bounds of the two eigenpairs whose
-    distance is the gap must sum to at most 1 percent of max(gap, 1e-9), and
-    no eigenvalue of the sector may lie more than that inside both of the
-    two (else TrackingError: the pair is not one anticrossing).  The whole
-    search runs on W = 64, 128, ... in turn up to the cap ``half_width``
-    (``_on_growing_windows``) and returns from the first window that passes
-    both checks, recording it as ``half_width`` of the result; the cap's
-    error propagates when none does.  ``ts`` and ``gaps`` of the
-    result hold the evaluated points only.
+    distance is the gap must sum to at most 1 percent of max(gap, 1e-9).  The
+    whole search runs on W = 64, 128, ... in turn up to the cap ``half_width``
+    (``_on_growing_windows``); the first window that passes this bound is
+    accepted and recorded as ``half_width`` of the result, and the cap's error
+    propagates when none does.  No candidate of the solve at the minimum may
+    lie more than that 1 percent inside both of the two, else TrackingError
+    names the accepted window: the pair is not one anticrossing, on any
+    window.  ``ts`` and ``gaps`` of the result hold the evaluated points only.
 
     ``mode="pair"`` continues the two-state subspace, which is the robust
     choice for an isolated anticrossing.  ``mode="nearest"`` continues only
@@ -664,15 +664,19 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     which = [(j, nb), (k, nb - delta_n)]
     t_star = _line_resonance(template, end, (j, k), delta_n)
     t_range = (max(t_star * (1.0 - vicinity), 1e-9), min(t_star * (1.0 + vicinity), 1.0))
-    g_star, best, minima, ts, gaps, window = _on_growing_windows(
+    g_star, best, minima, ts, gaps, window, between = _on_growing_windows(
         lambda width: _gap_on(template, end, which, mode, t_range, scan_points, width),
         template.n0, half_width, which)
+    if between:
+        raise TrackingError(f"on the window n0 +- {window}, {between} eigenvalue(s) lie "
+                            f"between the pair at (g1, g2) = ({g_star[0]:g}, {g_star[1]:g}), "
+                            f"{best:.3e} apart: not one anticrossing")
     return GapScan((j, k), int(delta_n), tuple(t_star * end), g_star, best, minima, ts, gaps,
                    window)
 
 
 def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
-    """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, half_width)."""
+    """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, W, between)."""
     n0 = template.n0
     parity = _sector_of(which)
     rule = _GAP_RULES[mode]
@@ -779,18 +783,13 @@ def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
     if bound > slack:
         raise ConvergenceError(
             f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
-    # the pair must be neighbours in the sector's spectrum: with an eigenvalue
-    # between them the rule has followed a foreign state, and its distance is no gap
+    # an eigenvalue between the pair means the rule followed a foreign state; the
+    # candidates, nearest the solve's shift, hold any such, being nearer than one of the two
     lo, hi = np.sort(vals[pair]) + (slack, -slack)
-    between = scipy.linalg.eig_banded(h.bands, lower=True, eigvals_only=True, select="v",
-                                      select_range=(lo, hi)).size if lo < hi else 0
-    if between:
-        raise TrackingError(f"on the window n0 +- {half_width}, {between} eigenvalue(s) lie "
-                            f"between the pair at (g1, g2) = ({g1s:g}, {g2s:g}), "
-                            f"{best:.3e} apart: not one anticrossing")
+    between = int(np.count_nonzero((vals > lo) & (vals <= hi)))
 
     minima.sort(key=lambda m: (m[0], m[1]))
-    return (g1s, g2s), float(best), minima, ts, gaps, half_width
+    return (g1s, g2s), float(best), minima, ts, gaps, half_width, between
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +877,7 @@ def _map_on(template, which, g1_grid, g2_grid, half_width):
             if np.isnan(d):
                 rows.append((g1, g2, np.nan, -1, np.nan, False))
                 continue
-            best = max(k - j, 2 * int(round((d - (k - j)) / 2.0)) + k - j)
+            best = _nearest_exchange((j, k), d)
             mismatch = abs(d - best)
             sharp = SHARPNESS_CAP if mismatch <= 1.0 / SHARPNESS_CAP else 1.0 / mismatch
             rows.append((g1, g2, d, best, sharp, True))

@@ -31,6 +31,12 @@ def _exchange(transition, delta_n):
     return j, k
 
 
+def _nearest_exchange(transition, diff):
+    """The exchange ``_exchange`` admits nearest the transition energy ``diff``."""
+    j, k = transition
+    return max(k - j, 2 * int(round((diff - (k - j)) / 2.0)) + k - j)
+
+
 def _sector_of(which):
     """The parity sector of the (level, n) labels ``which``: level + n even or odd.
 

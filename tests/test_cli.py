@@ -181,13 +181,13 @@ class TestOtherCommands:
 
     def test_splittings_lost_pair_is_not_a_gap(self, tmp_path, capsys):
         # on g2 = 1.1 g1 the pair rule loses the delta_n 17 pair: at its
-        # minimum three eigenvalues lie between the two tracked levels, on
-        # every window up to the cap, so the row is ok = 0 with the reason
+        # minimum three eigenvalues lie between the two tracked levels on the
+        # first window whose bound passes, so the row is ok = 0 with the reason
         body = MODEL + "[run]\nratio = 1.1\ndelta_n_list = 13,17\n"
         assert main(["splittings", "--config", write_config(tmp_path, body),
                      "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err
-        assert re.search(r"splittings: delta_n 17: on the window n0 \+- 400, 3 eigenvalue\(s\) "
+        assert re.search(r"splittings: delta_n 17: on the window n0 \+- 64, 3 eigenvalue\(s\) "
                          r"lie between the pair at \(g1, g2\) = \(0\.67\d+, 0\.74\d+\)", err)
         assert "delta_n 13" not in err
         lines = (tmp_path / "splittings.csv").read_text().splitlines()

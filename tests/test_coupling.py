@@ -364,3 +364,36 @@ class TestWindowLevelOracle:
         monkeypatch.setattr(coupling, "_rotated_operator", drifting)
         with pytest.raises(ConvergenceError, match="not stable under window refinement"):
             h0_level_fd(p, 1, 100)
+
+
+class TestRefine:
+    """The window-doubling loop behind every element and ``h0_level_fd``."""
+
+    @staticmethod
+    def sequence(values):
+        """An ``evaluate`` that returns ``values`` in turn (scale 1), and the sizes asked."""
+        sizes = []
+
+        def evaluate(size):
+            sizes.append(size)
+            return values[len(sizes) - 1], 1.0
+
+        return evaluate, sizes
+
+    def test_a_lone_pass_before_a_jump_is_not_settled(self):
+        # 1 -> 2 jumps, 2 -> 2 passes once, 2 -> 3 jumps, then two passes in a row
+        evaluate, sizes = self.sequence([1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+        assert coupling._refine(evaluate, 8, "x", doublings=5, settled=2) == 3.0
+        assert sizes == [8, 16, 32, 64, 128, 256]
+
+    def test_one_pass_settles_by_default(self):
+        evaluate, sizes = self.sequence([1.0, 2.0, 2.0, 3.0])
+        assert coupling._refine(evaluate, 8, "x") == 2.0
+        assert sizes == [8, 16, 32]
+
+    def test_unsettled_value_names_what_and_the_last_change(self):
+        evaluate, sizes = self.sequence([1.0, 2.0, 2.0, 3.5])
+        with pytest.raises(ConvergenceError, match=r"^level x at n=3 not stable under window "
+                                                   r"refinement; last change 1\.500e\+00$"):
+            coupling._refine(evaluate, 8, "level x at n=3", settled=2)
+        assert sizes == [8, 16, 32, 64]

@@ -343,6 +343,23 @@ class TestWindowRule:
         assert scan.gap == wider.gap and scan.g_star == wider.g_star
         assert scan.minima == wider.minima
 
+    def test_lost_pair_is_refused_on_the_first_window(self, ladder, monkeypatch):
+        # on g2 = 1.1 g1 the pair rule loses the delta_n 17 pair; its bound
+        # passes on n0 +- 64, and a wider window would count the same three
+        # eigenvalues between the two, so none is tried
+        widths = []
+        build = fock.build_hamiltonian
+
+        def spy_build(params, n0, half_width, parity):
+            widths.append(half_width)
+            return build(params, n0, half_width, parity)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        with pytest.raises(TrackingError, match=r"^on the window n0 \+- 64, 3 eigenvalue\(s\) "
+                                                r"lie between the pair"):
+            anticrossing_gap(ladder, (1.05, 1.1 * 1.05), 17, (1, 2), 400)
+        assert set(widths) == {64}
+
     def test_too_narrow_cap_above_64_names_the_cap(self, ladder):
         with pytest.raises(ConvergenceError, match=r"n0 \+- 80 leaves .* uncertain"):
             exact_dressed_levels(ladder, 1.0, 1.25, 80)
@@ -514,6 +531,32 @@ SCAN_LINES = {
                           dict(mode="nearest", vicinity=0.10, scan_points=301)),
     "benign-dn13": ((1.1, 0.33), 13, {}),
 }
+
+
+@pytest.mark.parametrize("end, dn", [((1.1, 0.33), 13), ((1.05, 0.525), 17),
+                                     ((1.05, 1.1 * 1.05), 17)])
+def test_one_group_candidates_are_the_spectrum_in_their_span(ladder, monkeypatch, end, dn):
+    # the gap's pair check counts eigenvalues among the candidates of its
+    # solve; that is exact because the candidates of targets that form one
+    # group are every eigenvalue of the sector between the lowest and highest
+    checked = []
+
+    def with_reference(h, targets, *args, **kwargs):
+        vals, vecs = _shift_invert_near(h, targets, *args, **kwargs)
+        if len(fock._cluster_targets(targets)) == 1:
+            span = scipy.linalg.eig_banded(h.bands, lower=True, eigvals_only=True, select="v",
+                                           select_range=(vals[0] - 1e-9, vals[-1] + 1e-9))
+            assert span.size == vals.size
+            assert_allclose(vals, span, rtol=0.0, atol=1e-9)
+            checked.append(vals.size)
+        return vals, vecs
+
+    monkeypatch.setattr(fock, "_shift_invert_near", with_reference)
+    try:
+        anticrossing_gap(ladder, end, dn, (1, 2), 400)
+    except TrackingError:
+        pass        # both delta_n 17 pairs are lost, after every solve was checked
+    assert len(checked) >= 20
 
 
 class TestCoarseToFineScan:

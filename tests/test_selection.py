@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triladder import fock, selection
-from triladder.selection import _exchange, _sector_of, central_quantum
+from triladder.selection import _exchange, _nearest_exchange, _sector_of, central_quantum
 
 
 def test_fock_keeps_the_sector_rule_as_an_import():
     assert fock._sector_of is _sector_of
+    assert fock._nearest_exchange is _nearest_exchange
     assert fock.central_quantum is central_quantum
 
 
@@ -48,3 +49,16 @@ def test_admitted_exchanges():
     assert _exchange([2, 3], 1) == (2, 3)
     assert _exchange((1, 3), 28) == (1, 3)
     assert selection._check_transition((1, 3)) == (1, 3)
+
+
+@given(jk=st.sampled_from([(1, 2), (2, 3), (1, 3)]),
+       diff=st.floats(-10.0, 200.0, allow_nan=False))
+def test_map_label_is_the_nearest_admitted_exchange(jk, diff):
+    label = _nearest_exchange(jk, diff)
+    assert _exchange(jk, label) == jk
+    for delta_n in range(1, 212):
+        try:
+            _exchange(jk, delta_n)
+        except ValueError:
+            continue
+        assert abs(delta_n - diff) >= abs(label - diff)

@@ -89,11 +89,10 @@ OUTPUT_KEYS = {"precision": ((_whole, lambda n: 1 <= n <= 17, "an integer in 1..
 RUN_KEYS = {
     "levels": {"y_min": (NUMBER, REQUIRED), "y_max": (NUMBER, REQUIRED),
                "y_points": (_at_least(1), REQUIRED)},
-    "wkb": {**_grid("g1"), **_grid("g2"), "n": (_at_least(0), None),
-            "nodes": (_at_least(16), 256)},
+    "wkb": {**_grid("g1"), **_grid("g2"), "n": (_at_least(0), None)},
     "contours": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
                  "rays": (_at_least(1), 181), "radius": (POSITIVE, 1.25),
-                 "scan_points": (_at_least(2), 160), "nodes": (_at_least(16), 256)},
+                 "scan_points": (_at_least(2), 160)},
     "resonance-map": {"transition": (TRANSITION, (1, 2)), **_grid("g1", 0.0, 1.0),
                       **_grid("g2", 0.0, 1.25), "half_width": (_at_least(8), 400)},
     "splittings": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
@@ -244,7 +243,7 @@ def render_wkb(cfg) -> str:
             # a point whose quadrature does not settle or whose cubic overflows
             # is flagged, named on stderr, and does not cost the rest of the grid
             try:
-                lv, ok = wkb_levels(cfg.params.with_couplings(a, b), n, run["nodes"]), True
+                lv, ok = wkb_levels(cfg.params.with_couplings(a, b), n), True
             except (ConvergenceError, DegenerateLevelsError) as err:
                 print(f"wkb: {err}", file=sys.stderr)
                 lv, ok = np.full(3, np.nan), False
@@ -257,7 +256,7 @@ def render_contours(cfg) -> str:
     (j, k), dns = run["transition"], run["delta_n_list"]
     angles = np.linspace(0.0, np.pi / 2.0, run["rays"])
     contours = resonance_contour(cfg.params, (j, k), dns, angles=angles, radius=run["radius"],
-                                 scan_points=run["scan_points"], nodes=run["nodes"])
+                                 scan_points=run["scan_points"])
     rows = []
     for dn, contour in zip(dns, contours):
         for i in range(len(contour.points)):

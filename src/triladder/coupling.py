@@ -26,7 +26,8 @@ window's first state so that its roundoff does not grow with n.
 That single-level problem, E_j(y) plus the oscillator, is assembled on the
 window in one place, ``_rotated_operator``.  Its spectrum is also the
 independent oracle of the dressed levels: ``h0_level_fd`` picks the rung by
-its index in the window, without the orbit average.  V omits the -(1/2) G^2
+its index in the window, and an element's states are aimed at their own
+first-order rungs, never at the orbit average.  V omits the -(1/2) G^2
 remainder of the rotation (moving the gap by <= 4.4e-10 relative on g2 = 0.3 g1
 at delta_n 13-21); ``test_matches_brute_force_rotation`` subtracts its (1,2) part.
 """
@@ -38,7 +39,6 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
 
-from .dressed import wkb_levels
 from .errors import ConvergenceError
 from .selection import _check_level
 from .trilevel import ModelParams, _chained_bases, eigenvalues_at
@@ -211,24 +211,24 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
     return _refine(evaluate, 48, f"dressed level {j} at n={n}", doublings=4, settled=2)
 
 
-def _window_h0_state(params, level, nq, lo, nodes, q, num, target_dressed):
+def _window_h0_state(params, level, nq, lo, nodes, q, num):
     """Eigenvector of the windowed single-level rotated problem near one rung.
 
-    The operator is ``_rotated_operator``; its eigenvector with eigenvalue
-    nearest ``target_dressed + nq`` is the distorted oscillator state carrying
-    quantum label ``nq``.  It comes from shift-and-invert inverse iteration:
-    one LU of the operator minus the target, applied to the Fock state at
-    ``nq`` (row ``nq - lo`` of ``q`` in the DVR) until the residual is below
-    1e-13 of the operator's infinity norm (at most 30 steps).
-    ConvergenceError is raised when the nearest level lies more than 0.45
-    from the target, and when the residual does not settle.  Returned in the
-    DVR, signed so that its largest Fock component is positive.
+    The operator is ``_rotated_operator``; its eigenvector nearest the target
+    <nq| E_level(y) |nq> (the first-order rung, the Rayleigh quotient of the
+    Fock state at ``nq``, row ``nq - lo`` of ``q`` in the DVR) is the
+    distorted oscillator state carrying quantum label ``nq``.  One LU of the
+    operator minus the target is applied to that Fock state until the
+    residual is below 1e-13 of the operator's infinity norm (at most 30
+    steps).  ConvergenceError is raised when the nearest level lies more than
+    0.45 from the target, and when the residual does not settle.  Returned in
+    the DVR, signed so that its largest Fock component is positive.
     """
     shifted = _rotated_operator(params, level, nq, lo, nodes, num)
     tol = 1e-13 * np.max(np.sum(np.abs(shifted), axis=1))
-    shifted[np.diag_indices_from(shifted)] -= target_dressed
-    lu = lu_factor(shifted)
     vec = q[nq - lo]
+    shifted[np.diag_indices_from(shifted)] -= vec @ shifted @ vec
+    lu = lu_factor(shifted)
     for _ in range(_INVERSE_STEPS):
         vec = lu_solve(lu, vec)
         # for unit vec, |vec| <= 1 / (distance of the nearest level to the
@@ -262,18 +262,14 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
 
     Evaluated on a Fock window around the two quantum numbers, padded by
     4 |n - m| + 96 states; the padding doubles until the value is stable.
+    Each window aims its two states at their own first-order rungs.
     """
     sigma, pair = _ordered_pair(j, k, n, m)
-    # each rung is targeted with its own level's orbit average at its own
-    # quantum number; identifying the rung needs it only to a fraction of a
-    # quantum, so a kinked integrand (decoupled-level crossing) is tolerable
-    target_j = wkb_levels(params, n, tol=1e-6)[j - 1]
-    target_k = wkb_levels(params, m, tol=1e-6)[k - 1]
 
     def evaluate(p):
         lo, nodes, q, num = _window(n, m, p)
-        uj = _window_h0_state(params, j, n, lo, nodes, q, num, target_j)
-        uk = _window_h0_state(params, k, m, lo, nodes, q, num, target_k)
+        uj = _window_h0_state(params, j, n, lo, nodes, q, num)
+        uk = _window_h0_state(params, k, m, lo, nodes, q, num)
         # d/dy is built after the eigensolves, never beside their LUs (peak memory)
         return _window_element(params, pair, nodes, num, uj, uk)
 

@@ -15,10 +15,10 @@ a Fock window, is ``coupling.h0_level_fd``.
 Resonance contours in the (g1, g2) plane collect the points where a dressed
 transition energy equals a number of quanta ``_exchange`` admits.  One table of
 the transition over a fan of rays serves every quantum exchange asked for,
-and all brackets on it are closed together.  Every resonance search, on the
-rays, on an arc (``contour_arc_crossing``) or on a straight line from zero
-coupling (``_line_resonance``, which serves both the contour point and the
-gap scan of the splitting comparison), goes through ``_resonance_roots``: it
+and all brackets on it are closed together.  A search on an arc
+(``contour_arc_crossing``) or on a line from zero coupling (``_line_resonance``,
+for the contour point and the gap scan of the splitting comparison) is
+``_path_resonance``.  Every search goes through ``_resonance_roots``: it
 closes the brackets to roundoff and holds each root to one bound,
 ``CONTOUR_RESIDUAL``, at its node count and at twice that count.
 """
@@ -35,6 +35,7 @@ from .selection import _check_level, _check_transition, _exchange
 from .trilevel import ModelParams, _amplitudes, _ascending, _trig_form
 from .trilevel import eigenvalues_at  # unused here: perfbench's tracing wraps this binding
 
+#: nodes of wkb_levels and the contour rays; only their convergence checks take more
 WKB_DEFAULT_NODES = 256
 _WKB_TOL = 1e-9
 _WKB_MAX_DOUBLINGS = 8
@@ -204,16 +205,16 @@ def _orbit_levels(template, u, v, n, nodes):
     return out
 
 
-def wkb_levels(params: ModelParams, n: int = None, nodes: int = WKB_DEFAULT_NODES,
-               tol: float = _WKB_TOL) -> np.ndarray:
+def wkb_levels(params: ModelParams, n: int = None, tol: float = _WKB_TOL) -> np.ndarray:
     """All three dressed energies at once, with node-doubling control.
 
-    Doubles the Chebyshev-Gauss node count until the result moves by less
-    than ``tol``; raises ConvergenceError naming the point if that never
-    happens.
+    Starts at ``WKB_DEFAULT_NODES`` and doubles the Chebyshev-Gauss node
+    count until the result moves by at most ``tol``; raises ConvergenceError
+    naming the point if that never happens.
     """
     if n is None:
         n = params.n0
+    nodes = WKB_DEFAULT_NODES
     value = _orbit_levels(params, params.u, params.v, n, nodes)[0]
     for _ in range(_WKB_MAX_DOUBLINGS):
         nodes *= 2
@@ -228,7 +229,7 @@ def wkb_levels(params: ModelParams, n: int = None, nodes: int = WKB_DEFAULT_NODE
 
 
 def dressed_transition(params: ModelParams, j: int, k: int, n: int = None,
-                       nodes: int = WKB_DEFAULT_NODES, tol: float = _WKB_TOL) -> float:
+                       tol: float = _WKB_TOL) -> float:
     """Dressed transition energy E_k - E_j (both from the orbit average).
 
     A looser ``tol`` helps when a fully decoupled level crosses another one
@@ -241,7 +242,7 @@ def dressed_transition(params: ModelParams, j: int, k: int, n: int = None,
         return 0.0
     if n is None:
         n = params.n0
-    levels = wkb_levels(params, n, nodes, tol=tol)
+    levels = wkb_levels(params, n, tol=tol)
     return float(levels[k - 1] - levels[j - 1])
 
 
@@ -274,8 +275,7 @@ def _scan_grid(radius, points):
 
 
 def resonance_contour(template: ModelParams, transition, delta_ns, *,
-                      angles=None, radius: float = 1.25, scan_points: int = 160,
-                      nodes: int = WKB_DEFAULT_NODES) -> list:
+                      angles=None, radius: float = 1.25, scan_points: int = 160) -> list:
     """Locate the (j, k, delta_n) resonance contours on a fan of rays.
 
     Returns one ResonanceContour per entry of ``delta_ns``, in that order.
@@ -309,13 +309,14 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
 
     # one table of the transition over rays x radii serves every delta_n
     ts = _scan_grid(radius, scan_points)
-    table = _transition_gap(template, np.outer(cos, ts), np.outer(sin, ts), (j, k), n, nodes)
+    table = _transition_gap(template, np.outer(cos, ts), np.outer(sin, ts), (j, k), n,
+                            WKB_DEFAULT_NODES)
     vals = table[None, :, :] - dns[:, None, None]
     zero_d, zero_r, zero_i = np.nonzero(vals == 0.0)
     br_d, br_r, br_i = np.nonzero(np.sign(vals[..., :-1]) * np.sign(vals[..., 1:]) < 0)
     d_all, r_all = np.concatenate([zero_d, br_d]), np.concatenate([zero_r, br_r])
     lo, hi = np.concatenate([zero_i, br_i]), np.concatenate([zero_i, br_i + 1])
-    t_all, resid = _resonance_roots(mismatch, ts[lo], ts[hi], nodes,
+    t_all, resid = _resonance_roots(mismatch, ts[lo], ts[hi], WKB_DEFAULT_NODES,
                                     lambda i: f"contour point on ray {angles[r_all[i]]}",
                                     vals[d_all, r_all, lo], vals[d_all, r_all, hi],
                                     (r_all, d_all))
@@ -334,52 +335,53 @@ def resonance_contour(template: ModelParams, transition, delta_ns, *,
     return contours
 
 
+def _path_resonance(template, point, lo, hi, transition, delta_n, what, where):
+    """Where the dressed (j, k) transition matches ``delta_n`` quanta on a path.
+
+    ``point`` maps an array of path parameters in [lo, hi] to the coupling
+    arrays (g1, g2); the transition is averaged at n = ``template.n0``.
+    Returns the parameter of the resonance, from ``_resonance_roots`` at
+    ``RESONANCE_NODES``, and its mismatch at twice that count.  Raises
+    ConvergenceError "``what`` does not cross ``where``" when the mismatch
+    has one sign at both ends, and as ``_resonance_roots`` does.
+    """
+    def mismatch(t, quad):
+        g1, g2 = point(t)
+        return _transition_gap(template, g1, g2, transition, template.n0, quad) - delta_n
+
+    flo, fhi = mismatch(np.array([lo, hi]), RESONANCE_NODES)
+    if flo * fhi > 0:
+        raise ConvergenceError(f"{what} does not cross {where}")
+    (t,), (resid,) = _resonance_roots(mismatch, lo, hi, RESONANCE_NODES, f"{what} on {where}",
+                                      flo, fhi)
+    return float(t), float(resid)
+
+
 def contour_arc_crossing(template: ModelParams, transition, delta_n: int,
                          radius: float):
     """Point where a resonance contour crosses the arc of a given radius.
 
-    The root in the polar angle at fixed radius, from ``_resonance_roots`` at
-    ``RESONANCE_NODES``; useful for contours that terminate at the origin,
-    where radial scans of any fixed ray fan stop resolving them.  Returns
-    ``((g1, g2), residual)`` with the mismatch at twice ``RESONANCE_NODES``.
-    Raises ConvergenceError when the contour does not cross the arc, and as
-    ``_resonance_roots`` does.
+    The root in the polar angle at fixed radius (``_path_resonance``); useful
+    for contours that terminate at the origin, where radial scans of any
+    fixed ray fan stop resolving them.  Returns ``((g1, g2), residual)`` with
+    the mismatch at twice ``RESONANCE_NODES``.  Raises ConvergenceError when
+    the contour does not cross the arc, and as ``_resonance_roots`` does.
     """
     j, k = _exchange(transition, delta_n)
-
-    def mismatch(phi, quad):
-        return _transition_gap(template, radius * np.cos(phi), radius * np.sin(phi),
-                               (j, k), template.n0, quad) - delta_n
-
-    what, where = f"contour ({j},{k},{delta_n})", f"the arc of radius {radius}"
-    flo, fhi = mismatch(np.array([0.0, math.pi / 2.0]), RESONANCE_NODES)
-    if flo * fhi > 0:
-        raise ConvergenceError(f"{what} does not cross {where}")
-    (phi,), (resid,) = _resonance_roots(mismatch, 0.0, math.pi / 2.0, RESONANCE_NODES,
-                                        f"{what} on {where}", flo, fhi)
-    return (radius * math.cos(phi), radius * math.sin(phi)), float(resid)
+    phi, resid = _path_resonance(template, lambda t: (radius * np.cos(t), radius * np.sin(t)),
+                                 0.0, math.pi / 2.0, (j, k), delta_n,
+                                 f"contour ({j},{k},{delta_n})", f"the arc of radius {radius}")
+    return (radius * math.cos(phi), radius * math.sin(phi)), resid
 
 
 def _line_resonance(template, end, transition, delta_n):
-    """Where the dressed (j, k) transition matches ``delta_n`` quanta on a line.
+    """The t in [1e-6, 1] that puts the ``delta_n`` resonance at t * ``end``.
 
-    The transition is averaged at n = ``template.n0`` on the line from zero
-    coupling to the (g1, g2) array ``end``; the returned t in [1e-6, 1], from
-    ``_resonance_roots`` at ``RESONANCE_NODES``, puts the resonance at t * end.
-    Raises ConvergenceError when the resonance does not cross the line, and as
-    ``_resonance_roots`` does.
+    ``_path_resonance`` on the line from zero coupling to the (g1, g2) array
+    ``end``.
     """
     j, k = transition
-
-    def mismatch(t, quad):
-        g = t[:, None] * end
-        return _transition_gap(template, g[:, 0], g[:, 1], (j, k), template.n0, quad) - delta_n
-
-    what = f"the ({j},{k}) resonance with {delta_n} quanta"
-    where = f"the line to (g1, g2) = ({end[0]:g}, {end[1]:g})"
-    flo, fhi = mismatch(np.array([1e-6, 1.0]), RESONANCE_NODES)
-    if flo * fhi > 0:
-        raise ConvergenceError(f"{what} does not cross {where}")
-    (t,), _ = _resonance_roots(mismatch, 1e-6, 1.0, RESONANCE_NODES, f"{what} on {where}",
-                               flo, fhi)
-    return float(t)
+    t, _ = _path_resonance(template, lambda t: (t * end[0], t * end[1]), 1e-6, 1.0,
+                           (j, k), delta_n, f"the ({j},{k}) resonance with {delta_n} quanta",
+                           f"the line to (g1, g2) = ({end[0]:g}, {end[1]:g})")
+    return t

@@ -259,8 +259,8 @@ class TestOtherCommands:
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 100.5")),
         ("resonance-map", GRID + "half_width = 5\n"),
         ("splittings", SPLITTINGS + "half_width = 40.7\n"),
-        ("wkb", GRID + "nodes = -5\n"),
-        ("contours", CONTOURS + "nodes = 15\n"),
+        ("wkb", GRID + "nodes = 256\n"),
+        ("contours", CONTOURS + "nodes = 256\n"),
         ("wkb", GRID + "n = -1\n"),
         ("wkb", GRID + "n = 2.5\n"),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 12345678901234567e0")),
@@ -306,8 +306,8 @@ class TestOtherCommands:
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
             "contours-scan-points-one", "splittings-scan-points-zero",
             "splittings-scan-points-two", "n0-text", "n0-fraction",
-            "half-width-below-8", "half-width-fraction", "nodes-negative",
-            "nodes-below-16", "n-negative", "n-fraction", "n0-float-inexact",
+            "half-width-below-8", "half-width-fraction", "wkb-nodes-removed",
+            "contours-nodes-removed", "n-negative", "n-fraction", "n0-float-inexact",
             "precision-fraction", "contours-transition-1-5",
             "resonance-map-transition-1-5", "splittings-transition-unordered",
             "splittings-transition-parity-forbidden",

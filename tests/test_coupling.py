@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, reject, settings, strategies as st
 
 from triladder import (ConvergenceError, ModelParams, TrackingError, coupling_matrix,
-                       h0_level_fd, v_matrix_element, v_matrix_element_h0, wkb_levels)
+                       h0_level_fd, v_matrix_element, v_matrix_element_h0)
 from triladder.fock import central_quantum
 import triladder.coupling as coupling
 import triladder.trilevel as trilevel
@@ -269,14 +269,14 @@ def h0_window(params, level, nq, n, m, pad):
 
     The operator is built in the Fock basis, independently of
     ``_rotated_operator``, and rotated into the window's DVR, where
-    ``_window_h0_state`` works; the target is the level's orbit average at
-    ``nq``, as ``v_matrix_element_h0`` sets it.
+    ``_window_h0_state`` works; the target is its Fock-basis diagonal at
+    ``nq``, the Rayleigh quotient ``_window_h0_state`` shifts at.
     """
     window = coupling._window(n, m, pad)
     lo, nodes, q, _ = window
     h0 = (q * trilevel.eigenvalues_at(params, nodes)[:, level - 1]) @ q.T
     h0 += np.diag((lo + np.arange(nodes.size)) - float(nq))
-    return window, q.T @ h0 @ q, wkb_levels(params, nq, tol=1e-6)[level - 1]
+    return window, q.T @ h0 @ q, h0[nq - lo, nq - lo]
 
 
 class TestRotatedFrameStates:
@@ -291,32 +291,29 @@ class TestRotatedFrameStates:
         window, h0, target = h0_window(p, level, nq, n, n - dn, 4 * dn + 96)
         vals, vecs = np.linalg.eigh(h0)
         near = int(np.argmin(np.abs(vals - target)))
-        vec = coupling._window_h0_state(p, level, nq, *window, target)
+        vec = coupling._window_h0_state(p, level, nq, *window)
         assert vec @ h0 @ vec == pytest.approx(vals[near], rel=0.0, abs=1e-10)
         assert abs(vec @ vecs[:, near]) >= 1.0 - 1e-10
 
-    @pytest.fixture
-    def level2_rung(self):
-        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.3513, 0.3 * 0.3513, 600)
-        return p, h0_window(p, 2, 586, 601, 586, 156)
-
-    def test_no_level_near_target_raises(self, level2_rung):
-        p, (window, h0, target) = level2_rung
-        vals = np.linalg.eigvalsh(h0)
-        above = int(np.searchsorted(vals, target))
-        midway = 0.5 * (vals[above - 1] + vals[above])
-        assert np.min(np.abs(vals - midway)) >= 0.45
+    def test_no_level_near_target_raises(self):
+        # at strong coupling and small n the first-order rung of level 3 at
+        # n = 18 misses every rung by 0.633, on the window of the element
+        # (2, 20) <-> (3, 18)
+        p = random_params(np.random.default_rng(60))
+        window, h0, target = h0_window(p, 3, 18, 20, 18, 104)
+        assert np.min(np.abs(np.linalg.eigvalsh(h0) - target)) >= 0.45
         with pytest.raises(ConvergenceError, match="no rotated-frame level within 0.45"):
-            coupling._window_h0_state(p, 2, 586, *window, midway)
+            coupling._window_h0_state(p, 3, 18, *window)
 
-    def test_unsettled_iteration_raises(self, level2_rung, monkeypatch):
-        p, (window, _, target) = level2_rung
+    def test_unsettled_iteration_raises(self, monkeypatch):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.3513, 0.3 * 0.3513, 600)
+        window = coupling._window(601, 586, 156)
         solve = coupling.lu_solve
         # a solve that keeps mixing in a neighbouring state never settles
         monkeypatch.setattr(coupling, "lu_solve",
                             lambda lu, b: solve(lu, b) + 1e-3 * np.roll(b, 1))
         with pytest.raises(ConvergenceError, match="did not settle"):
-            coupling._window_h0_state(p, 2, 586, *window, target)
+            coupling._window_h0_state(p, 2, 586, *window)
 
 
 def vacuum_window_level(params, j, n):

@@ -104,10 +104,15 @@ class TestOrbitLevels:
                 _orbit_levels(ladder, np.array(u), np.array(v), ladder.n0, 64)
 
     @pytest.mark.parametrize("average", [
-        lambda p: resonance_contour(p, (1, 2), [13], nodes=1),
-        lambda p: dressed_transition(p.with_couplings(0.1, 0.1), 1, 2, nodes=8),
+        lambda p: resonance_contour(p, (1, 2), [13]),
+        lambda p: dressed_transition(p.with_couplings(0.1, 0.1), 1, 2),
     ], ids=["contour", "transition"])
-    def test_every_average_needs_16_nodes(self, ladder, average):
+    def test_every_average_needs_16_nodes(self, ladder, average, monkeypatch):
+        # both entry points take their node count from WKB_DEFAULT_NODES
+        # and refuse one below 16, as _orbit_levels does
+        with pytest.raises(ValueError, match="16 quadrature nodes"):
+            _orbit_levels(ladder, 0.1, 0.1, ladder.n0, 15)
+        monkeypatch.setattr(dressed, "WKB_DEFAULT_NODES", 8)
         with pytest.raises(ValueError, match="16 quadrature nodes"):
             average(ladder)
 
@@ -301,10 +306,10 @@ class TestResonanceContours:
 
         monkeypatch.setattr(dressed, "_transition_gap", spy)
         c, = resonance_contour(ladder, (1, 2), [13], angles=np.linspace(0.0, np.pi / 2, 7),
-                               scan_points=60, nodes=64)
+                               scan_points=60)
         assert len(c.points) > 0
-        assert calls.count(128) == 1
-        again = gap(ladder, c.points[:, 0], c.points[:, 1], (1, 2), ladder.n0, 128) - 13
+        assert calls.count(512) == 1
+        again = gap(ladder, c.points[:, 0], c.points[:, 1], (1, 2), ladder.n0, 512) - 13
         assert np.array_equal(c.residuals, again)
 
     def test_later_rounds_and_table_zeros_report_doubled_nodes(self, ladder, monkeypatch):
@@ -313,18 +318,18 @@ class TestResonanceContours:
         # is the mismatch at twice the base count, not the failed check
         monkeypatch.setattr(dressed, "_transition_gap",
                             lambda template, g1, g2, jk, n, nodes:
-                            13.0 + (np.asarray(g1) - 0.3) + (1e-3 if nodes == 64 else 0.0))
+                            13.0 + (np.asarray(g1) - 0.3) + (1e-3 if nodes == 256 else 0.0))
         c, = resonance_contour(ladder, (1, 2), [13], angles=np.array([0.0]),
-                               scan_points=30, nodes=64)
+                               scan_points=30)
         assert c.points[0, 0] == pytest.approx(0.3, abs=1e-12)
         assert abs(c.residuals[0]) <= 1e-12
         # a scan radius where the table is exactly zero
         hit = dressed._scan_grid(1.25, 30)[12]
         monkeypatch.setattr(dressed, "_transition_gap",
                             lambda template, g1, g2, jk, n, nodes:
-                            13.0 + (np.asarray(g1) - hit) + (0.0 if nodes == 64 else 2e-7))
+                            13.0 + (np.asarray(g1) - hit) + (0.0 if nodes == 256 else 2e-7))
         c, = resonance_contour(ladder, (1, 2), [13], angles=np.array([0.0]),
-                               scan_points=30, nodes=64)
+                               scan_points=30)
         assert c.points[0, 0] == hit
         assert c.residuals[0] == pytest.approx(2e-7, rel=1e-6)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import triladder
@@ -33,3 +38,15 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         triladder.no_such_name
     assert not hasattr(triladder, "wkb_level")
+
+
+def test_coupling_loads_no_orbit_average():
+    # in a fresh interpreter: the rotated-frame states aim at their own rungs
+    probe = "import sys, triladder.coupling; print('triladder.dressed' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -19,8 +19,7 @@ for r in compare_splittings(template, 0.3, [13, 17, 21, 25], g1_max=1.1):
           f"{r.de_exact:.4e}   {r.ratio:.3f}")
 
 print("\ninterference line g2 = 0.1 g1, 23 quanta (doubled resonance):")
-for r in compare_splittings(template, 0.1, [23], g1_max=1.0,
-                            mode="nearest", vicinity=0.09, scan_points=401):
+for r in compare_splittings(template, 0.1, [23], g1_max=1.0, mode="nearest"):
     deep = [m for m in r.minima if m[2] < 0.1]
     print(f"  estimate {r.de_pt:.3e}, deepest exact gap {r.de_exact:.3e}, "
           f"ratio {r.ratio:.1f}")

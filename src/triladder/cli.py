@@ -99,8 +99,7 @@ RUN_KEYS = {
                    "ratio": (NON_NEGATIVE, REQUIRED), "half_width": (_at_least(8), 400),
                    "g1_max": (POSITIVE, 1.05),
                    "mode": ((str, lambda m: m in ("pair", "nearest"), "'pair' or 'nearest'"),
-                            "pair"),
-                   "vicinity": (POSITIVE, 0.08), "scan_points": (_at_least(3), 101)},
+                            "pair")},
 }
 
 
@@ -283,8 +282,7 @@ def render_splittings(cfg) -> str:
     run = read_run(cfg, "splittings")
     records = compare_splittings(cfg.params, run["ratio"], run["delta_n_list"],
                                  run["transition"], half_width=run["half_width"],
-                                 g1_max=run["g1_max"], mode=run["mode"],
-                                 vicinity=run["vicinity"], scan_points=run["scan_points"])
+                                 g1_max=run["g1_max"], mode=run["mode"])
     rows = []
     for r in records:
         # the reason for an ok = 0 row, or a warning on an ok one, goes to stderr

@@ -589,10 +589,15 @@ def _nearest_rule(vals, vecs, anchor):
     return np.array([pick]), anchor, np.array([pick, int(np.argmin(distance))])
 
 
-_GAP_RULES = {"pair": _pair_rule, "nearest": _nearest_rule}
+#: scan mode -> (tracking rule, states it follows, stride of the first pass
+#: over the grid); "nearest" follows one state and holds only point by point,
+#: so it walks every grid point
+_GAP_RULES = {"pair": (_pair_rule, 2, 4), "nearest": (_nearest_rule, 1, 1)}
 
-#: the gap scan first evaluates every this-many-th point of its grid
-_COARSE_STRIDE = 4
+#: the gap scan's grid: this many evenly spaced points across +-_SCAN_VICINITY
+#: (relative) of the predicted resonance
+_SCAN_POINTS = 101
+_SCAN_VICINITY = 0.08
 
 #: points of the approach sweep from zero coupling to the scan vicinity; two
 #: make it one interval, which track_levels bisects only where states change
@@ -612,8 +617,7 @@ def _crossing_ahead(vals, slopes, tracked, dt):
 
 
 def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
-                     half_width: int, *, scan_points: int = 101,
-                     vicinity: float = 0.08, mode: str = "pair") -> GapScan:
+                     half_width: int, *, mode: str = "pair") -> GapScan:
     """Locate and refine the avoided-crossing gap of one resonance.
 
     The scan runs on the line from zero coupling to the (g1, g2) point
@@ -625,14 +629,17 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     (ValueError before any solve when ``_exchange`` refuses them) as one
     sweep interval, which ``track_levels`` halves only where a state's
     overlap with its previous vector falls below 0.5.  The gap is then scanned
-    on a grid of ``scan_points`` (at least 3) evenly spaced points across the
-    vicinity, coarse to fine: every fourth point and the last are evaluated
-    first, and the rest only inside coarse intervals that can hold a gap
-    minimum (they touch a coarse local minimum, ends included, or the
-    first-order prediction of a candidate level crosses a tracked one there,
-    from either end), widened by one coarse interval on each side.  Every
-    local minimum over the evaluated points is polished by a bounded scalar
-    minimization of gap^2 down to a resolution of 1e-10 in (g1, g2).  gap^2 is
+    on a fixed grid of 101 evenly spaced points across the vicinity, +-8% of
+    the predicted resonance.  ``mode="pair"`` scans it coarse to fine: every
+    fourth point and the last are evaluated first, and the rest only inside
+    coarse intervals that can hold a gap minimum (they touch a coarse local
+    minimum, ends included, or the first-order prediction of a candidate
+    level crosses a tracked one there, from either end), widened by one
+    coarse interval on each side; ``mode="nearest"`` evaluates every point.
+    Every local minimum over the evaluated points is polished by a bounded
+    scalar minimization of gap^2.  It asks for 1e-10 in (g1, g2), but
+    scipy's bounded Brent steps no finer than sqrt(eps)*t + xatol/3, so the
+    minimum is resolved to about 1.5e-8 of t (5e-9 at t = 0.35).  gap^2 is
     quadratic at the bottom of an anticrossing (the two-state hyperbola) and
     of an exact crossing alike, so its parabolic steps converge on either.  At
     the reported minimum the truncation bounds of the two eigenpairs whose
@@ -654,18 +661,14 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     j, k = _exchange(transition, delta_n)
     if mode not in _GAP_RULES:
         raise ValueError(f"unknown scan mode {mode!r}")
-    if not (math.isfinite(vicinity) and vicinity > 0):
-        raise ValueError(f"vicinity must be a positive number, got {vicinity}")
-    if scan_points < 3:
-        raise ValueError(f"scan_points must be at least 3 to hold an interior minimum, "
-                         f"got {scan_points}")
     end = np.asarray(end, dtype=float)
     nb = central_quantum(j, template.n0)
     which = [(j, nb), (k, nb - delta_n)]
     t_star = _line_resonance(template, end, (j, k), delta_n)
-    t_range = (max(t_star * (1.0 - vicinity), 1e-9), min(t_star * (1.0 + vicinity), 1.0))
+    t_range = (max(t_star * (1.0 - _SCAN_VICINITY), 1e-9),
+               min(t_star * (1.0 + _SCAN_VICINITY), 1.0))
     g_star, best, minima, ts, gaps, window, between = _on_growing_windows(
-        lambda width: _gap_on(template, end, which, mode, t_range, scan_points, width),
+        lambda width: _gap_on(template, end, which, _GAP_RULES[mode], t_range, width),
         template.n0, half_width, which)
     if between:
         raise TrackingError(f"on the window n0 +- {window}, {between} eigenvalue(s) lie "
@@ -675,11 +678,11 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
                    window)
 
 
-def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
+def _gap_on(template, end, which, gap_rule, t_range, half_width):
     """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, W, between)."""
     n0 = template.n0
     parity = _sector_of(which)
-    rule = _GAP_RULES[mode]
+    rule, width, stride = gap_rule
     t_lo, t_hi = t_range
     approach = track_levels(template, (0.0, 0.0), tuple(t_lo * end),
                             _APPROACH_STEPS, n0, half_width, which)
@@ -699,7 +702,7 @@ def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
         gap = abs(cand_vals[pair[1]] - cand_vals[pair[0]])
         return cand_vals[tracked], anchors, gap, (cand_vals, slopes, tracked)
 
-    grid = np.linspace(t_lo, t_hi, scan_points)
+    grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
     scanned = {}            # grid index -> measure() there
 
     def scan(indices, vals, vecs):
@@ -707,11 +710,7 @@ def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
             scanned[i] = measure(grid[i], vals, vecs)
             vals, vecs = scanned[i][:2]
 
-    # "nearest" follows the bra state alone
-    width = 2 if mode == "pair" else 1
-    coarse = list(range(0, scan_points, _COARSE_STRIDE))
-    if coarse[-1] != scan_points - 1:
-        coarse.append(scan_points - 1)
+    coarse = [*range(0, _SCAN_POINTS - 1, stride), _SCAN_POINTS - 1]
     scan(coarse, approach.energies[-1][:width], approach.vectors[:, :width])
 
     # coarse interval s runs from coarse[s] to coarse[s + 1]; it can hold a gap
@@ -742,7 +741,9 @@ def _gap_on(template, end, which, mode, t_range, scan_points, half_width):
 
     interior = np.nonzero((gaps[1:-1] <= gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))[0] + 1
     if interior.size == 0:
-        raise ConvergenceError("no interior gap minimum inside the scan vicinity; widen it")
+        lo, hi = t_lo * end, t_hi * end
+        raise ConvergenceError(f"no interior gap minimum between (g1, g2) = "
+                               f"({lo[0]:g}, {lo[1]:g}) and ({hi[0]:g}, {hi[1]:g})")
     # collapse plateaus of equal neighbouring values
     keep = [interior[0]]
     for i in interior[1:]:

@@ -83,8 +83,7 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
 
 def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition=(1, 2),
                        *, half_width: int = 400, g1_max: float = 1.05,
-                       mode: str = "pair", vicinity: float = 0.08,
-                       scan_points: int = 101) -> list:
+                       mode: str = "pair") -> list:
     """PT-versus-exact records for every requested quantum exchange.
 
     The gap scan of each exchange locates the dressed resonance on the line
@@ -95,7 +94,8 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     refuses raises ValueError before any work.  Records come back
     sorted by ``delta_n``.  ``half_width`` caps the Fock window of each gap
     scan, which starts at n0 +- 64 and doubles while the gap's truncation
-    bound fails (``anticrossing_gap``).
+    bound fails; ``mode`` is its tracking rule on a fixed grid of 101 points
+    across +-8% of the predicted resonance (``anticrossing_gap``).
     """
     j, k = _check_transition(transition)
     for dn in delta_ns:
@@ -105,8 +105,7 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     for dn in sorted(int(d) for d in delta_ns):
         note = ""
         try:
-            scan = anticrossing_gap(template, end, dn, (j, k), half_width, mode=mode,
-                                    vicinity=vicinity, scan_points=scan_points)
+            scan = anticrossing_gap(template, end, dn, (j, k), half_width, mode=mode)
             pt = pt_splitting(template.with_couplings(*scan.g_contour), (j, k), dn)
         except TriladderError as err:
             records.append(SplittingRecord((j, k), dn, ratio, (np.nan, np.nan),

@@ -253,8 +253,9 @@ class TestOtherCommands:
         ("contours", CONTOURS.replace("rays = 5", "rays = -1")),
         ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 2.5")),
         ("contours", CONTOURS.replace("scan_points = 60", "scan_points = 1")),
+        # removed keys: any value is an unknown key
         ("splittings", SPLITTINGS + "scan_points = 0\n"),
-        ("splittings", SPLITTINGS + "scan_points = 2\n"),
+        ("splittings", SPLITTINGS + "vicinity = 0\n"),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = abc")),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 100.5")),
         ("resonance-map", GRID + "half_width = 5\n"),
@@ -274,8 +275,6 @@ class TestOtherCommands:
         ("splittings", SPLITTINGS.replace("delta_n_list = 13", "delta_n_list = 14")),
         ("splittings", SPLITTINGS + "mode = both\n"),
         ("splittings", SPLITTINGS.replace("ratio = 0.3", "ratio = -0.3")),
-        ("splittings", SPLITTINGS + "vicinity = 0\n"),
-        ("splittings", SPLITTINGS + "vicinity = -1\n"),
         ("contours", CONTOURS + "residual_tol = 1e-6\n"),
         ("contours", CONTOURS + "radius = -1\n"),
         ("splittings", SPLITTINGS + "g1_max = -1\n"),
@@ -305,14 +304,14 @@ class TestOtherCommands:
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
             "contours-scan-points-one", "splittings-scan-points-zero",
-            "splittings-scan-points-two", "n0-text", "n0-fraction",
+            "vicinity-zero", "n0-text", "n0-fraction",
             "half-width-below-8", "half-width-fraction", "wkb-nodes-removed",
             "contours-nodes-removed", "n-negative", "n-fraction", "n0-float-inexact",
             "precision-fraction", "contours-transition-1-5",
             "resonance-map-transition-1-5", "splittings-transition-unordered",
             "splittings-transition-parity-forbidden",
             "contours-transition-0-2", "delta-n-negative", "delta-n-even",
-            "mode-unknown", "ratio-negative", "vicinity-zero", "vicinity-negative",
+            "mode-unknown", "ratio-negative",
             "residual-tol-removed", "radius-negative",
             "g1-max-negative", "y-min-nan", "y-min-minus-inf", "wkb-g1-min-negative",
             "wkb-g1-min-nan", "map-grid-not-from-zero", "map-g1-min-negative",

@@ -453,18 +453,6 @@ class TestAnticrossing:
         with pytest.raises(ValueError):
             anticrossing_gap(ladder, (1.0, 0.3), 12, (1, 2), 100)
 
-    @pytest.mark.parametrize("vicinity", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_vicinity_rejected(self, ladder, vicinity):
-        with pytest.raises(ValueError, match="vicinity"):
-            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
-                             vicinity=vicinity)
-
-    def test_too_few_scan_points_rejected(self, ladder):
-        # two points leave no room for an interior minimum
-        with pytest.raises(ValueError, match="scan_points"):
-            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
-                             scan_points=2)
-
     def test_unknown_mode_rejected(self, ladder):
         with pytest.raises(ValueError, match="mode"):
             anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
@@ -474,8 +462,7 @@ class TestAnticrossing:
         # with the lower coupling off, level-1 states cross exactly; the
         # third level sits far away so no accidental resonance interferes
         remote = ModelParams(0.0, 11.0, 100.0, 0.0, 0.0, 10**8)
-        res = anticrossing_gap(remote, (0.0, 0.2), 9, (1, 2), 120, scan_points=61,
-                               vicinity=0.05)
+        res = anticrossing_gap(remote, (0.0, 0.2), 9, (1, 2), 120)
         assert res.gap < 1e-7
 
     def test_failed_refinement_raises(self, ladder, monkeypatch):
@@ -486,8 +473,7 @@ class TestAnticrossing:
 
         monkeypatch.setattr(fock, "minimize_scalar", no_convergence)
         with pytest.raises(ConvergenceError, match="not refined"):
-            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
-                             scan_points=31)
+            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100)
 
     def test_no_point_solved_twice_after_the_scan(self, ladder, monkeypatch):
         # every solve after the scan is one evaluation of a minimization; the
@@ -507,8 +493,7 @@ class TestAnticrossing:
 
         monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
         monkeypatch.setattr(fock, "minimize_scalar", spy_minimize)
-        res = anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 400,
-                               scan_points=31)
+        res = anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 400)
         assert len(res.minima) == len(evaluations) >= 1
         after = built[polish_start[0]:]
         assert len(after) == sum(evaluations)
@@ -520,15 +505,20 @@ class TestAnticrossing:
         pt = pt_splitting(ladder.with_couplings(*res.g_contour), (1, 2), 15)
         assert pt / res.gap == pytest.approx(1.0, abs=0.25)
 
+    def test_nearest_mode_sees_every_minimum_of_criterion_8_line(self, ladder):
+        # the rule holds only point by point: a strided pass follows a foreign
+        # state past the pair's anticrossing and misses the third minimum
+        res = anticrossing_gap(ladder, (1.0, 0.1), 23, (1, 2), 400, mode="nearest")
+        assert [round(g1, 4) for g1, _, _ in res.minima] == [0.6669, 0.7011, 0.7496]
+        assert res.minima[2][2] == pytest.approx(0.3236, abs=1e-4)
+
 
 # the ends of criterion 8's interference line, the interference line of
 # tests/test_splittings.py (delta_n 13) and the seed-0 benchmark line, each
 # from zero coupling
 SCAN_LINES = {
-    "interference-c8": ((1.0, 0.1), 23,
-                        dict(mode="nearest", vicinity=0.09, scan_points=401)),
-    "interference-dn13": ((0.7, 0.77), 13,
-                          dict(mode="nearest", vicinity=0.10, scan_points=301)),
+    "interference-c8": ((1.0, 0.1), 23, dict(mode="nearest")),
+    "interference-dn13": ((0.7, 0.77), 13, dict(mode="nearest")),
     "benign-dn13": ((1.1, 0.33), 13, {}),
 }
 
@@ -562,14 +552,20 @@ def test_one_group_candidates_are_the_spectrum_in_their_span(ladder, monkeypatch
 class TestCoarseToFineScan:
     @pytest.mark.parametrize("name", sorted(SCAN_LINES))
     def test_matches_exhaustive_scan(self, ladder, monkeypatch, name):
-        end, dn, options = SCAN_LINES[name]
-        coarse = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
-        monkeypatch.setattr(fock, "_COARSE_STRIDE", 1)
-        every = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
-        assert every.ts.size == options.get("scan_points", 101)
+        # the coarse pass is pair mode's; the interference lines check it
+        # where a third level comes near the pair
+        end, dn, _ = SCAN_LINES[name]
+        coarse = anticrossing_gap(ladder, end, dn, (1, 2), 400)
+        monkeypatch.setitem(fock._GAP_RULES, "pair", (fock._pair_rule, 2, 1))
+        every = anticrossing_gap(ladder, end, dn, (1, 2), 400)
+        assert coarse.ts.size < every.ts.size == 101
         assert len(coarse.minima) == len(every.minima)
         assert_allclose(coarse.g_star, every.g_star, rtol=0.0, atol=1e-6)
         assert coarse.gap == pytest.approx(every.gap, rel=1e-9)
+
+    def test_nearest_mode_evaluates_every_point(self, ladder):
+        end, dn, options = SCAN_LINES["interference-dn13"]
+        assert anticrossing_gap(ladder, end, dn, (1, 2), 400, **options).ts.size == 101
 
     def test_evaluates_at_most_half_the_grid(self, ladder):
         end, dn, options = SCAN_LINES["benign-dn13"]

@@ -153,8 +153,7 @@ class TestCompare:
         # split the crossing in two and drive the exact gap far below the
         # two-state estimate
         records = compare_splittings(ladder, 1.1, [13, 17], half_width=400,
-                                     g1_max=0.7, mode="nearest", vicinity=0.10,
-                                     scan_points=301)
+                                     g1_max=0.7, mode="nearest")
         for r in records:
             assert r.ok
             deep = [m for m in r.minima if m[2] < 0.2]

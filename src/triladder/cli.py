@@ -188,19 +188,19 @@ def read_run(cfg, command) -> dict:
             _sweep_grids(_couplings(run, "g1"), _couplings(run, "g2"))
         except ValueError as err:
             raise ConfigError(f"[run] {err}") from err
-    if command in ("resonance-map", "splittings"):
-        width = run["half_width"]
-        if width > n0:
-            raise ConfigError(f"[run] half_width = {width}: the window n0 +- {width} "
-                              f"reaches below the vacuum at n0 = {n0}")
+    labels = []
     for dn in run.get("delta_n_list", ()):
         try:
             j, k = _exchange(run["transition"], dn)
         except ValueError as err:
             raise ConfigError(f"[run] delta_n_list: {err}") from err
-        if command == "splittings" and central_quantum(j, n0) - dn < n0 - width:
-            raise ConfigError(f"[run] delta_n {dn}: the partner state of level {k} "
-                              f"lies outside the window n0 +- half_width = {width}")
+        labels += [(j, central_quantum(j, n0)), (k, central_quantum(j, n0) - dn)]
+    if "half_width" in run:
+        from .fock import _check_window
+        try:
+            _check_window(n0, run["half_width"], labels)
+        except ValueError as err:
+            raise ConfigError(f"[run] half_width = {run['half_width']}: {err}") from err
     return run
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
 
 from .errors import ConvergenceError
-from .selection import _check_level
+from .selection import _check_level, _check_transition
 from .trilevel import ModelParams, _chained_bases, eigenvalues_at
 
 _REL_TOL = 1e-8
@@ -50,16 +50,15 @@ _ABS_FLOOR = 1e-12
 def _ordered_pair(j, k, n, m):
     """Sign and ordered level pair of the element <j,n| . |k,m>.
 
-    Checks that j and k are distinct levels of 1..3 and n, m >= 0.  The
-    operator for an ordered pair j < k is -(1/2) {d/dy, F_jk(y)}; for j > k
-    the sign flips, which together with the antisymmetry of the kernel in
-    (n, m) makes the full operator symmetric.
+    The ordered pair must be a transition (``_check_transition``), and n,
+    m >= 0.  The operator for an ordered pair j < k is -(1/2) {d/dy,
+    F_jk(y)}; for j > k the sign flips, which together with the antisymmetry
+    of the kernel in (n, m) makes the full operator symmetric.
     """
-    if j not in (1, 2, 3) or k not in (1, 2, 3) or j == k:
-        raise ValueError(f"levels must be distinct members of 1..3, got ({j}, {k})")
+    pair = _check_transition((min(j, k), max(j, k)))
     if n < 0 or m < 0:
         raise ValueError("oscillator quantum numbers must be >= 0")
-    return (1.0 if j < k else -1.0), (min(j, k), max(j, k))
+    return (1.0 if j < k else -1.0), pair
 
 
 def _coupling_batch(params, y):

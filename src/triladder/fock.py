@@ -176,11 +176,16 @@ def _sector(n0, half_width, parity) -> _Sector:
     return _Sector(labels, level, shift, tuple(ladders))
 
 
-def _check_window(n0, half_width):
+def _check_window(n0, half_width, which=()):
+    """ValueError unless n0 +- ``half_width`` is a window that holds the labels ``which``."""
     if half_width < 8:
         raise ValueError("window half-width must be at least 8")
     if n0 - half_width < 0:
         raise ValueError(f"window underflows the vacuum: n0={n0}, W={half_width}")
+    for level, nq in which:
+        if abs(nq - n0) > half_width:
+            raise ValueError(f"state ({level}, {nq}) is not in the {_sector_of([(level, nq)])} "
+                             f"sector of the window n0 +- W = {n0} +- {half_width}")
 
 
 def build_hamiltonian(params: ModelParams, n0: int, half_width: int,
@@ -325,8 +330,7 @@ class TrackedLevels:
     energies: np.ndarray        # (steps, L) eigenvalues measured from n0
     overlaps: np.ndarray        # (steps, L); first row is 1
     relabelings: list           # (step index, note) where the energy order changed
-    vectors: np.ndarray         # (dim, L) eigenvectors at the final point
-    step_vectors: np.ndarray    # (steps, dim, L) eigenvectors at every point; [-1] is vectors
+    step_vectors: np.ndarray    # (steps, dim, L) eigenvectors at every point
     bounds: np.ndarray          # (steps, L) truncation_bound of every eigenpair at every point
 
 
@@ -440,7 +444,7 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         kept.append(vecs)
 
     gs = start + ts[:, None] * (end - start)
-    return TrackedLevels(which, gs, np.array(energies), np.array(overlaps), relabel, vecs,
+    return TrackedLevels(which, gs, np.array(energies), np.array(overlaps), relabel,
                          np.array(kept), np.array(bounds))
 
 
@@ -467,9 +471,11 @@ def _on_growing_windows(solve, n0, cap, which):
     (level, quantum-number) label of ``which``, then ``cap`` itself.  Below
     the cap a TriladderError (a truncation bound missed, tracking lost) moves
     on to the next window; at the cap it propagates, so a call fails exactly
-    as one on the cap window alone would.
+    as one on the cap window alone would.  A cap that ``_check_window``
+    refuses, one too narrow for a label of ``which`` included, raises
+    ValueError before any solve.
     """
-    _check_window(n0, cap)
+    _check_window(n0, cap, which)
     reach = max(abs(nq - n0) for _, nq in which)
     width = _FIRST_WINDOW
     while width < cap:
@@ -711,7 +717,7 @@ def _gap_on(template, end, which, gap_rule, t_range, half_width):
             vals, vecs = scanned[i][:2]
 
     coarse = [*range(0, _SCAN_POINTS - 1, stride), _SCAN_POINTS - 1]
-    scan(coarse, approach.energies[-1][:width], approach.vectors[:, :width])
+    scan(coarse, approach.energies[-1][:width], approach.step_vectors[-1][:, :width])
 
     # coarse interval s runs from coarse[s] to coarse[s + 1]; it can hold a gap
     # minimum when it touches a coarse local minimum (ends included) or when a

@@ -6,9 +6,10 @@ coordinate ``y`` as a parameter gives a real symmetric tridiagonal 3x3 matrix
 whose eigenvalues are obtained in closed form from the depressed-cubic
 characteristic equation via the triple-angle sine identity.  Eigenvectors
 come from LAPACK through numpy's batched ``eigh``, whose own eigenvalues are
-discarded; their column signs are fixed by the dominant component, by a
-reference basis, or by continuity along an ascending scan, which is the basis
-the derivative couplings use.
+discarded.  Their column signs follow one gauge: continuity along an
+ascending scan, oriented at the point nearest y = 0 so that each column's
+largest component is positive and the basis has det = +1.  The derivative
+couplings use that basis.
 """
 
 from __future__ import annotations
@@ -192,23 +193,6 @@ def eigenvalues_at(params: ModelParams, y) -> np.ndarray:
     return _ascending(*_trig_form(params, y))
 
 
-def _orient(bases, score):
-    """Each column signed to make its ``score`` (N, 3) positive; det forced to +1.
-
-    Where those signs give det = -1, the column with the smallest |score|
-    (the least certain sign) is flipped back.
-    """
-    signs = np.where(score < 0, -1.0, 1.0)
-    bases = bases * signs[:, None, :]
-    bad = np.linalg.det(bases) < 0
-    if np.any(bad):
-        weakest = np.argmin(np.abs(score), axis=-1)
-        flip = np.ones_like(signs)
-        np.put_along_axis(flip, weakest[:, None], -1.0, axis=1)
-        bases = np.where(bad[:, None, None], bases * flip[:, None, :], bases)
-    return bases
-
-
 def _check_separation(y, energies):
     gaps = np.diff(energies, axis=-1)
     tight = np.min(gaps, axis=-1)
@@ -224,48 +208,43 @@ def _check_separation(y, energies):
                                     np.asarray(energies).reshape(-1, 3)[i])
 
 
-def _eigensystem(params, y):
-    """Vectorized levels and sign-fixed bases at coordinates ``y`` (1-D array).
+def _chained_bases(params, y):
+    """Levels and adiabatic bases along ascending ``y``, in one continuous sign gauge.
 
     The levels are the closed-form roots of :func:`eigenvalues_at`, checked
     for separation before any vector is taken; the columns are LAPACK's
     orthonormal eigenvectors of :func:`level_matrix`, in the same ascending
-    order, each with its largest component made positive.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    energies = eigenvalues_at(params, y)
-    _check_separation(y, energies)
-    bases = np.linalg.eigh(level_matrix(params, y))[1]
-    idx = np.argmax(np.abs(bases), axis=1)
-    score = np.take_along_axis(bases, idx[:, None, :], axis=1)[:, 0, :]
-    return energies, _orient(bases, score)
-
-
-def _chained_bases(params, y):
-    """Bases along ascending ``y`` with column signs continued point to point.
-
-    The point nearest y = 0 uses the dominant-component convention; every
-    other point inherits the sign that keeps each column aligned with its
-    neighbour towards it.  Near y = 0 the basis is close to the bare levels',
-    so the convention is unambiguous there, and the gauge does not depend on
-    how far the grid reaches.  The derivative couplings are evaluated on this
-    basis.
+    order.  Their signs are chained point to point: each column keeps the
+    sign that makes its overlap with the same column at the previous point
+    positive, and an overlap below 0.3 in magnitude is refused as a
+    TrackingError.  The whole chain is then oriented at one anchor, the
+    point nearest y = 0 (a single point is its own anchor): each column's
+    largest component there is made positive, and if that leaves det = -1
+    the column whose largest component is smallest in magnitude (the least
+    certain sign) is flipped back, so every basis has det = +1.  Near y = 0
+    the basis is close to the bare levels', so the rule is unambiguous
+    there, and the gauge does not depend on how far the grid reaches.  The
+    derivative couplings are evaluated on this basis.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("chained bases need a non-empty 1-D coordinate array")
     if y.size > 1 and np.any(np.diff(y) <= 0):
         raise ValueError("chained bases need strictly ascending coordinates")
-    energies, bases = _eigensystem(params, y)
-    if y.size == 1:
-        return energies, bases
+    energies = eigenvalues_at(params, y)
+    _check_separation(y, energies)
+    bases = np.linalg.eigh(level_matrix(params, y))[1]
     ov = np.einsum("nij,nij->nj", bases[1:], bases[:-1])
-    if np.min(np.abs(ov)) < _CHAIN_OVERLAP_FLOOR:
+    if y.size > 1 and np.min(np.abs(ov)) < _CHAIN_OVERLAP_FLOOR:
         k = int(np.argmin(np.min(np.abs(ov), axis=-1)))
         raise TrackingError(
             f"eigenbasis rotates too fast between y={y[k]} and y={y[k + 1]}; "
             "refine the scan before differentiating")
     signs = np.cumprod(np.vstack([np.ones((1, 3)), np.where(ov < 0, -1.0, 1.0)]), axis=0)
-    signs *= signs[np.argmin(np.abs(y))]
-    return energies, bases * signs[:, None, :]
-
+    a = int(np.argmin(np.abs(y)))
+    anchor = bases[a] * signs[a]
+    dominant = anchor[np.argmax(np.abs(anchor), axis=0), np.arange(3)]
+    orient = np.where(dominant < 0, -1.0, 1.0)
+    if np.linalg.det(anchor * orient) < 0:
+        orient[np.argmin(np.abs(dominant))] *= -1.0
+    return energies, bases * (signs * orient)[:, None, :]

@@ -223,7 +223,6 @@ class TestTracking:
         tr = track_levels(ladder, (0.0, 0.0), (0.3, 0.1), 4, 10**8, 40, which)
         dim = build_hamiltonian(ladder, 10**8, 40, "even").dim
         assert tr.step_vectors.shape == (4, dim, 2)
-        assert np.array_equal(tr.step_vectors[-1], tr.vectors)
         for g, vals, vecs in zip(tr.gs, tr.energies, tr.step_vectors):
             h = build_hamiltonian(ladder.with_couplings(*g), 10**8, 40, "even")
             assert np.max(np.abs(h.matvec(vecs) - vals * vecs)) < 1e-9
@@ -369,6 +368,15 @@ class TestWindowRule:
         monkeypatch.setattr(fock, "_shift_invert_near", None)
         with pytest.raises(ValueError, match="underflows the vacuum"):
             exact_dressed_levels(ModelParams(0.0, 11.0, 24.0, 0.0, 0.0, 100), 0.2, 0.2, 400)
+
+    def test_partner_beyond_the_cap_refused_before_any_assembly(self, ladder, monkeypatch):
+        # the delta_n 13 partner (2, n0 - 12) lies outside n0 +- 10
+        built = []
+        monkeypatch.setattr(fock, "build_hamiltonian", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=r"\(2, 99999988\) is not in the even sector "
+                                             r"of the window n0 \+- W = 100000000 \+- 10"):
+            anticrossing_gap(ladder, (1.1, 0.33), 13, (1, 2), 10)
+        assert built == []
 
     def test_map_widens_until_every_bound_passes(self, ladder, monkeypatch, seed0_map):
         built = []

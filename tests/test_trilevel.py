@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from triladder import DegenerateLevelsError, ModelParams, eigenvalues_at, level_matrix
-from triladder.trilevel import _chained_bases, _cubic_terms, _eigensystem
+from triladder import (DegenerateLevelsError, ModelParams, TrackingError, eigenvalues_at,
+                       level_matrix)
+from triladder.trilevel import _chained_bases, _cubic_terms
 
 from conftest import random_params
 
@@ -27,7 +28,7 @@ def characteristic_residual(params, y, energy):
 
 def eigensystem_at(params, y):
     """Levels and sign-fixed basis at one coordinate."""
-    levels, bases = _eigensystem(params, [y])
+    levels, bases = _chained_bases(params, [y])
     return levels[0], bases[0]
 
 
@@ -150,6 +151,28 @@ def test_adiabatic_point_invariants(params, y):
     assert np.all(np.diff(levels) >= 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(valid_params, st.floats(-6, 6), st.floats(0.5, 12), st.integers(200, 600))
+def test_chain_gauge(params, lo, span, points):
+    # one gauge along a dense ascending grid, set at the point nearest y = 0
+    y = lo + span * np.linspace(0.0, 1.0, points)
+    try:
+        _, bases = _chained_bases(params, y)
+    except (DegenerateLevelsError, TrackingError):
+        return
+    gram = np.einsum("nki,nkj->nij", bases, bases)
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
+    assert np.max(np.abs(np.linalg.det(bases) - 1.0)) <= 1e-10
+    assert np.all(np.einsum("nij,nij->nj", bases[1:], bases[:-1]) > 0)
+    a = int(np.argmin(np.abs(y)))
+    dominant = bases[a][np.argmax(np.abs(bases[a]), axis=0), np.arange(3)]
+    # every largest component positive, unless det = +1 needed the least
+    # certain one (smallest in magnitude) flipped back
+    negative = np.flatnonzero(dominant < 0)
+    assert negative.size == 0 or list(negative) == [np.argmin(np.abs(dominant))]
+    assert np.array_equal(_chained_bases(params, y[a:a + 1])[1][0], bases[a])
+
+
 class TestEigenbasis:
     def test_identity_at_zero_coordinate(self):
         p = ModelParams(0.0, 11.0, 24.0, 0.9, 0.4, 100)
@@ -195,7 +218,7 @@ class TestEigenbasis:
         p = ModelParams(0.0, 11.0, 24.0, 0.9, 0.4, 100)
         for y in (np.nan, np.inf):
             with pytest.raises(DegenerateLevelsError), np.errstate(invalid="ignore"):
-                _eigensystem(p, [1.0, y])
+                _chained_bases(p, [1.0, y])
 
     def test_exact_degeneracy_is_refused(self):
         # a decoupled level crossing the lower block: gap vanishes at y = 2 sqrt(2)

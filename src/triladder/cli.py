@@ -97,9 +97,7 @@ RUN_KEYS = {
                       **_grid("g2", 0.0, 1.25), "half_width": (_at_least(8), 400)},
     "splittings": {"transition": (TRANSITION, (1, 2)), "delta_n_list": (DELTA_NS, REQUIRED),
                    "ratio": (NON_NEGATIVE, REQUIRED), "half_width": (_at_least(8), 400),
-                   "g1_max": (POSITIVE, 1.05),
-                   "mode": ((str, lambda m: m in ("pair", "nearest"), "'pair' or 'nearest'"),
-                            "pair")},
+                   "g1_max": (POSITIVE, 1.05)},
 }
 
 
@@ -282,7 +280,7 @@ def render_splittings(cfg) -> str:
     run = read_run(cfg, "splittings")
     records = compare_splittings(cfg.params, run["ratio"], run["delta_n_list"],
                                  run["transition"], half_width=run["half_width"],
-                                 g1_max=run["g1_max"], mode=run["mode"])
+                                 g1_max=run["g1_max"])
     rows = []
     for r in records:
         # the reason for an ok = 0 row, or a warning on an ok one, goes to stderr

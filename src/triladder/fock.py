@@ -15,9 +15,11 @@ banded LU of H - sigma, started from the vectors already tracked at the
 previous point.  Around it the module continues eigenpairs along coupling
 sweeps by eigenvector overlap (energy order swaps at every anticrossing, the
 vectors do not), locates anticrossing gap minima by a coarse-to-fine scan
-steered by the exact level slopes and a bounded scalar minimization of
-gap^2 (whose pair check reads the candidates of the solve at the minimum),
-and rasterizes resonance-sharpness maps from the tracked exact spectrum.
+steered by the exact level slopes, which profiles the distance from the
+tracked pair to its nearest other level and polishes each minimum of it by a
+bounded scalar minimization (a minimum is the pair's own when no third level
+is nearer to either member than its partner), and rasterizes
+resonance-sharpness maps from the tracked exact spectrum.
 """
 
 from __future__ import annotations
@@ -556,54 +558,45 @@ class GapScan:
     transition: tuple
     delta_n: int
     g_contour: tuple            # (g1, g2) where the dressed resonance crosses the line
-    g_star: tuple               # (g1, g2) at the global gap minimum
-    gap: float                  # minimal |E_a - E_b|
-    minima: list                # [(g1, g2, gap)] for every local minimum found
+    g_star: tuple               # (g1, g2) at the lowest minimum that is the pair's own
+    gap: float                  # |E_a - E_b| of the pair there
+    minima: list                # [(g1, g2, distance)] for every local minimum, own or foreign
     ts: np.ndarray              # scan parameter values evaluated, ascending
-    gaps: np.ndarray            # gap at each of them
+    gaps: np.ndarray            # distance from the pair to its nearest other level at each
     half_width: int             # the window n0 +- half_width the gap was accepted on
 
 
 def _pair_rule(vals, vecs, anchors):
-    """The two candidates overlapping most with the anchor pair.
-
-    Returns their candidate indices in energy order (the tracked states, and
-    the pair whose distance is the gap) and their vectors (the next anchors).
-    """
+    """Candidate indices, in energy order, of the two overlapping most with the anchor pair."""
     score = np.sum((vecs.T @ anchors) ** 2, axis=1)
     if score.size < 2:
         raise TrackingError("pair tracking lost both states")
     top = np.argsort(score, kind="stable")[-2:]
-    top = top[np.argsort(vals[top], kind="stable")]
-    return top, vecs[:, top], top
+    return top[np.argsort(vals[top], kind="stable")]
 
 
-def _nearest_rule(vals, vecs, anchor):
-    """The candidate overlapping most with the single anchor.
+def _nearest_other(vals, pair):
+    """Distance from the pair to its nearest other candidate, the partner counted.
 
-    Returns its candidate index, the next anchor, and it with the nearest
-    other candidate (the gap pair).  The anchor only moves where the identity
-    is unambiguous (overlap >= 0.9), so sitting inside a hybridization zone
-    does not switch the continuation onto the partner branch.
+    Returns it with the two candidates at that distance: the pair itself where
+    no candidate lies nearer to either member than its partner (the point is
+    the pair's own), else a member and that nearer candidate.
     """
-    ovl = np.abs(vecs.T @ anchor)[:, 0]
-    pick = int(np.argmax(ovl))
-    if ovl[pick] >= 0.9:
-        anchor = vecs[:, pick:pick + 1]
-    distance = np.abs(vals - vals[pick])
-    distance[pick] = np.inf
-    return np.array([pick]), anchor, np.array([pick, int(np.argmin(distance))])
+    gap = vals[pair[1]] - vals[pair[0]]
+    dist = np.abs(vals[:, None] - vals[pair])
+    dist[pair] = np.inf
+    other, member = np.unravel_index(np.argmin(dist), dist.shape)
+    if dist[other, member] < gap:
+        return dist[other, member], np.array([pair[member], other])
+    return gap, pair
 
-
-#: scan mode -> (tracking rule, states it follows, stride of the first pass
-#: over the grid); "nearest" follows one state and holds only point by point,
-#: so it walks every grid point
-_GAP_RULES = {"pair": (_pair_rule, 2, 4), "nearest": (_nearest_rule, 1, 1)}
 
 #: the gap scan's grid: this many evenly spaced points across +-_SCAN_VICINITY
-#: (relative) of the predicted resonance
+#: (relative) of the predicted resonance, first solved at every
+#: _COARSE_STRIDE-th point
 _SCAN_POINTS = 101
 _SCAN_VICINITY = 0.08
+_COARSE_STRIDE = 4
 
 #: points of the approach sweep from zero coupling to the scan vicinity; two
 #: make it one interval, which track_levels bisects only where states change
@@ -623,7 +616,7 @@ def _crossing_ahead(vals, slopes, tracked, dt):
 
 
 def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
-                     half_width: int, *, mode: str = "pair") -> GapScan:
+                     half_width: int) -> GapScan:
     """Locate and refine the avoided-crossing gap of one resonance.
 
     The scan runs on the line from zero coupling to the (g1, g2) point
@@ -634,79 +627,80 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     (k, n - delta_n), are tracked out to the vicinity in their parity sector
     (ValueError before any solve when ``_exchange`` refuses them) as one
     sweep interval, which ``track_levels`` halves only where a state's
-    overlap with its previous vector falls below 0.5.  The gap is then scanned
-    on a fixed grid of 101 evenly spaced points across the vicinity, +-8% of
-    the predicted resonance.  ``mode="pair"`` scans it coarse to fine: every
-    fourth point and the last are evaluated first, and the rest only inside
-    coarse intervals that can hold a gap minimum (they touch a coarse local
-    minimum, ends included, or the first-order prediction of a candidate
-    level crosses a tracked one there, from either end), widened by one
-    coarse interval on each side; ``mode="nearest"`` evaluates every point.
-    Every local minimum over the evaluated points is polished by a bounded
-    scalar minimization of gap^2.  It asks for 1e-10 in (g1, g2), but
-    scipy's bounded Brent steps no finer than sqrt(eps)*t + xatol/3, so the
-    minimum is resolved to about 1.5e-8 of t (5e-9 at t = 0.35).  gap^2 is
-    quadratic at the bottom of an anticrossing (the two-state hyperbola) and
-    of an exact crossing alike, so its parabolic steps converge on either.  At
-    the reported minimum the truncation bounds of the two eigenpairs whose
-    distance is the gap must sum to at most 1 percent of max(gap, 1e-9).  The
-    whole search runs on W = 64, 128, ... in turn up to the cap ``half_width``
+    overlap with its previous vector falls below 0.5.  There the pair is
+    continued as a two-state subspace across a fixed grid of 101 evenly
+    spaced points, +-8% of the predicted resonance, scanned coarse to fine:
+    every fourth point and the last are solved first, and the rest only inside
+    coarse intervals that can hold a minimum of the pair's gap (they touch a
+    coarse local minimum, ends included, or the first-order prediction of a
+    candidate level crosses a tracked one there, from either end), widened by
+    one coarse interval on each side.
+
+    Every solved point records the distance from the pair to its nearest
+    other level, the partner counted: the pair's gap where no third level
+    comes nearer to either of the two, less where one does.  Each local
+    minimum of that profile is polished by a bounded scalar minimization of
+    its square.  It asks for 1e-10 in (g1, g2), but scipy's bounded Brent
+    steps no finer than sqrt(eps)*t + xatol/3, so the minimum is resolved to
+    about 1.5e-8 of t (5e-9 at t = 0.35).  The square is quadratic at the
+    bottom of an anticrossing (the two-state hyperbola) and of an exact
+    crossing alike, so its parabolic steps converge on either.  A minimum is
+    the pair's own when, at it, no level lies nearer to either member than
+    its partner; the reported ``gap`` and ``g_star`` are the lowest own
+    minimum, and ``minima`` holds every minimum, own or foreign.
+
+    At the reported minimum (the lowest of all when none is own) the
+    truncation bounds of the two eigenpairs whose distance it is must sum to
+    at most 1 percent of max(gap, 1e-9).  The whole search runs on
+    W = 64, 128, ... in turn up to the cap ``half_width``
     (``_on_growing_windows``); the first window that passes this bound is
     accepted and recorded as ``half_width`` of the result, and the cap's error
-    propagates when none does.  No candidate of the solve at the minimum may
-    lie more than that 1 percent inside both of the two, else TrackingError
-    names the accepted window: the pair is not one anticrossing, on any
-    window.  ``ts`` and ``gaps`` of the result hold the evaluated points only.
-
-    ``mode="pair"`` continues the two-state subspace, which is the robust
-    choice for an isolated anticrossing.  ``mode="nearest"`` continues only
-    the first (lower-level) state and profiles its distance to whichever
-    eigenvalue comes closest; use it where a third level interferes and the
-    single predicted resonance splits into several.
+    propagates when none does.  When no minimum is own, TrackingError names
+    the accepted window: the pair is not one anticrossing, on any window.
+    ``ts`` and ``gaps`` of the result hold the solved points and the profile
+    there.
     """
     j, k = _exchange(transition, delta_n)
-    if mode not in _GAP_RULES:
-        raise ValueError(f"unknown scan mode {mode!r}")
     end = np.asarray(end, dtype=float)
     nb = central_quantum(j, template.n0)
     which = [(j, nb), (k, nb - delta_n)]
     t_star = _line_resonance(template, end, (j, k), delta_n)
     t_range = (max(t_star * (1.0 - _SCAN_VICINITY), 1e-9),
                min(t_star * (1.0 + _SCAN_VICINITY), 1.0))
-    g_star, best, minima, ts, gaps, window, between = _on_growing_windows(
-        lambda width: _gap_on(template, end, which, _GAP_RULES[mode], t_range, width),
+    g_star, best, minima, ts, gaps, window, own = _on_growing_windows(
+        lambda width: _gap_on(template, end, which, t_range, width),
         template.n0, half_width, which)
-    if between:
-        raise TrackingError(f"on the window n0 +- {window}, {between} eigenvalue(s) lie "
-                            f"between the pair at (g1, g2) = ({g_star[0]:g}, {g_star[1]:g}), "
-                            f"{best:.3e} apart: not one anticrossing")
+    if not own:
+        raise TrackingError(f"on the window n0 +- {window}, a third level lies nearer to the "
+                            f"pair than its partner at every gap minimum (the lowest {best:.3e} "
+                            f"at (g1, g2) = ({g_star[0]:g}, {g_star[1]:g})): not one anticrossing")
     return GapScan((j, k), int(delta_n), tuple(t_star * end), g_star, best, minima, ts, gaps,
                    window)
 
 
-def _gap_on(template, end, which, gap_rule, t_range, half_width):
-    """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, W, between)."""
+def _gap_on(template, end, which, t_range, half_width):
+    """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, W, own)."""
     n0 = template.n0
     parity = _sector_of(which)
-    rule, width, stride = gap_rule
     t_lo, t_hi = t_range
     approach = track_levels(template, (0.0, 0.0), tuple(t_lo * end),
                             _APPROACH_STEPS, n0, half_width, which)
 
     def solve(t, vals, vecs):
-        """Hamiltonian, candidates and the rule's (tracked, anchors, gap pair) at t."""
+        """Hamiltonian, candidates, the pair and ``_nearest_other`` at t."""
         h = build_hamiltonian(template.with_couplings(*(t * end)), n0, half_width, parity)
         cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
-        return h, cand_vals, cand_vecs, rule(cand_vals, cand_vecs, vecs)
+        pair = _pair_rule(cand_vals, cand_vecs, vecs)
+        return h, cand_vals, cand_vecs, pair, _nearest_other(cand_vals, pair)
 
     def measure(t, vals, vecs):
-        """Tracked values, next anchors, gap, and every candidate's value and slope."""
-        h, cand_vals, cand_vecs, (tracked, anchors, pair) = solve(t, vals, vecs)
+        """Pair values and vectors, pair gap, profile, and each candidate's value and slope."""
+        h, cand_vals, cand_vecs, pair, (distance, _) = solve(t, vals, vecs)
         # from zero coupling H(t) = D + t C, and the diagonal h.bands[0] is D
         # at every t; by Hellmann-Feynman dE/dt = v^T C v = (E - v^T D v) / t
         slopes = (cand_vals - h.bands[0] @ cand_vecs ** 2) / t
-        gap = abs(cand_vals[pair[1]] - cand_vals[pair[0]])
-        return cand_vals[tracked], anchors, gap, (cand_vals, slopes, tracked)
+        gap = cand_vals[pair[1]] - cand_vals[pair[0]]
+        return cand_vals[pair], cand_vecs[:, pair], gap, distance, (cand_vals, slopes, pair)
 
     grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
     scanned = {}            # grid index -> measure() there
@@ -716,8 +710,8 @@ def _gap_on(template, end, which, gap_rule, t_range, half_width):
             scanned[i] = measure(grid[i], vals, vecs)
             vals, vecs = scanned[i][:2]
 
-    coarse = [*range(0, _SCAN_POINTS - 1, stride), _SCAN_POINTS - 1]
-    scan(coarse, approach.energies[-1][:width], approach.step_vectors[-1][:, :width])
+    coarse = [*range(0, _SCAN_POINTS - 1, _COARSE_STRIDE), _SCAN_POINTS - 1]
+    scan(coarse, approach.energies[-1], approach.step_vectors[-1])
 
     # coarse interval s runs from coarse[s] to coarse[s + 1]; it can hold a gap
     # minimum when it touches a coarse local minimum (ends included) or when a
@@ -729,8 +723,8 @@ def _gap_on(template, end, which, gap_rule, t_range, half_width):
     can_hold = low[:-1] | low[1:]
     for s, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
         dt = grid[b] - grid[a]
-        can_hold[s] |= (_crossing_ahead(*scanned[a][3], dt)
-                        or _crossing_ahead(*scanned[b][3], -dt))
+        can_hold[s] |= (_crossing_ahead(*scanned[a][4], dt)
+                        or _crossing_ahead(*scanned[b][4], -dt))
     # fill those in, with one coarse interval of margin on each side
     fill = can_hold.copy()
     fill[1:] |= can_hold[:-1]
@@ -743,7 +737,7 @@ def _gap_on(template, end, which, gap_rule, t_range, half_width):
     ts = grid[order]
     scan_vals = [scanned[i][0] for i in order]
     scan_vecs = [scanned[i][1] for i in order]
-    gaps = np.array([scanned[i][2] for i in order])
+    gaps = np.array([scanned[i][3] for i in order])
 
     interior = np.nonzero((gaps[1:-1] <= gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))[0] + 1
     if interior.size == 0:
@@ -761,18 +755,17 @@ def _gap_on(template, end, which, gap_rule, t_range, half_width):
         ref = int(np.clip(np.searchsorted(ts, t), 1, len(ts) - 1))
         return ref if abs(ts[ref] - t) < abs(ts[ref - 1] - t) else ref - 1
 
-    def gap_at(t):
+    def distance_at(t):
         near = nearest(t)
         polished[t] = solve(t, scan_vals[near], scan_vecs[near])
-        _, vals, _, (_, _, pair) = polished[t]
-        return abs(vals[pair[1]] - vals[pair[0]])
+        return polished[t][4][0]
 
     minima, at_minima = [], []
     span_g = np.linalg.norm(end)
     for i in keep:
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-        polished = {}       # gap_at's solve() at every t the minimizer tries
-        res = minimize_scalar(lambda t: gap_at(t) ** 2, bounds=(a, b), method="bounded",
+        polished = {}       # distance_at's solve() at every t the minimizer tries
+        res = minimize_scalar(lambda t: distance_at(t) ** 2, bounds=(a, b), method="bounded",
                               options={"xatol": 1e-10 / span_g})
         if not res.success:
             raise ConvergenceError(
@@ -781,22 +774,21 @@ def _gap_on(template, end, which, gap_rule, t_range, half_width):
         minima.append((g_min[0], g_min[1], math.sqrt(res.fun)))
         at_minima.append(polished[res.x])      # res.x is one of those t
 
-    lowest = min(range(len(minima)), key=lambda m: minima[m][2])
+    own = [m for m, (*_, pair, (_, ends)) in enumerate(at_minima) if np.array_equal(ends, pair)]
+    # the lowest own minimum is the gap; with none, the lowest of all decides
+    # whether this window is wide enough to refuse the pair on
+    lowest = min(own or range(len(minima)), key=lambda m: minima[m][2])
     g1s, g2s, best = minima[lowest]
-    h, vals, vecs, (_, _, pair) = at_minima[lowest]
-    bound = float(np.sum(h.truncation_bound(vals[pair], vecs[:, pair])))
+    h, vals, vecs, _, (_, ends) = at_minima[lowest]
+    bound = float(np.sum(h.truncation_bound(vals[ends], vecs[:, ends])))
     # gaps below 1e-9 are zero to solver tolerance; no relative check there
     slack = 0.01 * max(best, 1e-9)
     if bound > slack:
         raise ConvergenceError(
             f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
-    # an eigenvalue between the pair means the rule followed a foreign state; the
-    # candidates, nearest the solve's shift, hold any such, being nearer than one of the two
-    lo, hi = np.sort(vals[pair]) + (slack, -slack)
-    between = int(np.count_nonzero((vals > lo) & (vals <= hi)))
 
     minima.sort(key=lambda m: (m[0], m[1]))
-    return (g1s, g2s), float(best), minima, ts, gaps, half_width, between
+    return (g1s, g2s), float(best), minima, ts, gaps, half_width, bool(own)
 
 
 # ---------------------------------------------------------------------------

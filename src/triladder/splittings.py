@@ -36,7 +36,7 @@ class SplittingRecord:
     de_pt: float
     de_exact: float
     ratio: float            # de_pt / de_exact (NaN when either side failed)
-    minima: list            # every local gap minimum found, (g1, g2, gap)
+    minima: list            # every local minimum of the gap scan, own or foreign, (g1, g2, gap)
     ok: bool
     note: str = ""
 
@@ -82,8 +82,7 @@ def contour_point_on_line(template: ModelParams, transition, delta_n: int, *,
 
 
 def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition=(1, 2),
-                       *, half_width: int = 400, g1_max: float = 1.05,
-                       mode: str = "pair") -> list:
+                       *, half_width: int = 400, g1_max: float = 1.05) -> list:
     """PT-versus-exact records for every requested quantum exchange.
 
     The gap scan of each exchange locates the dressed resonance on the line
@@ -94,8 +93,9 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     refuses raises ValueError before any work.  Records come back
     sorted by ``delta_n``.  ``half_width`` caps the Fock window of each gap
     scan, which starts at n0 +- 64 and doubles while the gap's truncation
-    bound fails; ``mode`` is its tracking rule on a fixed grid of 101 points
-    across +-8% of the predicted resonance (``anticrossing_gap``).
+    bound fails.  ``de_exact`` is the pair's own gap, and ``minima`` holds
+    every minimum of its scan, including those where a third level comes
+    nearer to the pair (``anticrossing_gap``); the note counts the deep ones.
     """
     j, k = _check_transition(transition)
     for dn in delta_ns:
@@ -105,7 +105,7 @@ def compare_splittings(template: ModelParams, ratio: float, delta_ns, transition
     for dn in sorted(int(d) for d in delta_ns):
         note = ""
         try:
-            scan = anticrossing_gap(template, end, dn, (j, k), half_width, mode=mode)
+            scan = anticrossing_gap(template, end, dn, (j, k), half_width)
             pt = pt_splitting(template.with_couplings(*scan.g_contour), (j, k), dn)
         except TriladderError as err:
             records.append(SplittingRecord((j, k), dn, ratio, (np.nan, np.nan),

@@ -173,7 +173,7 @@ def test_criterion_07_exact_gap_trend_as_specified(benign_line_records):
 
 def test_criterion_08_interference_doubling():
     t0 = time.time()
-    scan = anticrossing_gap(LADDER, (1.0, 0.1), 23, (1, 2), 400, mode="nearest")
+    scan = anticrossing_gap(LADDER, (1.0, 0.1), 23, (1, 2), 400)
     deep = [m for m in scan.minima if m[2] < 0.1]
     g1c, g2c = None, None
     from triladder import contour_point_on_line

@@ -180,16 +180,19 @@ class TestOtherCommands:
         assert data and all(r[:3] == ["1", "3", "28"] for r in data)
 
     def test_splittings_lost_pair_is_not_a_gap(self, tmp_path, capsys):
-        # on g2 = 1.1 g1 the pair rule loses the delta_n 17 pair: at its
-        # minimum three eigenvalues lie between the two tracked levels on the
-        # first window whose bound passes, so the row is ok = 0 with the reason
+        # on g2 = 1.1 g1 a third level lies nearer to the delta_n 17 pair than
+        # its partner at every gap minimum on the first window whose bound
+        # passes, so the row is ok = 0 with the reason; delta_n 13 keeps its own
+        # gap and warns of the foreign minima beside it
         body = MODEL + "[run]\nratio = 1.1\ndelta_n_list = 13,17\n"
         assert main(["splittings", "--config", write_config(tmp_path, body),
                      "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err
-        assert re.search(r"splittings: delta_n 17: on the window n0 \+- 64, 3 eigenvalue\(s\) "
-                         r"lie between the pair at \(g1, g2\) = \(0\.67\d+, 0\.74\d+\)", err)
-        assert "delta_n 13" not in err
+        assert re.search(r"splittings: delta_n 17: on the window n0 \+- 64, a third level lies "
+                         r"nearer to the pair than its partner at every gap minimum "
+                         r"\(the lowest 3\.840e-05 at \(g1, g2\) = \(0\.60\d+, 0\.66\d+\)\): "
+                         r"not one anticrossing", err)
+        assert "splittings: delta_n 13: 3 gap minima in the scan vicinity\n" in err
         lines = (tmp_path / "splittings.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
         assert [(r[2], r[-1]) for r in rows] == [("13", "1"), ("17", "0")]
@@ -256,6 +259,7 @@ class TestOtherCommands:
         # removed keys: any value is an unknown key
         ("splittings", SPLITTINGS + "scan_points = 0\n"),
         ("splittings", SPLITTINGS + "vicinity = 0\n"),
+        ("splittings", SPLITTINGS + "mode = pair\n"),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = abc")),
         ("levels", LEVELS.replace("n0 = 100000000", "n0 = 100.5")),
         ("resonance-map", GRID + "half_width = 5\n"),
@@ -304,7 +308,7 @@ class TestOtherCommands:
             "y-points-negative", "y-points-fraction", "g1-points-zero",
             "g2-points-fraction", "rays-negative", "scan-points-fraction",
             "contours-scan-points-one", "splittings-scan-points-zero",
-            "vicinity-zero", "n0-text", "n0-fraction",
+            "vicinity-zero", "mode-removed", "n0-text", "n0-fraction",
             "half-width-below-8", "half-width-fraction", "wkb-nodes-removed",
             "contours-nodes-removed", "n-negative", "n-fraction", "n0-float-inexact",
             "precision-fraction", "contours-transition-1-5",
@@ -492,8 +496,7 @@ spelling = st.one_of(
 VALID = {"a finite number": ["-1", "0.5", "2e4"], "a finite number >= 0": ["0", "0.2", "1"],
          "a finite number > 0": ["1e-6", "0.08", "1.25"],
          "two levels 'j,k' with 1 <= j < k <= 3": ["1,2", "2,3", "1,3"],
-         "a comma-separated list of positive integers": ["1", "13", "13,15,17", "26,28"],
-         "'pair' or 'nearest'": ["pair", "nearest"]}
+         "a comma-separated list of positive integers": ["1", "13", "13,15,17", "26,28"]}
 
 
 def valid_spelling(accepts):
@@ -542,4 +545,4 @@ def test_run_tables_give_values_or_config_error(data, n0):
         elif accepts.startswith("an integer"):
             assert isinstance(value, int)
         else:
-            assert value in ("pair", "nearest") or all(isinstance(x, int) for x in value)
+            assert all(isinstance(x, int) for x in value)

@@ -322,14 +322,14 @@ class TestWindowRule:
         assert np.array_equal(levels, capped)
 
     def test_benign_gap_accepted_on_the_first_window(self, ladder):
-        end, dn, options = SCAN_LINES["benign-dn13"]
-        assert anticrossing_gap(ladder, end, dn, (1, 2), 400, **options).half_width == 64
+        end, dn = SCAN_LINES["benign-dn13"]
+        assert anticrossing_gap(ladder, end, dn, (1, 2), 400).half_width == 64
 
     def test_failure_below_the_cap_moves_to_the_next_window(self, ladder, monkeypatch):
-        end, dn, options = SCAN_LINES["benign-dn13"]
+        end, dn = SCAN_LINES["benign-dn13"]
         with monkeypatch.context() as m:
             m.setattr(fock, "_FIRST_WINDOW", 128)
-            wider = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+            wider = anticrossing_gap(ladder, end, dn, (1, 2), 400)
 
         def lost_at_64(h, *args, **kwargs):
             if h.half_width == 64:
@@ -337,15 +337,15 @@ class TestWindowRule:
             return _shift_invert_near(h, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_shift_invert_near", lost_at_64)
-        scan = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+        scan = anticrossing_gap(ladder, end, dn, (1, 2), 400)
         assert scan.half_width == wider.half_width == 128
         assert scan.gap == wider.gap and scan.g_star == wider.g_star
         assert scan.minima == wider.minima
 
     def test_lost_pair_is_refused_on_the_first_window(self, ladder, monkeypatch):
-        # on g2 = 1.1 g1 the pair rule loses the delta_n 17 pair; its bound
-        # passes on n0 +- 64, and a wider window would count the same three
-        # eigenvalues between the two, so none is tried
+        # on g2 = 1.1 g1 a third level comes nearer to the delta_n 17 pair
+        # than its partner at every gap minimum; the bound passes on n0 +- 64,
+        # and a wider window would find the same, so none is tried
         widths = []
         build = fock.build_hamiltonian
 
@@ -354,8 +354,9 @@ class TestWindowRule:
             return build(params, n0, half_width, parity)
 
         monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
-        with pytest.raises(TrackingError, match=r"^on the window n0 \+- 64, 3 eigenvalue\(s\) "
-                                                r"lie between the pair"):
+        with pytest.raises(TrackingError, match=r"^on the window n0 \+- 64, a third level lies "
+                                                r"nearer to the pair than its partner at every "
+                                                r"gap minimum .*: not one anticrossing$"):
             anticrossing_gap(ladder, (1.05, 1.1 * 1.05), 17, (1, 2), 400)
         assert set(widths) == {64}
 
@@ -461,11 +462,6 @@ class TestAnticrossing:
         with pytest.raises(ValueError):
             anticrossing_gap(ladder, (1.0, 0.3), 12, (1, 2), 100)
 
-    def test_unknown_mode_rejected(self, ladder):
-        with pytest.raises(ValueError, match="mode"):
-            anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100,
-                             mode="both")
-
     def test_decoupled_transition_gap_vanishes(self):
         # with the lower coupling off, level-1 states cross exactly; the
         # third level sits far away so no accidental resonance interferes
@@ -514,29 +510,30 @@ class TestAnticrossing:
         assert pt / res.gap == pytest.approx(1.0, abs=0.25)
 
     def test_nearest_mode_sees_every_minimum_of_criterion_8_line(self, ladder):
-        # the rule holds only point by point: a strided pass follows a foreign
-        # state past the pair's anticrossing and misses the third minimum
-        res = anticrossing_gap(ladder, (1.0, 0.1), 23, (1, 2), 400, mode="nearest")
+        # the distance to the pair's nearest other level shows the pair's own
+        # minimum (0.7011) and the two where a third level comes nearer
+        res = anticrossing_gap(ladder, (1.0, 0.1), 23, (1, 2), 400)
         assert [round(g1, 4) for g1, _, _ in res.minima] == [0.6669, 0.7011, 0.7496]
         assert res.minima[2][2] == pytest.approx(0.3236, abs=1e-4)
 
 
 # the ends of criterion 8's interference line, the interference line of
-# tests/test_splittings.py (delta_n 13) and the seed-0 benchmark line, each
-# from zero coupling
+# tests/test_splittings.py (delta_n 13) and the seed-0 benchmark line (delta_n
+# 13, and 17 with two foreign minima), each from zero coupling
 SCAN_LINES = {
-    "interference-c8": ((1.0, 0.1), 23, dict(mode="nearest")),
-    "interference-dn13": ((0.7, 0.77), 13, dict(mode="nearest")),
-    "benign-dn13": ((1.1, 0.33), 13, {}),
+    "interference-c8": ((1.0, 0.1), 23),
+    "interference-dn13": ((0.7, 0.77), 13),
+    "benign-dn13": ((1.1, 0.33), 13),
+    "benign-dn17": ((1.1, 0.33), 17),
 }
 
 
 @pytest.mark.parametrize("end, dn", [((1.1, 0.33), 13), ((1.05, 0.525), 17),
                                      ((1.05, 1.1 * 1.05), 17)])
 def test_one_group_candidates_are_the_spectrum_in_their_span(ladder, monkeypatch, end, dn):
-    # the gap's pair check counts eigenvalues among the candidates of its
-    # solve; that is exact because the candidates of targets that form one
-    # group are every eigenvalue of the sector between the lowest and highest
+    # the gap scan reads the pair's nearest other level among the candidates
+    # of its solve; that is exact because the candidates of targets that form
+    # one group are every eigenvalue of the sector between the lowest and highest
     checked = []
 
     def with_reference(h, targets, *args, **kwargs):
@@ -553,31 +550,31 @@ def test_one_group_candidates_are_the_spectrum_in_their_span(ladder, monkeypatch
     try:
         anticrossing_gap(ladder, end, dn, (1, 2), 400)
     except TrackingError:
-        pass        # both delta_n 17 pairs are lost, after every solve was checked
+        pass        # no delta_n 17 minimum is its pair's own; every solve was checked
     assert len(checked) >= 20
 
 
 class TestCoarseToFineScan:
     @pytest.mark.parametrize("name", sorted(SCAN_LINES))
     def test_matches_exhaustive_scan(self, ladder, monkeypatch, name):
-        # the coarse pass is pair mode's; the interference lines check it
-        # where a third level comes near the pair
-        end, dn, _ = SCAN_LINES[name]
+        # the interference lines and benign delta_n 17 check it where a third
+        # level comes near the pair: every minimum, own or foreign, is seen
+        end, dn = SCAN_LINES[name]
         coarse = anticrossing_gap(ladder, end, dn, (1, 2), 400)
-        monkeypatch.setitem(fock._GAP_RULES, "pair", (fock._pair_rule, 2, 1))
+        monkeypatch.setattr(fock, "_COARSE_STRIDE", 1)
         every = anticrossing_gap(ladder, end, dn, (1, 2), 400)
         assert coarse.ts.size < every.ts.size == 101
         assert len(coarse.minima) == len(every.minima)
+        assert_allclose(np.array(coarse.minima)[:, :2], np.array(every.minima)[:, :2],
+                        rtol=0.0, atol=1e-6)
+        assert_allclose(np.array(coarse.minima)[:, 2], np.array(every.minima)[:, 2],
+                        rtol=1e-9, atol=0.0)
         assert_allclose(coarse.g_star, every.g_star, rtol=0.0, atol=1e-6)
         assert coarse.gap == pytest.approx(every.gap, rel=1e-9)
 
-    def test_nearest_mode_evaluates_every_point(self, ladder):
-        end, dn, options = SCAN_LINES["interference-dn13"]
-        assert anticrossing_gap(ladder, end, dn, (1, 2), 400, **options).ts.size == 101
-
     def test_evaluates_at_most_half_the_grid(self, ladder):
-        end, dn, options = SCAN_LINES["benign-dn13"]
-        scan = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+        end, dn = SCAN_LINES["benign-dn13"]
+        scan = anticrossing_gap(ladder, end, dn, (1, 2), 400)
         assert scan.ts.size <= 50
         assert np.all(np.diff(scan.ts) > 0)
 
@@ -587,10 +584,10 @@ class TestApproach:
 
     @pytest.mark.parametrize("name", ["benign-dn13", "interference-dn13"])
     def test_matches_fixed_step_approach(self, ladder, monkeypatch, name):
-        end, dn, options = SCAN_LINES[name]
-        on_demand = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+        end, dn = SCAN_LINES[name]
+        on_demand = anticrossing_gap(ladder, end, dn, (1, 2), 400)
         monkeypatch.setattr(fock, "_APPROACH_STEPS", 24)
-        fixed = anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+        fixed = anticrossing_gap(ladder, end, dn, (1, 2), 400)
         assert len(on_demand.minima) == len(fixed.minima)
         assert_allclose(on_demand.g_star, fixed.g_star, rtol=0.0, atol=1e-9)
         assert on_demand.gap == pytest.approx(fixed.gap, rel=1e-9)
@@ -604,8 +601,8 @@ class TestApproach:
             return _shift_invert_near(h, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_shift_invert_near", counted)
-        end, dn, options = SCAN_LINES["benign-dn13"]
-        anticrossing_gap(ladder, end, dn, (1, 2), 400, **options)
+        end, dn = SCAN_LINES["benign-dn13"]
+        anticrossing_gap(ladder, end, dn, (1, 2), 400)
         assert len(calls) <= 50
 
 

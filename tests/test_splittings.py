@@ -150,12 +150,21 @@ class TestCompare:
 
     def test_strong_upper_coupling_suppresses_exact_gaps(self, ladder):
         # when the upper coupling dominates, nearby upper-level resonances
-        # split the crossing in two and drive the exact gap far below the
-        # two-state estimate
-        records = compare_splittings(ladder, 1.1, [13, 17], half_width=400,
-                                     g1_max=0.7, mode="nearest")
-        for r in records:
-            assert r.ok
-            deep = [m for m in r.minima if m[2] < 0.2]
-            assert len(deep) >= 2
-            assert r.de_pt / r.de_exact > 3.0
+        # split the crossing and drive the deepest gap minimum far below the
+        # two-state estimate, while the pair's own gap still follows it; at
+        # delta_n 17 a third level is nearer to the pair at every minimum
+        dn13, dn17 = compare_splittings(ladder, 1.1, [13, 17], half_width=400, g1_max=0.7)
+        assert dn13.ok
+        assert len([m for m in dn13.minima if m[2] < 0.2]) >= 2
+        assert dn13.de_pt / min(m[2] for m in dn13.minima) > 3.0
+        assert 0.5 <= dn13.de_pt / dn13.de_exact <= 2.0
+        assert not dn17.ok and dn17.note.endswith("not one anticrossing")
+
+    @pytest.mark.parametrize("ratio, dn", [(1.5, 15), (1.5, 19), (0.5, 17), (1.1, 17)])
+    def test_pair_that_never_anticrosses_is_refused(self, ladder, ratio, dn):
+        # at every gap minimum of these pairs a third level lies nearer to one
+        # of the two than its partner; g2 = 1.5 g1 at delta_n 15 has no level
+        # between the pair, yet its 1.43-quantum distance is no anticrossing
+        (r,) = compare_splittings(ladder, ratio, [dn])
+        assert not r.ok and r.note.endswith("not one anticrossing")
+        assert math.isnan(r.de_exact) and r.minima == []

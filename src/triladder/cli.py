@@ -70,8 +70,8 @@ POSITIVE = float, lambda x: 0 < x < math.inf, "a finite number > 0"
 TRANSITION = (lambda text: _check_transition([int(part) for part in text.split(",")]),
               lambda jk: True, "two levels 'j,k' with 1 <= j < k <= 3")
 DELTA_NS = (lambda text: [int(part) for part in text.split(",") if part.strip()],
-            lambda dns: dns and all(dn > 0 for dn in dns),
-            "a comma-separated list of positive integers")
+            lambda dns: dns and all(dn > 0 for dn in dns) and len(set(dns)) == len(dns),
+            "a comma-separated list of distinct positive integers")
 MODEL_NUMBER = float, lambda x: True, "a number"   # ModelParams checks the values
 
 

@@ -368,7 +368,8 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
     start).  Steps are bisected automatically whenever the consecutive overlap
     of any tracked state drops below 0.5, at most 14 halvings deep; an
     assignment whose best and runner-up overlaps agree within 1e-3 raises
-    TrackingError.  Energies are measured from n0.
+    TrackingError, as does a solve with fewer candidates than tracked states
+    (no shorter step adds any).  Energies are measured from n0.
     """
     which = [(int(j), int(nq)) for j, nq in which]
     for i, label in enumerate(which):
@@ -413,12 +414,8 @@ def track_levels(template: ModelParams, start, end, steps: int, n0: int,
         g = start + t_to * (end - start)
         h = build_hamiltonian(template.with_couplings(*g), n0, half_width, parity)
         cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
-        try:
-            new_vals, new_vecs, quality, runner = _assign(vecs, cand_vals, cand_vecs)
-        except TrackingError:
-            quality = np.zeros(len(which))
-            new_vals = new_vecs = runner = None
-        if new_vals is not None and np.all(quality >= OVERLAP_FLOOR):
+        new_vals, new_vecs, quality, runner = _assign(vecs, cand_vals, cand_vecs)
+        if np.all(quality >= OVERLAP_FLOOR):
             close = np.abs(quality - runner) < AMBIGUITY
             if np.any(close):
                 raise TrackingError(f"ambiguous level identity at g={tuple(g.tolist())}: "
@@ -603,15 +600,32 @@ _COARSE_STRIDE = 4
 _APPROACH_STEPS = 2
 
 
-def _crossing_ahead(vals, slopes, tracked, dt):
+class _Solved(NamedTuple):
+    """One solve of the gap search at a point of its line."""
+
+    h: FockWindowHamiltonian    # the sector assembled there
+    vals: np.ndarray            # candidate values, ascending
+    vecs: np.ndarray            # candidate vectors
+    pair: np.ndarray            # candidate indices of the tracked pair (``_pair_rule``)
+    distance: float             # from the pair to its nearest other candidate
+    ends: np.ndarray            # the two candidates at that distance (``_nearest_other``)
+
+    @property
+    def tracked(self):
+        """The pair's values and vectors, which seed the next solve."""
+        return self.vals[self.pair], self.vecs[:, self.pair]
+
+
+def _crossing_ahead(point, t, dt):
     """Whether a candidate's first-order prediction crosses a tracked level within dt.
 
-    ``vals`` and ``slopes`` are every candidate's value and dE/dt at one scan
-    point, ``tracked`` the indices of the tracked levels among them; a
-    negative ``dt`` predicts backwards.
+    ``point`` is the solve at scan parameter t; a negative ``dt`` predicts backwards.
     """
-    now = vals - vals[tracked][:, None]
-    later = now + (slopes - slopes[tracked][:, None]) * dt
+    # from zero coupling H(t) = D + t C, and the diagonal h.bands[0] is D
+    # at every t; by Hellmann-Feynman dE/dt = v^T C v = (E - v^T D v) / t
+    slopes = (point.vals - point.h.bands[0] @ point.vecs ** 2) / t
+    now = point.vals - point.vals[point.pair][:, None]
+    later = now + (slopes - slopes[point.pair][:, None]) * dt
     return bool(np.any(now * later < 0.0))
 
 
@@ -665,50 +679,41 @@ def anticrossing_gap(template: ModelParams, end, delta_n: int, transition,
     nb = central_quantum(j, template.n0)
     which = [(j, nb), (k, nb - delta_n)]
     t_star = _line_resonance(template, end, (j, k), delta_n)
-    t_range = (max(t_star * (1.0 - _SCAN_VICINITY), 1e-9),
-               min(t_star * (1.0 + _SCAN_VICINITY), 1.0))
-    g_star, best, minima, ts, gaps, window, own = _on_growing_windows(
-        lambda width: _gap_on(template, end, which, t_range, width),
+    scan, own = _on_growing_windows(
+        lambda width: _gap_on(template, end, which, t_star, width),
         template.n0, half_width, which)
     if not own:
-        raise TrackingError(f"on the window n0 +- {window}, a third level lies nearer to the "
-                            f"pair than its partner at every gap minimum (the lowest {best:.3e} "
-                            f"at (g1, g2) = ({g_star[0]:g}, {g_star[1]:g})): not one anticrossing")
-    return GapScan((j, k), int(delta_n), tuple(t_star * end), g_star, best, minima, ts, gaps,
-                   window)
+        (g1, g2), best = scan.g_star, scan.gap
+        raise TrackingError(f"on the window n0 +- {scan.half_width}, a third level lies nearer "
+                            f"to the pair than its partner at every gap minimum (the lowest "
+                            f"{best:.3e} at (g1, g2) = ({g1:g}, {g2:g})): not one anticrossing")
+    return scan
 
 
-def _gap_on(template, end, which, t_range, half_width):
-    """``anticrossing_gap`` on one window: (g_star, gap, minima, ts, gaps, W, own)."""
+def _gap_on(template, end, which, t_star, half_width):
+    """``anticrossing_gap`` on one window: its GapScan, and whether the gap is the pair's own."""
     n0 = template.n0
     parity = _sector_of(which)
-    t_lo, t_hi = t_range
+    (j, nj), (k, nk) = which
+    t_lo = max(t_star * (1.0 - _SCAN_VICINITY), 1e-9)
+    t_hi = min(t_star * (1.0 + _SCAN_VICINITY), 1.0)
     approach = track_levels(template, (0.0, 0.0), tuple(t_lo * end),
                             _APPROACH_STEPS, n0, half_width, which)
 
     def solve(t, vals, vecs):
-        """Hamiltonian, candidates, the pair and ``_nearest_other`` at t."""
+        """The ``_Solved`` record at t, seeded by the pair's values and vectors."""
         h = build_hamiltonian(template.with_couplings(*(t * end)), n0, half_width, parity)
         cand_vals, cand_vecs = _shift_invert_near(h, vals, vecs)
         pair = _pair_rule(cand_vals, cand_vecs, vecs)
-        return h, cand_vals, cand_vecs, pair, _nearest_other(cand_vals, pair)
-
-    def measure(t, vals, vecs):
-        """Pair values and vectors, pair gap, profile, and each candidate's value and slope."""
-        h, cand_vals, cand_vecs, pair, (distance, _) = solve(t, vals, vecs)
-        # from zero coupling H(t) = D + t C, and the diagonal h.bands[0] is D
-        # at every t; by Hellmann-Feynman dE/dt = v^T C v = (E - v^T D v) / t
-        slopes = (cand_vals - h.bands[0] @ cand_vecs ** 2) / t
-        gap = cand_vals[pair[1]] - cand_vals[pair[0]]
-        return cand_vals[pair], cand_vecs[:, pair], gap, distance, (cand_vals, slopes, pair)
+        return _Solved(h, cand_vals, cand_vecs, pair, *_nearest_other(cand_vals, pair))
 
     grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
-    scanned = {}            # grid index -> measure() there
+    scanned = {}            # grid index -> solve() there
 
     def scan(indices, vals, vecs):
         for i in indices:
-            scanned[i] = measure(grid[i], vals, vecs)
-            vals, vecs = scanned[i][:2]
+            scanned[i] = solve(grid[i], vals, vecs)
+            vals, vecs = scanned[i].tracked
 
     coarse = [*range(0, _SCAN_POINTS - 1, _COARSE_STRIDE), _SCAN_POINTS - 1]
     scan(coarse, approach.energies[-1], approach.step_vectors[-1])
@@ -716,28 +721,26 @@ def _gap_on(template, end, which, t_range, half_width):
     # coarse interval s runs from coarse[s] to coarse[s + 1]; it can hold a gap
     # minimum when it touches a coarse local minimum (ends included) or when a
     # candidate's first-order prediction crosses a tracked level inside it
-    cg = np.array([scanned[i][2] for i in coarse])
+    cg = np.diff([scanned[i].vals[scanned[i].pair] for i in coarse])[:, 0]     # pair gaps
     low = np.ones(cg.size, dtype=bool)
     low[1:] &= cg[1:] <= cg[:-1]
     low[:-1] &= cg[:-1] <= cg[1:]
     can_hold = low[:-1] | low[1:]
     for s, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
         dt = grid[b] - grid[a]
-        can_hold[s] |= (_crossing_ahead(*scanned[a][4], dt)
-                        or _crossing_ahead(*scanned[b][4], -dt))
+        can_hold[s] |= (_crossing_ahead(scanned[a], grid[a], dt)
+                        or _crossing_ahead(scanned[b], grid[b], -dt))
     # fill those in, with one coarse interval of margin on each side
     fill = can_hold.copy()
     fill[1:] |= can_hold[:-1]
     fill[:-1] |= can_hold[1:]
     for s in np.nonzero(fill)[0]:
         a = coarse[s]
-        scan(range(a + 1, coarse[s + 1]), *scanned[a][:2])
+        scan(range(a + 1, coarse[s + 1]), *scanned[a].tracked)
 
     order = sorted(scanned)
-    ts = grid[order]
-    scan_vals = [scanned[i][0] for i in order]
-    scan_vecs = [scanned[i][1] for i in order]
-    gaps = np.array([scanned[i][3] for i in order])
+    ts, points = grid[order], [scanned[i] for i in order]
+    gaps = np.array([p.distance for p in points])
 
     interior = np.nonzero((gaps[1:-1] <= gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))[0] + 1
     if interior.size == 0:
@@ -750,15 +753,10 @@ def _gap_on(template, end, which, t_range, half_width):
         if i != keep[-1] + 1:
             keep.append(i)
 
-    def nearest(t):
-        """Index of the evaluated point nearest t."""
-        ref = int(np.clip(np.searchsorted(ts, t), 1, len(ts) - 1))
-        return ref if abs(ts[ref] - t) < abs(ts[ref - 1] - t) else ref - 1
-
     def distance_at(t):
-        near = nearest(t)
-        polished[t] = solve(t, scan_vals[near], scan_vecs[near])
-        return polished[t][4][0]
+        # seeded by the scanned point nearest t, the lower one on a tie
+        polished[t] = solve(t, *points[np.argmin(np.abs(ts - t))].tracked)
+        return polished[t].distance
 
     minima, at_minima = [], []
     span_g = np.linalg.norm(end)
@@ -774,13 +772,13 @@ def _gap_on(template, end, which, t_range, half_width):
         minima.append((g_min[0], g_min[1], math.sqrt(res.fun)))
         at_minima.append(polished[res.x])      # res.x is one of those t
 
-    own = [m for m, (*_, pair, (_, ends)) in enumerate(at_minima) if np.array_equal(ends, pair)]
+    own = [m for m, p in enumerate(at_minima) if np.array_equal(p.ends, p.pair)]
     # the lowest own minimum is the gap; with none, the lowest of all decides
     # whether this window is wide enough to refuse the pair on
     lowest = min(own or range(len(minima)), key=lambda m: minima[m][2])
     g1s, g2s, best = minima[lowest]
-    h, vals, vecs, _, (_, ends) = at_minima[lowest]
-    bound = float(np.sum(h.truncation_bound(vals[ends], vecs[:, ends])))
+    p = at_minima[lowest]
+    bound = float(np.sum(p.h.truncation_bound(p.vals[p.ends], p.vecs[:, p.ends])))
     # gaps below 1e-9 are zero to solver tolerance; no relative check there
     slack = 0.01 * max(best, 1e-9)
     if bound > slack:
@@ -788,7 +786,8 @@ def _gap_on(template, end, which, t_range, half_width):
             f"the window n0 +- {half_width} leaves the gap {best:.3e} uncertain by {bound:.3e}")
 
     minima.sort(key=lambda m: (m[0], m[1]))
-    return (g1s, g2s), float(best), minima, ts, gaps, half_width, bool(own)
+    return GapScan((j, k), int(nj - nk), tuple(t_star * end), (g1s, g2s), float(best), minima,
+                   ts, gaps, half_width), bool(own)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,8 @@ class TestOtherCommands:
         ("contours", CONTOURS + "transition = 0,2\n"),
         ("contours", CONTOURS.replace("delta_n_list = 13", "delta_n_list = 13,-15")),
         ("splittings", SPLITTINGS.replace("delta_n_list = 13", "delta_n_list = 14")),
+        ("contours", CONTOURS.replace("delta_n_list = 13", "delta_n_list = 13,13")),
+        ("splittings", SPLITTINGS.replace("delta_n_list = 13", "delta_n_list = 13,15,13")),
         ("splittings", SPLITTINGS + "mode = both\n"),
         ("splittings", SPLITTINGS.replace("ratio = 0.3", "ratio = -0.3")),
         ("contours", CONTOURS + "residual_tol = 1e-6\n"),
@@ -315,6 +317,7 @@ class TestOtherCommands:
             "resonance-map-transition-1-5", "splittings-transition-unordered",
             "splittings-transition-parity-forbidden",
             "contours-transition-0-2", "delta-n-negative", "delta-n-even",
+            "contours-delta-n-repeated", "splittings-delta-n-repeated",
             "mode-unknown", "ratio-negative",
             "residual-tol-removed", "radius-negative",
             "g1-max-negative", "y-min-nan", "y-min-minus-inf", "wkb-g1-min-negative",
@@ -491,12 +494,12 @@ def test_wkb_config_gives_csv_or_config_error(g1_max, g1_points, g2_points, extr
 spelling = st.one_of(
     st.sampled_from(["0", "1", "3", "8", "10", "13", "16", "400", "0.3", "1.25", "1e8",
                      "-1", "2.5", "nan", "-inf", "1e400", "1,2", "2,3", "1,5", "2,1", "13,15",
-                     "14", "13,-15", "pair", "nearest", "both", ""]),
+                     "14", "13,-15", "13,13", "pair", "nearest", "both", ""]),
     st.integers(-5, 2000).map(str), st.text(max_size=12))
 VALID = {"a finite number": ["-1", "0.5", "2e4"], "a finite number >= 0": ["0", "0.2", "1"],
          "a finite number > 0": ["1e-6", "0.08", "1.25"],
          "two levels 'j,k' with 1 <= j < k <= 3": ["1,2", "2,3", "1,3"],
-         "a comma-separated list of positive integers": ["1", "13", "13,15,17", "26,28"]}
+         "a comma-separated list of distinct positive integers": ["1", "13", "13,15,17", "26,28"]}
 
 
 def valid_spelling(accepts):

@@ -227,6 +227,22 @@ class TestTracking:
             h = build_hamiltonian(ladder.with_couplings(*g), 10**8, 40, "even")
             assert np.max(np.abs(h.matvec(vecs) - vals * vecs)) < 1e-9
 
+    def test_candidate_shortfall_reported_at_the_first_solve(self, ladder, monkeypatch):
+        # the candidate count does not depend on the step, so halving it
+        # cannot help: the shortfall is reported, not bisected
+        calls = []
+
+        def one_candidate(h, *args, **kwargs):
+            calls.append(h)
+            vals, vecs = _shift_invert_near(h, *args, **kwargs)
+            return vals[:1], vecs[:, :1]
+
+        monkeypatch.setattr(fock, "_shift_invert_near", one_candidate)
+        with pytest.raises(TrackingError, match="fewer candidates than tracked states"):
+            track_levels(ladder, (0.0, 0.0), (0.3, 0.1), 3, 10**8, 64,
+                         [(1, 10**8 + 1), (2, 10**8)])
+        assert len(calls) == 1
+
     def test_repeated_label_rejected(self, ladder, monkeypatch):
         monkeypatch.setattr(fock, "_shift_invert_near", None)   # before any solve
         label = (1, 10**8 + 1)
@@ -479,15 +495,21 @@ class TestAnticrossing:
         with pytest.raises(ConvergenceError, match="not refined"):
             anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 100)
 
-    def test_no_point_solved_twice_after_the_scan(self, ladder, monkeypatch):
-        # every solve after the scan is one evaluation of a minimization; the
-        # truncation bound reuses the solve at the minimum it returned
-        built, polish_start, evaluations = [], [], []
-        build, minimize = fock.build_hamiltonian, fock.minimize_scalar
+    def test_no_point_solved_twice_after_the_approach(self, ladder, monkeypatch):
+        # the coarse pass, the fill and the polish each assemble a new point,
+        # and every solve of the polish is one evaluation of a minimization;
+        # the truncation bound reuses the solve at the minimum it returned
+        built, approach_end, polish_start, evaluations = [], [], [], []
+        build, minimize, track = fock.build_hamiltonian, fock.minimize_scalar, fock.track_levels
 
         def spy_build(params, *args):
             built.append((params.u, params.v))
             return build(params, *args)
+
+        def spy_track(*args, **kwargs):
+            tr = track(*args, **kwargs)
+            approach_end.append(len(built))
+            return tr
 
         def spy_minimize(fun, **kwargs):
             polish_start.append(len(built))
@@ -496,12 +518,14 @@ class TestAnticrossing:
             return res
 
         monkeypatch.setattr(fock, "build_hamiltonian", spy_build)
+        monkeypatch.setattr(fock, "track_levels", spy_track)
         monkeypatch.setattr(fock, "minimize_scalar", spy_minimize)
         res = anticrossing_gap(ladder, (1.0, 0.3), 13, (1, 2), 400)
+        assert res.half_width == 64 and len(approach_end) == 1
         assert len(res.minima) == len(evaluations) >= 1
-        after = built[polish_start[0]:]
-        assert len(after) == sum(evaluations)
-        assert len(set(after)) == len(after)
+        assert len(built) - polish_start[0] == sum(evaluations)
+        after = built[approach_end[0]:]
+        assert len(after) == len(set(after)) == res.ts.size + sum(evaluations)
 
     def test_benign_line_gap_matches_two_state_estimate(self, ladder):
         from triladder import pt_splitting

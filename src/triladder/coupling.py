@@ -14,20 +14,27 @@ in two families with one argument check and one sign rule.
 ``v_matrix_element`` takes bare oscillator eigenfunctions (unit Fock states)
 and ``v_matrix_element_h0`` the eigenfunctions of the rotated single-level
 problem, which the two-state splitting estimate calls for.  Both are
-evaluated the same way: on a Fock window around the two quantum numbers,
-entirely in the window's DVR (the eigenbasis of the windowed position
-operator), by one evaluator, ``_window_element``, that also returns the size
-of the terms it sums as the roundoff floor of the window doubling.
+evaluated the same way: on a Fock window around the two quantum numbers, by
+one evaluator, ``_window_element``, that also returns the size of the terms
+it sums as the roundoff floor of the window doubling.
 
-In the DVR every function of y is diagonal and d/dy = [y, N] holds exactly,
-N the window's number operator (its one dense product), counted from the
-window's first state so that its roundoff does not grow with n.
+The window splits by parity.  P = diag(1, -1, 1) anticommutes with dM/dy, so
+E_j(y) depends on y^2 alone, F12 and F23 are even in y and F13 is odd.  The
+windowed y^2 keeps the parity of the Fock state, so each sector of the
+window (its states lo, lo + 2, ... and lo + 1, lo + 3, ...) has its own DVR,
+the eigenbasis of its tridiagonal block of y^2 (``_sector_window``), where
+every function of y^2 is diagonal at the nodes sqrt(lambda).  The element is
+summed in Fock space from matvecs: d/dy = [y, N] is the exact Fock
+tridiagonal, an even F is applied as q (f * q^T v) in the sector of v, and
+the odd F13 as y q (h * q^T v) with h = F13 / y.
 
-That single-level problem, E_j(y) plus the oscillator, is assembled on the
-window in one place, ``_rotated_operator``.  Its spectrum is also the
-independent oracle of the dressed levels: ``h0_level_fd`` picks the rung by
-its index in the window, and an element's states are aimed at their own
-first-order rungs, never at the orbit average.  V omits the -(1/2) G^2
+That single-level problem, E_j(y) plus the oscillator, is assembled on one
+sector in one place, ``_rotated_operator``, from the sector's number operator
+counted from the window's first state so that its roundoff does not grow
+with n.  Its spectrum is also the independent oracle of the dressed levels:
+``h0_level_fd`` picks the rung by its index in the two sectors' merged
+spectra, and an element's states, each solved on its own sector, are aimed
+at their own first-order rungs, never at the orbit average.  V omits the -(1/2) G^2
 remainder of the rotation (moving the gap by <= 4.4e-10 relative on g2 = 0.3 g1
 at delta_n 13-21); ``test_matches_brute_force_rotation`` subtracts its (1,2) part.
 """
@@ -35,6 +42,7 @@ at delta_n 13-21); ``test_matches_brute_force_rotation`` subtracts its (1,2) par
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
@@ -115,40 +123,126 @@ def position_offdiagonal(lo, hi):
     return np.sqrt(k / 2.0)
 
 
-def _window(n, m, pad):
-    """Fock window around quanta n and m, padded by ``pad`` on both sides, in its DVR.
+def _position(e, v):
+    """y applied to a window Fock vector ``v``, ``e`` the window's ``position_offdiagonal``."""
+    out = np.zeros_like(v)
+    out[:-1] = e * v[1:]
+    out[1:] += e * v[:-1]
+    return out
 
-    Returns the first Fock state ``lo``, the eigenvalues ``nodes`` and
-    eigenvectors ``q`` (columns) of the windowed position operator, in whose
-    basis (the DVR) every function of y is diagonal, and the window's one
-    dense product num = q^T diag(0, 1, 2, ...) q: the number operator N
-    counted from ``lo``.  N is diagonal on the window, so d/dy = [y, N] holds
-    exactly there, and in the DVR d/dy is (x_a - x_b) num_ab.  Counted from 0,
-    N near n = 1e8 would swamp that off-diagonal part in roundoff.
+
+def _derivative(e, v):
+    """d/dy = [y, N] applied to a window Fock vector: the exact Fock tridiagonal."""
+    out = np.zeros_like(v)
+    out[:-1] = e * v[1:]
+    out[1:] -= e * v[:-1]
+    return out
+
+
+class _Sector(NamedTuple):
+    """One Fock-parity sector of a window, in the DVR of its block of y^2.
+
+    Its states are the window's ``first``-th, ``first + 2``-th, ...; row i of
+    the eigenvectors ``q`` (columns) is its i-th state.  ``nodes`` are the
+    square roots of the block's ascending eigenvalues.
+    """
+
+    first: int
+    nodes: np.ndarray
+    q: np.ndarray
+
+
+class _Window(NamedTuple):
+    """Fock states ``lo`` to ``lo + e.size``, y's off-diagonal ``e`` on them, two sectors."""
+
+    lo: int
+    e: np.ndarray
+    sectors: tuple
+
+
+def _sector_window(n, m, pad):
+    """Fock window around quanta n and m, padded by ``pad`` on both sides, split by parity.
+
+    The windowed y is tridiagonal with a zero diagonal, so its square keeps
+    the parity of the Fock state: the sector of states lo + first, lo + first
+    + 2, ... has the block <o|y^2|o> = e_{o-1}^2 + e_o^2 (a term beyond the
+    window's edge dropped), <o|y^2|o+2> = e_o e_{o+1}.  Each block gets its
+    own eigensolve, in whose basis (the sector's DVR) every function of y^2
+    is diagonal at the nodes, exactly as the windowed y's own DVR would give
+    it.
     """
     lo = max(min(n, m) - pad, 0)
-    hi = max(n, m) + pad
-    nodes, q = eigh_tridiagonal(np.zeros(hi - lo + 1), position_offdiagonal(lo, hi))
-    return lo, nodes, q, (q.T * np.arange(nodes.size, dtype=float)) @ q
+    e = position_offdiagonal(lo, max(n, m) + pad)
+    square = np.zeros(e.size + 1)
+    square[1:] += e * e
+    square[:-1] += e * e
+    across = e[:-1] * e[1:]
+    sectors = []
+    for first in (0, 1):
+        lam, q = eigh_tridiagonal(square[first::2], across[first::2])
+        # the zero eigenvalue of an odd-size window may round below zero
+        sectors.append(_Sector(first, np.sqrt(np.maximum(lam, 0.0)), q))
+    return _Window(lo, e, tuple(sectors))
 
 
-def _window_element(params, pair, nodes, num, left, right):
+def _in_window(window, first, components):
+    """The window Fock vector with ``components`` on the sector starting at ``first``."""
+    out = np.zeros(window.e.size + 1)
+    out[first::2] = components
+    return out
+
+
+def _fock_state(window, n):
+    """The unit Fock state n as a (sector, DVR vector, Fock components) triple.
+
+    Its DVR vector is a row of its sector's ``q``; its Fock components are
+    exact, so an element between Fock states keeps Fock-space precision.
+    """
+    first, row = (n - window.lo) % 2, (n - window.lo) // 2
+    q = window.sectors[first].q
+    unit = np.zeros(q.shape[0])
+    unit[row] = 1.0
+    return first, q[row], unit
+
+
+def _applied_coupling(params, pair, window, state):
+    """F_jk applied to a (sector, DVR vector, Fock components) state, and the size of its terms.
+
+    An even F is f(nodes) in the DVR of the state's sector.  The odd F13 is
+    y h(y^2) with h = F13 / y, which carries the state into the other sector;
+    the zero node of an odd-size window adds nothing there, because y
+    annihilates its vector.  Both are window Fock vectors: the value, and the
+    magnitude sum of the products each of its entries adds up.
+    """
+    first, dvr, _ = state
+    sector = window.sectors[first]
+    f = _coupling_batch(params, sector.nodes)[:, pair[0] - 1, pair[1] - 1]
+    odd = pair == (1, 3)
+    if odd:
+        f = np.divide(f, sector.nodes, out=np.zeros_like(f), where=sector.nodes > 0.0)
+    weighted = f * dvr
+    applied = (_in_window(window, first, sector.q @ weighted),
+               _in_window(window, first, np.abs(sector.q) @ np.abs(weighted)))
+    return tuple(_position(window.e, v) for v in applied) if odd else applied
+
+
+def _window_element(params, pair, window, left, right):
     """<left| {d/dy, F_jk} |right> on a window, and the size of the terms it sums.
 
-    ``left`` and ``right`` are DVR vectors; there F_jk is the diagonal
-    f = F_jk(nodes) and d/dy is D_ab = (x_a - x_b) num_ab (``_window``).  The
-    size |left|^T (|D| |F| + |F| |D|) |right| is the magnitude sum of the
-    products the evaluation adds up, whatever they cancel to.
+    ``left`` and ``right`` are (sector, DVR vector, Fock components) triples
+    (``_fock_state``, ``_window_h0_state``).  The element is summed from
+    Fock-space matvecs as <left| d/dy F |right> - <right| d/dy F |left>
+    (d/dy antisymmetric, F symmetric).  The size is the magnitude sum of
+    every product that evaluation adds up, F's included, whatever they
+    cancel to.
     """
-    f = _coupling_batch(params, nodes)[:, pair[0] - 1, pair[1] - 1]
-    # D is built in place and antisymmetric: left^T F D right = -right^T D F left
-    d = np.subtract.outer(nodes, nodes)
-    d *= num
-    fv = np.stack([f * right, f * left], axis=1)
-    p = d @ fv
-    value = float(left @ p[:, 0] - right @ p[:, 1])
-    p = np.abs(d, out=d) @ np.abs(fv)
-    return value, float(np.abs(left) @ p[:, 0] + np.abs(right) @ p[:, 1])
+    bra, ket = (_in_window(window, first, fock) for first, _, fock in (left, right))
+    (f_bra, size_bra), (f_ket, size_ket) = (
+        _applied_coupling(params, pair, window, s) for s in (left, right))
+    e = window.e
+    value = bra @ _derivative(e, f_ket) - ket @ _derivative(e, f_bra)
+    size = np.abs(bra) @ _position(e, size_ket) + np.abs(ket) @ _position(e, size_bra)
+    return float(value), float(size)
 
 
 def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> float:
@@ -162,9 +256,9 @@ def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> flo
     sigma, pair = _ordered_pair(j, k, n, m)
 
     def evaluate(pad):
-        lo, nodes, q, num = _window(n, m, pad)
-        # the unit Fock states n and m are rows of q in the DVR
-        return _window_element(params, pair, nodes, num, q[n - lo], q[m - lo])
+        window = _sector_window(n, m, pad)
+        return _window_element(params, pair, window, _fock_state(window, n),
+                               _fock_state(window, m))
 
     value = _refine(evaluate, 4 * abs(n - m) + 64, f"matrix element ({j},{n})<->({k},{m})")
     return -0.5 * sigma * value
@@ -174,14 +268,19 @@ def v_matrix_element(params: ModelParams, j: int, k: int, n: int, m: int) -> flo
 _INVERSE_STEPS = 30
 
 
-def _rotated_operator(params, level, nq, lo, nodes, num):
-    """The single-level rotated problem in a window's DVR, rungs counted from ``nq``.
+def _rotated_operator(params, level, nq, lo, sector):
+    """The single-level rotated problem on one sector, in its DVR, rungs counted from ``nq``.
 
-    The number operator ``num`` (counted from ``lo``, see ``_window``) plus
-    the diagonal E_level(nodes) + lo - nq.
+    The sector's number operator q^T diag(first, first + 2, ...) q, counted
+    from the window's first state ``lo`` (counted from 0, N near n = 1e8
+    would swamp the DVR in roundoff), plus the diagonal E_level(nodes) +
+    lo - nq; E_level depends on y^2 alone.
     """
-    op = num.copy()
-    op[np.diag_indices_from(op)] += eigenvalues_at(params, nodes)[:, level - 1] + float(lo - nq)
+    root = sector.q.T * np.sqrt(np.arange(sector.first, 2 * sector.nodes.size, 2, dtype=float))
+    # numpy hands w @ w.T to a symmetric rank-k update
+    op = root @ root.T
+    op[np.diag_indices_from(op)] += (eigenvalues_at(params, sector.nodes)[:, level - 1]
+                                     + float(lo - nq))
     return op
 
 
@@ -189,43 +288,48 @@ def h0_level_fd(params: ModelParams, j: int, n: int) -> float:
     """Dressed energy of level ``j`` from the rotated single-level problem at rung ``n``.
 
     Solves E_j(y) + (oscillator) on the Fock window of ``n`` padded by 48
-    states on each side and takes the eigenvalue at index ``n - lo`` of the
-    window's ascending spectrum (``lo`` its first state), less the rung ``n``.
-    The padding doubles at most four times; once two successive doublings
-    pass ``_converged`` (1e-8 relative) the later value is returned, else
-    ConvergenceError.  Independent of the orbit average.
+    states on each side, one parity sector at a time, and takes the value at
+    index ``n - lo`` of the two sectors' merged ascending spectra (``lo`` the
+    window's first state), less the rung ``n``.  The padding doubles at most
+    four times; once two successive doublings pass ``_converged`` (1e-8
+    relative) the later value is returned, else ConvergenceError.
+    Independent of the orbit average.
     """
     _check_level(j)
     if n < 0 or n > 2000:
         raise ValueError(f"h0_level_fd supports 0 <= n <= 2000, got {n}")
 
     def evaluate(pad):
-        lo, nodes, _, num = _window(n, n, pad)
-        op = _rotated_operator(params, j, n, lo, nodes, num)
-        (value,) = eigvalsh(op, subset_by_index=[n - lo, n - lo])
-        # the operator's norm sets the roundoff floor of its eigenvalues
-        return float(value), float(np.max(np.sum(np.abs(op), axis=1)))
+        window = _sector_window(n, n, pad)
+        ops = [_rotated_operator(params, j, n, window.lo, s) for s in window.sectors]
+        merged = np.sort(np.concatenate([eigvalsh(op) for op in ops]))
+        # the operators' norm sets the roundoff floor of their eigenvalues
+        return float(merged[n - window.lo]), max(float(np.max(np.sum(np.abs(op), axis=1)))
+                                                  for op in ops)
 
     # one small step between two unsettled windows is not convergence
     return _refine(evaluate, 48, f"dressed level {j} at n={n}", doublings=4, settled=2)
 
 
-def _window_h0_state(params, level, nq, lo, nodes, q, num):
+def _window_h0_state(params, level, nq, window):
     """Eigenvector of the windowed single-level rotated problem near one rung.
 
-    The operator is ``_rotated_operator``; its eigenvector nearest the target
-    <nq| E_level(y) |nq> (the first-order rung, the Rayleigh quotient of the
-    Fock state at ``nq``, row ``nq - lo`` of ``q`` in the DVR) is the
-    distorted oscillator state carrying quantum label ``nq``.  One LU of the
-    operator minus the target is applied to that Fock state until the
+    The problem keeps Fock parity, so it is solved on the sector of the Fock
+    state ``nq`` alone, with ``_rotated_operator``; its eigenvector nearest
+    the target <nq| E_level(y) |nq> (the first-order rung, the Rayleigh
+    quotient of that Fock state, a row of the sector's ``q`` in its DVR) is
+    the distorted oscillator state carrying quantum label ``nq``.  One LU of
+    the operator minus the target is applied to that Fock state until the
     residual is below 1e-13 of the operator's infinity norm (at most 30
     steps).  ConvergenceError is raised when the nearest level lies more than
-    0.45 from the target, and when the residual does not settle.  Returned in
-    the DVR, signed so that its largest Fock component is positive.
+    0.45 from the target, and when the residual does not settle.  Returned
+    as a (sector, DVR vector, Fock components) triple, signed so that its
+    largest Fock component is positive.
     """
-    shifted = _rotated_operator(params, level, nq, lo, nodes, num)
+    first, vec, _ = _fock_state(window, nq)
+    sector = window.sectors[first]
+    shifted = _rotated_operator(params, level, nq, window.lo, sector)
     tol = 1e-13 * np.max(np.sum(np.abs(shifted), axis=1))
-    vec = q[nq - lo]
     shifted[np.diag_indices_from(shifted)] -= vec @ shifted @ vec
     lu = lu_factor(shifted)
     for _ in range(_INVERSE_STEPS):
@@ -246,8 +350,9 @@ def _window_h0_state(params, level, nq, lo, nodes, q, num):
             f"rotated-frame level {level}, n={nq} did not settle in {_INVERSE_STEPS} "
             f"inverse-iteration steps; residual {residual:.3e} against {tol:.3e}")
     # deterministic sign so window-size refinement compares like with like
-    fock = q @ vec
-    return vec if fock[np.argmax(np.abs(fock))] >= 0 else -vec
+    fock = sector.q @ vec
+    sign = 1.0 if fock[np.argmax(np.abs(fock))] >= 0 else -1.0
+    return first, sign * vec, sign * fock
 
 
 def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> float:
@@ -266,13 +371,10 @@ def v_matrix_element_h0(params: ModelParams, j: int, k: int, n: int, m: int) -> 
     sigma, pair = _ordered_pair(j, k, n, m)
 
     def evaluate(p):
-        lo, nodes, q, num = _window(n, m, p)
-        uj = _window_h0_state(params, j, n, lo, nodes, q, num)
-        uk = _window_h0_state(params, k, m, lo, nodes, q, num)
-        # d/dy is built after the eigensolves, never beside their LUs (peak memory)
-        return _window_element(params, pair, nodes, num, uj, uk)
+        window = _sector_window(n, m, p)
+        return _window_element(params, pair, window, _window_h0_state(params, j, n, window),
+                               _window_h0_state(params, k, m, window))
 
     value = _refine(evaluate, 4 * abs(n - m) + 96,
                     f"rotated-frame element ({j},{n})<->({k},{m})")
     return -0.5 * sigma * value
-

@@ -155,14 +155,20 @@ class TestMatrixElements:
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.15, 100)
         window_element = coupling._window_element
 
-        def drifting(params, pair, nodes, num, left, right):
+        def drifting(params, pair, window, left, right):
             # a value that grows with the window keeps the element moving as it doubles
-            value, floor = window_element(params, pair, nodes, num, left, right)
-            return value * (1.0 + 1e-3 * nodes.size), floor
+            value, floor = window_element(params, pair, window, left, right)
+            return value * (1.0 + 1e-3 * (window.e.size + 1)), floor
 
         monkeypatch.setattr(coupling, "_window_element", drifting)
         with pytest.raises(ConvergenceError, match="not stable under window refinement"):
             element(p, 1, 2, 100, 89)
+
+    def test_bare_element_keeps_fock_space_precision(self):
+        # a small element: the terms it sums cancel to about one part in 1e6
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.4, 0.3, 100)
+        assert v_matrix_element(p, 2, 3, 100, 87) == pytest.approx(
+            hermite_element(p, 2, 3, 100, 87), rel=1e-9)
 
     def test_multiphoton_suppression_at_fixed_couplings(self):
         n0 = 10**8
@@ -264,19 +270,93 @@ class TestRotatedFrameElements:
 
 
 
+def sector_functions(params, window):
+    """Fock matrices of E_1(y), E_2(y), E_3(y), F12, F23 and F13 from the two sectors.
+
+    The curves are q E(nodes) q^T on each sector; each coupling column is
+    ``_applied_coupling``'s value on a unit Fock state.
+    """
+    size = window.e.size + 1
+    curves = np.zeros((3, size, size))
+    for sector in window.sectors:
+        cut = slice(sector.first, None, 2)
+        levels = trilevel.eigenvalues_at(params, sector.nodes)
+        for j in range(3):
+            curves[j][cut, cut] = (sector.q * levels[:, j]) @ sector.q.T
+    units = [coupling._fock_state(window, window.lo + i) for i in range(size)]
+    return [*curves] + [
+        np.column_stack([coupling._applied_coupling(params, pair, window, u)[0] for u in units])
+        for pair in ((1, 2), (2, 3), (1, 3))]
+
+
+def full_window_functions(params, window):
+    """The same matrices from the DVR of the whole windowed y (its own eigensolve)."""
+    x, q = scipy.linalg.eigh_tridiagonal(np.zeros(window.e.size + 1), window.e)
+    levels = trilevel.eigenvalues_at(params, x)
+    g = coupling._coupling_batch(params, x)
+    values = [levels[:, 0], levels[:, 1], levels[:, 2], g[:, 0, 1], g[:, 1, 2], g[:, 0, 2]]
+    return [(q * v) @ q.T for v in values]
+
+
+def assert_sectors_match_full_window(params, n, m, pad):
+    window = coupling._sector_window(n, m, pad)
+    for mine, full in zip(sector_functions(params, window), full_window_functions(params, window)):
+        assert np.linalg.norm(mine - full) <= 1e-12 * np.linalg.norm(full)
+
+
+class TestSectorWindows:
+    """Each parity sector's DVR gives the functions of the windowed y exactly."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(0, 300), dm=st.integers(0, 15), pad=st.integers(20, 60),
+           g1=st.floats(0.05, 0.8), g2=st.floats(0.05, 0.8))
+    @example(n=5, dm=0, pad=20, g1=0.5, g2=0.3)       # clamped at the vacuum, even size
+    @example(n=4, dm=0, pad=20, g1=0.5, g2=0.3)       # clamped at the vacuum, odd size
+    @example(n=200, dm=13, pad=40, g1=0.4, g2=0.3)    # even size
+    @example(n=200, dm=12, pad=40, g1=0.4, g2=0.3)    # odd size, a zero node
+    def test_matches_full_window_dvr(self, n, dm, pad, g1, g2):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, g1, g2, 100)
+        assert_sectors_match_full_window(p, n, max(n - dm, 0), pad)
+
+    @pytest.mark.parametrize("fault, n, m, caught", [
+        # an odd-size window: one sector holds the zero node, so the nodes no
+        # longer fit (an even-size window's sectors share their nodes, the
+        # eigenvalues of B B^T and B^T B)
+        ("nodes", 4, 4, ValueError),
+        # an even-size window: each sector's DVR lands on the other's Fock states
+        ("sectors", 200, 187, AssertionError)])
+    def test_swapped_sectors_are_caught(self, fault, n, m, caught, monkeypatch):
+        p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.4, 0.3, 100)
+        build = coupling._sector_window
+
+        def swapped(*args):
+            lo, e, (even, odd) = build(*args)
+            if fault == "nodes":
+                even, odd = even._replace(nodes=odd.nodes), odd._replace(nodes=even.nodes)
+            else:
+                even, odd = odd._replace(first=0), even._replace(first=1)
+            return coupling._Window(lo, e, (even, odd))
+
+        monkeypatch.setattr(coupling, "_sector_window", swapped)
+        with pytest.raises(caught):
+            assert_sectors_match_full_window(p, n, m, 20)
+
+
 def h0_window(params, level, nq, n, m, pad):
     """Window of an element, the rotated single-level operator on it, and its target.
 
-    The operator is built in the Fock basis, independently of
-    ``_rotated_operator``, and rotated into the window's DVR, where
-    ``_window_h0_state`` works; the target is its Fock-basis diagonal at
-    ``nq``, the Rayleigh quotient ``_window_h0_state`` shifts at.
+    The operator is built on the parity sector of ``nq`` in the Fock basis,
+    independently of ``_rotated_operator``, and rotated into the sector's
+    DVR, where ``_window_h0_state`` works; the target is its Fock-basis
+    diagonal at ``nq``, the Rayleigh quotient ``_window_h0_state`` shifts at.
     """
-    window = coupling._window(n, m, pad)
-    lo, nodes, q, _ = window
-    h0 = (q * trilevel.eigenvalues_at(params, nodes)[:, level - 1]) @ q.T
-    h0 += np.diag((lo + np.arange(nodes.size)) - float(nq))
-    return window, q.T @ h0 @ q, h0[nq - lo, nq - lo]
+    window = coupling._sector_window(n, m, pad)
+    first, row = (nq - window.lo) % 2, (nq - window.lo) // 2
+    sector = window.sectors[first]
+    q = sector.q
+    h0 = (q * trilevel.eigenvalues_at(params, sector.nodes)[:, level - 1]) @ q.T
+    h0 += np.diag((window.lo + np.arange(first, 2 * q.shape[0], 2)) - float(nq))
+    return window, q.T @ h0 @ q, h0[row, row]
 
 
 class TestRotatedFrameStates:
@@ -291,7 +371,7 @@ class TestRotatedFrameStates:
         window, h0, target = h0_window(p, level, nq, n, n - dn, 4 * dn + 96)
         vals, vecs = np.linalg.eigh(h0)
         near = int(np.argmin(np.abs(vals - target)))
-        vec = coupling._window_h0_state(p, level, nq, *window)
+        _, vec, _ = coupling._window_h0_state(p, level, nq, window)
         assert vec @ h0 @ vec == pytest.approx(vals[near], rel=0.0, abs=1e-10)
         assert abs(vec @ vecs[:, near]) >= 1.0 - 1e-10
 
@@ -303,28 +383,29 @@ class TestRotatedFrameStates:
         window, h0, target = h0_window(p, 3, 18, 20, 18, 104)
         assert np.min(np.abs(np.linalg.eigvalsh(h0) - target)) >= 0.45
         with pytest.raises(ConvergenceError, match="no rotated-frame level within 0.45"):
-            coupling._window_h0_state(p, 3, 18, *window)
+            coupling._window_h0_state(p, 3, 18, window)
 
     def test_unsettled_iteration_raises(self, monkeypatch):
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.3513, 0.3 * 0.3513, 600)
-        window = coupling._window(601, 586, 156)
+        window = coupling._sector_window(601, 586, 156)
         solve = coupling.lu_solve
         # a solve that keeps mixing in a neighbouring state never settles
         monkeypatch.setattr(coupling, "lu_solve",
                             lambda lu, b: solve(lu, b) + 1e-3 * np.roll(b, 1))
         with pytest.raises(ConvergenceError, match="did not settle"):
-            coupling._window_h0_state(p, 2, 586, *window)
+            coupling._window_h0_state(p, 2, 586, window)
 
 
 def vacuum_window_level(params, j, n):
     """Rung ``n`` of level ``j`` on the window anchored at the vacuum.
 
-    Its Fock states start at 0, so the n-th eigenvalue of the rotated
-    single-level problem is rung n without any choice of index.
+    Its Fock states start at 0, so rung n, which has the parity of n, is
+    eigenvalue n // 2 of the rotated single-level problem on the sector of
+    n, without any choice of index and without merging the two sectors.
     """
-    lo, nodes, _, num = coupling._window(0, n, n + 400)
-    op = coupling._rotated_operator(params, j, n, lo, nodes, num)
-    return scipy.linalg.eigvalsh(op, subset_by_index=[n, n])[0]
+    window = coupling._sector_window(0, n, n + 400)
+    op = coupling._rotated_operator(params, j, n, window.lo, window.sectors[n % 2])
+    return scipy.linalg.eigvalsh(op, subset_by_index=[n // 2, n // 2])[0]
 
 
 class TestWindowLevelOracle:
@@ -353,10 +434,10 @@ class TestWindowLevelOracle:
         p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, 0.5, 0.5, 100)
         rotated = coupling._rotated_operator
 
-        def drifting(params, level, nq, lo, nodes, num):
+        def drifting(params, level, nq, lo, sector):
             # a shift that grows with the window keeps the level moving as it doubles
-            shift = 1e-3 * nodes.size * np.eye(nodes.size)
-            return rotated(params, level, nq, lo, nodes, num) + shift
+            shift = 1e-3 * sector.nodes.size * np.eye(sector.nodes.size)
+            return rotated(params, level, nq, lo, sector) + shift
 
         monkeypatch.setattr(coupling, "_rotated_operator", drifting)
         with pytest.raises(ConvergenceError, match="not stable under window refinement"):

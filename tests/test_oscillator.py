@@ -4,7 +4,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.special import eval_hermite, gammaln
 
-from triladder.coupling import _window, position_offdiagonal
+from triladder.coupling import _derivative, _sector_window, position_offdiagonal
 
 from conftest import derivative_from_rows, eigenfunction_rows, product_quadrature
 
@@ -62,15 +62,22 @@ def test_ladder_derivative_matches_finite_difference():
 
 
 @pytest.mark.parametrize("lo", [0, 10**8 - 300])
-def test_dvr_derivative_is_commutator_with_number_operator(lo):
-    # d/dy = [y, N] on a Fock window; in its DVR, (x_a - x_b) num_ab
+def test_derivative_is_commutator_and_sectors_diagonalize_the_square(lo):
+    # d/dy = [y, N] on a Fock window is the exact Fock tridiagonal, and each
+    # parity sector's DVR diagonalizes its block of the windowed y^2
     pad = 100
-    start, nodes, q, num = _window(lo + pad, lo + pad, pad)
-    assert start == lo
-    off = position_offdiagonal(lo, lo + nodes.size - 1)
-    idx = np.arange(nodes.size - 1)
-    d = np.zeros((nodes.size, nodes.size))
-    d[idx, idx + 1] = off
-    d[idx + 1, idx] = -off
-    dvr = q @ (np.subtract.outer(nodes, nodes) * num) @ q.T
-    assert np.max(np.abs(dvr - d)) <= 1e-10 * np.max(np.abs(d))
+    window = _sector_window(lo + pad, lo + pad, pad)
+    assert window.lo == lo
+    size = window.e.size + 1
+    off = position_offdiagonal(lo, lo + size - 1)
+    y = np.diag(off, 1) + np.diag(off, -1)
+    number = np.diag(np.arange(size, dtype=float))
+    d = y @ number - number @ y
+    derivative = np.column_stack([_derivative(window.e, unit) for unit in np.eye(size)])
+    assert np.max(np.abs(derivative - d)) <= 1e-10 * np.max(np.abs(d))
+    square = y @ y
+    assert not np.any(square[0::2, 1::2])
+    for sector in window.sectors:
+        block = (sector.q * sector.nodes**2) @ sector.q.T
+        cut = slice(sector.first, None, 2)
+        assert np.max(np.abs(block - square[cut, cut])) <= 1e-10 * np.max(np.abs(square))

@@ -31,10 +31,13 @@ the odd F13 as y q (h * q^T v) with h = F13 / y.
 That single-level problem, E_j(y) plus the oscillator, is assembled on one
 sector in one place, ``_rotated_operator``, from the sector's number operator
 counted from the window's first state so that its roundoff does not grow
-with n.  Its spectrum is also the independent oracle of the dressed levels:
-``h0_level_fd`` picks the rung by its index in the two sectors' merged
-spectra, and an element's states, each solved on its own sector, are aimed
-at their own first-order rungs, never at the orbit average.  V omits the -(1/2) G^2
+with n.  A dense operator is formed in the BLAS of the LAPACK call that
+consumes it, so this one comes from scipy's ``dsyrk``, not numpy's matmul
+(each bundles its own OpenBLAS and thread pool).  Its spectrum is also the
+independent oracle of the dressed levels: ``h0_level_fd`` picks the rung by
+its index in the two sectors' merged spectra, and an element's states, each
+solved on its own sector, are aimed at their own first-order rungs, never at
+the orbit average.  V omits the -(1/2) G^2
 remainder of the rotation (moving the gap by <= 4.4e-10 relative on g2 = 0.3 g1
 at delta_n 13-21); ``test_matches_brute_force_rotation`` subtracts its (1,2) part.
 """
@@ -46,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh, lu_factor, lu_solve
+from scipy.linalg.blas import dsyrk
 
 from .errors import ConvergenceError
 from .selection import _check_level, _check_transition
@@ -276,11 +280,16 @@ def _rotated_operator(params, level, nq, lo, sector):
     would swamp the DVR in roundoff), plus the diagonal E_level(nodes) +
     lo - nq; E_level depends on y^2 alone.
     """
-    root = sector.q.T * np.sqrt(np.arange(sector.first, 2 * sector.nodes.size, 2, dtype=float))
-    # numpy hands w @ w.T to a symmetric rank-k update
-    op = root @ root.T
-    op[np.diag_indices_from(op)] += (eigenvalues_at(params, sector.nodes)[:, level - 1]
-                                     + float(lo - nq))
+    quanta = np.arange(sector.first, 2 * sector.nodes.size, 2, dtype=float)
+    root = sector.q * np.sqrt(quanta)[:, None]
+    # root^T root in scipy's OpenBLAS, the one that factors op (see the module
+    # docstring); dsyrk fills the upper triangle only, and mirroring it and
+    # halving the doubled diagonal is exact, so op == op.T
+    op = dsyrk(1.0, root, trans=1)
+    op += op.T
+    diag = np.diag_indices_from(op)
+    op[diag] *= 0.5
+    op[diag] += eigenvalues_at(params, sector.nodes)[:, level - 1] + float(lo - nq)
     return op
 
 

@@ -342,6 +342,28 @@ class TestSectorWindows:
             assert_sectors_match_full_window(p, n, m, 20)
 
 
+@settings(max_examples=6, deadline=None)
+@given(n0=st.one_of(st.integers(200, 800), st.just(10**8)), level=st.sampled_from([1, 2, 3]),
+       dn=st.integers(0, 15), first=st.sampled_from([0, 1]), pad=st.integers(20, 900),
+       g1=st.floats(0.05, 0.8), g2=st.floats(0.05, 0.8))
+@example(n0=200, level=1, dn=13, first=0, pad=300, g1=0.4, g2=0.3)      # clamped, even size
+@example(n0=200, level=3, dn=12, first=1, pad=301, g1=0.4, g2=0.3)      # clamped, odd size
+@example(n0=10**8, level=1, dn=13, first=0, pad=148, g1=0.35, g2=0.1)  # unclamped, even size
+@example(n0=10**8, level=2, dn=12, first=1, pad=144, g1=0.35, g2=0.1)  # unclamped, odd size
+def test_rotated_operator_is_symmetric_and_matches_fock(n0, level, dn, first, pad, g1, g2):
+    # scipy's rank-k update fills one triangle; LU reads both and eigvalsh the lower
+    p = ModelParams.from_dimensionless(0.0, 11.0, 24.0, g1, g2, n0)
+    n = central_quantum(1, n0)
+    window = coupling._sector_window(n, n - dn, pad)
+    sector = window.sectors[first]
+    op = coupling._rotated_operator(p, level, n - dn, window.lo, sector)
+    assert np.array_equal(op, op.T)
+    q = sector.q
+    fock = (q * trilevel.eigenvalues_at(p, sector.nodes)[:, level - 1]) @ q.T
+    fock += np.diag(window.lo + np.arange(first, 2 * q.shape[0], 2) - float(n - dn))
+    assert np.max(np.abs(q @ op @ q.T - fock)) <= 1e-12 * np.max(np.abs(fock))
+
+
 def h0_window(params, level, nq, n, m, pad):
     """Window of an element, the rotated single-level operator on it, and its target.
 
